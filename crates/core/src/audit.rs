@@ -11,7 +11,8 @@
 //!
 //! 1. **Partition** — the free set and the allocated set partition each
 //!    physical register file: no overlap (a freed register still marked
-//!    allocated) and no gap (`occupancy + free == size`).
+//!    allocated) and no gap (`occupancy + free == size`); the file's
+//!    maintained occupancy counter equals a full recount.
 //! 2. **Liveness** — every speculative-RAT mapping points at an
 //!    allocated register; under the baseline scheme the committed RAT
 //!    does too (early-release schemes legitimately free registers the
@@ -108,6 +109,13 @@ impl RenameAuditor {
         self.flushes_checked
     }
 
+    /// Credits `n` cycles whose state is identical to the cycle just
+    /// audited (the pipeline's quiet-cycle skip-ahead): every invariant
+    /// that held then holds for each of them.
+    pub fn credit_cycles(&mut self, n: u64) {
+        self.cycles_checked += n;
+    }
+
     /// Total violations reported so far.
     #[must_use]
     pub fn violations_found(&self) -> u64 {
@@ -132,6 +140,13 @@ impl RenameAuditor {
         for class in RegClass::ALL {
             let prf = renamer.prf_file(class);
             let free = renamer.free_list(class);
+            if prf.occupancy() != prf.recount_occupancy() {
+                report(format!(
+                    "{class}: occupancy counter ({}) != allocated registers ({})",
+                    prf.occupancy(),
+                    prf.recount_occupancy()
+                ));
+            }
             if prf.occupancy() + free.len() != prf.size() {
                 report(format!(
                     "{class}: allocated ({}) + free ({}) != file size ({}) — a register \

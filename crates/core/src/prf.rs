@@ -97,6 +97,10 @@ impl PrfStats {
 pub struct PhysRegFile {
     class: RegClass,
     regs: Vec<PhysReg>,
+    /// Allocated registers, maintained by [`PhysRegFile::on_alloc`] and
+    /// [`PhysRegFile::on_release`] (sampled every cycle, so never
+    /// recounted on the hot path).
+    occupied: usize,
     /// Maximum trackable consumers before overflow (2^w − 2 with the
     /// ATR sentinel reserved).
     max_count: u32,
@@ -119,7 +123,7 @@ impl PhysRegFile {
             r.ready = true;
             r.refs = 1;
         }
-        PhysRegFile { class, regs, max_count, stats: PrfStats::default() }
+        PhysRegFile { class, regs, occupied: premapped, max_count, stats: PrfStats::default() }
     }
 
     /// The register class of this file.
@@ -137,6 +141,13 @@ impl PhysRegFile {
     /// Currently allocated registers.
     #[must_use]
     pub fn occupancy(&self) -> usize {
+        self.occupied
+    }
+
+    /// Allocated registers counted from the per-register state — the
+    /// auditor's cross-check of [`PhysRegFile::occupancy`].
+    #[must_use]
+    pub fn recount_occupancy(&self) -> usize {
         self.regs.iter().filter(|r| r.allocated).count()
     }
 
@@ -171,6 +182,7 @@ impl PhysRegFile {
     /// Resets the state of a freshly allocated register.
     pub fn on_alloc(&mut self, tag: PTag, event: Option<EventHandle>) {
         self.stats.allocations += 1;
+        self.occupied += 1;
         let r = self.get_mut(tag);
         debug_assert!(!r.allocated, "allocating an already-allocated register");
         let generation = r.generation + 1;
@@ -180,6 +192,7 @@ impl PhysRegFile {
     /// Marks a register released (free-list return is the caller's job).
     pub fn on_release(&mut self, tag: PTag) {
         self.stats.releases += 1;
+        self.occupied -= 1;
         let r = self.get_mut(tag);
         debug_assert!(r.allocated, "releasing a non-allocated register");
         r.allocated = false;
@@ -261,8 +274,11 @@ mod tests {
             r.count = 5;
             r.marked_branch = true;
         }
+        assert_eq!(f.occupancy(), 17);
         f.on_release(t);
+        assert_eq!(f.occupancy(), 16);
         f.on_alloc(t, None);
+        assert_eq!((f.occupancy(), f.recount_occupancy()), (17, 17));
         let r = f.get(t);
         assert!(r.allocated);
         assert!(!r.ready);

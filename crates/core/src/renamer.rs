@@ -571,18 +571,29 @@ impl Renamer {
     }
 
     /// Drains redefine-delay pipeline entries that become effective at
-    /// `cycle` (§4.2.2's N-stage pipelined marking).
-    pub fn tick(&mut self, cycle: u64) {
+    /// `cycle` (§4.2.2's N-stage pipelined marking). Returns whether any
+    /// entry drained.
+    pub fn tick(&mut self, cycle: u64) -> bool {
+        let mut drained = false;
         while let Some(&(effective, p, generation)) = self.pending_redefines.front() {
             if effective > cycle {
                 break;
             }
             self.pending_redefines.pop_front();
+            drained = true;
             let state = self.prf.get(p.class()).get(p);
             if state.allocated && state.generation == generation {
                 self.apply_effective_redefine(p, cycle);
             }
         }
+        drained
+    }
+
+    /// The cycle the oldest pending redefine becomes effective — the
+    /// next cycle at which [`Renamer::tick`] has work.
+    #[must_use]
+    pub fn next_redefine_at(&self) -> Option<u64> {
+        self.pending_redefines.front().map(|&(effective, _, _)| effective)
     }
 
     fn apply_effective_redefine(&mut self, p: PTag, cycle: u64) {

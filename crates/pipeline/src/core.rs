@@ -1,13 +1,21 @@
 //! The assembled out-of-order core and its cycle loop.
 //!
-//! Stage order within a [`OooCore::tick`] is reverse-pipeline (commit →
-//! precommit → writeback → issue → dispatch → fetch) so state written by
-//! a younger stage is consumed by an older stage in the *next* cycle.
+//! Stage order within a cycle is reverse-pipeline (commit → precommit →
+//! writeback → issue → dispatch → fetch) so state written by a younger
+//! stage is consumed by an older stage in the *next* cycle.
+//!
+//! The loop is event-driven: dispatch files each uop on the wakeup lists
+//! of the registers it waits for, writeback pops due completions from a
+//! queue and broadcasts their tags, and issue walks only the ready set.
+//! A cycle that changes nothing beyond the per-cycle counters is
+//! *quiet*; [`OooCore::tick`] then skips straight to the next timed
+//! event and credits the skipped cycles in bulk (DESIGN.md "Cycle
+//! loop").
 
 use crate::config::CoreConfig;
 use crate::iq::IssueQueue;
 use crate::lsq::{LoadCheck, Lsq};
-use crate::rob::{Rob, RobEntry, RobState};
+use crate::rob::{CompletionQueue, Rob, RobEntry, RobState};
 use crate::stats::CoreStats;
 use crate::telemetry::{CoreTelemetry, CycleView};
 use atr_core::{CheckpointPolicy, PTag, RegLifetime, RenameAuditor, Renamer};
@@ -18,6 +26,10 @@ use atr_telemetry::TraceStage;
 use atr_workload::{synthesize_outcome, Oracle, Program, TraceSource};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Cycles without a commit after which [`OooCore::run`] declares a model
+/// deadlock (always a bug).
+const DEADLOCK_CYCLES: u64 = 200_000;
 
 /// How the core services an interrupt (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +62,14 @@ pub struct RetiredInst {
     pub mem_addr: Option<u64>,
 }
 
+/// Functional-unit ports still free in the current issue cycle.
+#[derive(Debug, Clone, Copy)]
+struct FuPorts {
+    alu: usize,
+    load: usize,
+    store: usize,
+}
+
 /// A fetched instruction waiting in the frontend pipe for rename.
 #[derive(Debug, Clone)]
 struct Fetched {
@@ -73,6 +93,10 @@ pub struct OooCore {
     renamer: Renamer,
     rob: Rob,
     iq: IssueQueue,
+    /// Issued entries by completion cycle (writeback's event source).
+    completions: CompletionQueue,
+    /// Writeback's reused buffer of this cycle's due completions.
+    due: Vec<InstSeq>,
     lsq: Lsq,
     frontend: VecDeque<Fetched>,
     // Fetch state.
@@ -139,6 +163,8 @@ impl OooCore {
             renamer: Renamer::new(&cfg.rename),
             rob: Rob::new(cfg.rob_size),
             iq: IssueQueue::new(cfg.rs_size),
+            completions: CompletionQueue::new(),
+            due: Vec::new(),
             lsq: Lsq::new(cfg.load_buffer, cfg.store_buffer),
             frontend: VecDeque::new(),
             fetch_pc,
@@ -175,11 +201,25 @@ impl OooCore {
     /// Panics if the pipeline makes no forward progress for 200k cycles
     /// (a model deadlock — always a bug).
     pub fn run(&mut self, max_insts: u64) -> CoreStats {
+        self.run_with(max_insts, OooCore::tick)
+    }
+
+    /// [`OooCore::run`] stepping exactly one cycle at a time, never
+    /// skipping quiet cycles: the reference the skip-ahead equivalence
+    /// tests compare [`OooCore::run`] against. Not for production use.
+    #[doc(hidden)]
+    pub fn run_without_skip(&mut self, max_insts: u64) -> CoreStats {
+        self.run_with(max_insts, |core| {
+            core.step();
+        })
+    }
+
+    fn run_with(&mut self, max_insts: u64, mut advance: impl FnMut(&mut Self)) -> CoreStats {
         let target = self.stats.retired + max_insts;
         while self.stats.retired < target && self.cycle < self.cfg.max_cycles {
-            self.tick();
+            advance(self);
             assert!(
-                self.cycle - self.last_commit_cycle < 200_000,
+                self.cycle - self.last_commit_cycle < DEADLOCK_CYCLES,
                 "pipeline deadlock at cycle {}: head={:?}",
                 self.cycle,
                 self.rob.head().map(|e| (e.inst.seq, e.inst.sinst.class, e.state))
@@ -278,8 +318,32 @@ impl OooCore {
         self.pending_interrupt.is_some()
     }
 
-    /// Advances the model by one cycle.
+    /// Advances the model by at least one cycle.
+    ///
+    /// The cycle at [`OooCore::cycles`] runs through every stage. If it
+    /// was *quiet* — it changed no state beyond the per-cycle counters
+    /// (stall counts, PRF occupancy sums, CPI slots, occupancy
+    /// histograms and series, audited cycles) — then every cycle up to
+    /// the next timed event would repeat it exactly, so `tick` jumps
+    /// straight to that event and credits the skipped cycles in bulk.
+    /// The events are the next completion, a pending redefine, the end
+    /// of a fetch stall, the frontend head's arrival at rename, the
+    /// divider freeing, the end of a serialization or redirect window,
+    /// the `max_cycles` cap and the deadlock horizon (DESIGN.md "Cycle
+    /// loop"). Every result is bit-identical to stepping one cycle at a
+    /// time, whether telemetry and audit are on or off. A quiet cycle
+    /// retires nothing, so at most `retire_width` instructions retire
+    /// per call.
     pub fn tick(&mut self) {
+        let stalls = self.stall_counters();
+        if !self.step() {
+            self.skip_quiet_cycles(stalls);
+        }
+    }
+
+    /// Simulates exactly one cycle. Returns whether it changed any
+    /// state beyond the per-cycle counters (`false`: a quiet cycle).
+    fn step(&mut self) -> bool {
         if let Some(t) = self.telemetry.as_mut() {
             t.begin_cycle(
                 self.stats.retired,
@@ -287,14 +351,14 @@ impl OooCore {
                 self.stats.rename_backpressure_stalls,
             );
         }
-        self.renamer.tick(self.cycle);
-        self.commit();
-        self.service_interrupt();
-        self.advance_precommit();
-        self.writeback();
-        self.issue();
-        self.dispatch();
-        self.fetch();
+        let mut active = self.renamer.tick(self.cycle);
+        active |= self.commit();
+        active |= self.service_interrupt();
+        active |= self.advance_precommit();
+        active |= self.writeback();
+        active |= self.issue();
+        active |= self.dispatch();
+        active |= self.fetch();
         self.enforce_audit_cycle();
         self.stats.int_prf_occupancy_sum += self.renamer.occupancy(RegClass::Int) as u128;
         self.stats.fp_prf_occupancy_sum += self.renamer.occupancy(RegClass::Fp) as u128;
@@ -303,6 +367,73 @@ impl OooCore {
         }
         self.stats.cycles = self.cycle;
         self.cycle += 1;
+        active
+    }
+
+    /// The counters a quiet cycle may still bump: free-list and
+    /// backpressure rename stalls, and flush-mode interrupt waits.
+    fn stall_counters(&self) -> [u64; 3] {
+        let s = &self.stats;
+        [s.rename_freelist_stalls, s.rename_backpressure_stalls, s.interrupt_wait_cycles]
+    }
+
+    /// The earliest cycle at or after `from` at which a timed condition
+    /// of the cycle loop flips: a completion falls due, a redefine
+    /// becomes effective, fetch's stall ends, the frontend head reaches
+    /// rename, the divider frees, or a telemetry serialization/redirect
+    /// window closes.
+    fn next_event(&self, from: u64) -> u64 {
+        [
+            self.completions.next_at(),
+            self.renamer.next_redefine_at(),
+            self.frontend.front().map(|f| f.ready_at),
+            Some(self.fetch_stall_until),
+            Some(self.div_busy_until),
+            Some(self.serialize_until),
+            Some(self.badspec_until),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&at| at >= from)
+        .min()
+        .unwrap_or(u64::MAX)
+    }
+
+    /// Called after a quiet cycle: every cycle before the next event
+    /// (capped by `max_cycles` and the deadlock horizon) would repeat it
+    /// exactly, so jump there and credit the skipped cycles with what
+    /// the quiet cycle recorded. `before` is [`OooCore::stall_counters`]
+    /// at the start of the quiet cycle.
+    fn skip_quiet_cycles(&mut self, before: [u64; 3]) {
+        let from = self.cycle;
+        let to = self
+            .next_event(from)
+            .min(self.cfg.max_cycles)
+            .min(self.last_commit_cycle + DEADLOCK_CYCLES);
+        if to <= from {
+            return;
+        }
+        let n = to - from;
+        let [freelist, backpressure, interrupt_wait] = before;
+        let s = &mut self.stats;
+        s.rename_freelist_stalls += n * (s.rename_freelist_stalls - freelist);
+        s.rename_backpressure_stalls += n * (s.rename_backpressure_stalls - backpressure);
+        s.interrupt_wait_cycles += n * (s.interrupt_wait_cycles - interrupt_wait);
+        s.int_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Int) as u128;
+        s.fp_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Fp) as u128;
+        s.cycles = to - 1;
+        if let Some(t) = self.telemetry.as_mut() {
+            t.repeat_last_cycle(from, n);
+            if self.auditor.is_some() {
+                if let Err(e) = t.cpi.check() {
+                    panic!("cycles {from}..{to}: {e}");
+                }
+            }
+        }
+        if let Some(auditor) = self.auditor.as_mut() {
+            auditor.credit_cycles(n);
+        }
+        self.cycle = to;
     }
 
     /// Runs the renamer invariant audit; on failure, dumps the pipeline
@@ -311,14 +442,17 @@ impl OooCore {
     fn enforce_audit_cycle(&mut self) {
         let Some(auditor) = self.auditor.as_mut() else { return };
         let (renamer, rob, cycle) = (&self.renamer, &self.rob, self.cycle);
+        let (iq, completions) = (&self.iq, &self.completions);
+        let mut audit = || {
+            auditor.enforce_cycle(renamer, rob.iter().map(|e| (&e.uop, e.issued())), cycle);
+            audit_schedule(renamer, rob, iq, completions, cycle);
+        };
         let dump_on_failure = self.telemetry.as_ref().is_some_and(|t| t.tracing());
         if !dump_on_failure {
-            auditor.enforce_cycle(renamer, rob.iter().map(|e| (&e.uop, e.issued())), cycle);
+            audit();
             return;
         }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            auditor.enforce_cycle(renamer, rob.iter().map(|e| (&e.uop, e.issued())), cycle);
-        }));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(audit));
         if let Err(payload) = outcome {
             if let Some(t) = self.telemetry.as_ref() {
                 let path = std::env::var("ATR_TRACE_DUMP")
@@ -405,14 +539,16 @@ impl OooCore {
 
     // ----------------------------------------------------------- fetch
 
-    fn fetch(&mut self) {
+    /// Returns whether fetch touched the I-cache (any fetch activity).
+    fn fetch(&mut self) -> bool {
         if self.cycle < self.fetch_stall_until || self.wrong_path_dead {
-            return;
+            return false;
         }
         // Drain-mode interrupts stop fetching new instructions (§4.1a).
         if self.pending_interrupt == Some(InterruptMode::Drain) {
-            return;
+            return false;
         }
+        let mut active = false;
         let cap = self.cfg.fetch_width * (self.cfg.frontend_depth as usize + 2);
         let mut taken_targets = 0usize;
         let mut cur_block = u64::MAX;
@@ -426,6 +562,7 @@ impl OooCore {
             let this_block = self.fetch_pc & !(self.cfg.fetch_block_bytes - 1);
             if this_block != cur_block {
                 cur_block = this_block;
+                active = true;
                 block_ready = self.mem.access(AccessKind::InstFetch, this_block, self.cycle);
                 if block_ready > self.cycle + self.cfg.mem.l1i.latency {
                     // I-cache miss: resume when the line arrives.
@@ -522,11 +659,14 @@ impl OooCore {
                 cur_block = u64::MAX; // force an access at the target block
             }
         }
+        active
     }
 
     // -------------------------------------------------------- dispatch
 
-    fn dispatch(&mut self) {
+    /// Returns whether anything was renamed.
+    fn dispatch(&mut self) -> bool {
+        let mut active = false;
         for _ in 0..self.cfg.rename_width {
             let Some(front) = self.frontend.front() else { break };
             if front.ready_at > self.cycle {
@@ -546,6 +686,7 @@ impl OooCore {
                 break;
             }
             let f = self.frontend.pop_front().expect("checked front");
+            active = true;
             let seq = f.inst.seq;
             let uop = self.renamer.rename(&f.inst.sinst, seq, self.cycle, f.inst.on_wrong_path);
             if f.inst.on_wrong_path {
@@ -569,7 +710,11 @@ impl OooCore {
             // source.
             let eliminated = uop.pdst.is_none() && uop.alias.is_some();
             if !eliminated {
-                self.iq.insert(seq);
+                let renamer = &self.renamer;
+                self.iq.insert(
+                    seq,
+                    uop.psrcs.iter().flatten().copied().filter(|&p| !renamer.is_ready(p)),
+                );
             }
             self.rob.push(RobEntry {
                 inst: f.inst,
@@ -585,96 +730,105 @@ impl OooCore {
             });
             self.trace_event(seq, TraceStage::Rename, "");
         }
+        active
     }
 
     // ----------------------------------------------------------- issue
 
-    fn issue(&mut self) {
-        let mut alu = self.cfg.num_alu;
-        let mut loads = self.cfg.num_load;
-        let mut stores = self.cfg.num_store;
-        let mut issued: Vec<InstSeq> = Vec::new();
-
-        let candidates: Vec<InstSeq> = self.iq.iter_oldest_first().collect();
-        for seq in candidates {
-            if alu == 0 && loads == 0 && stores == 0 {
+    /// Walks the ready set oldest first, issuing what the ports, the
+    /// divider and memory ordering allow. Returns whether anything
+    /// issued.
+    fn issue(&mut self) -> bool {
+        let mut ports =
+            FuPorts { alu: self.cfg.num_alu, load: self.cfg.num_load, store: self.cfg.num_store };
+        let mut active = false;
+        let mut idx = 0;
+        while let Some(&seq) = self.iq.ready().get(idx) {
+            if ports.alu == 0 && ports.load == 0 && ports.store == 0 {
                 break;
             }
-            let Some(entry) = self.rob.get(seq) else { continue };
-            let class = entry.inst.sinst.class;
-            let psrcs = entry.uop.psrcs;
-            let mem_addr = entry.inst.outcome.mem_addr;
-            match class.fu_kind() {
-                FuKind::Alu if alu == 0 => continue,
-                FuKind::Load if loads == 0 => continue,
-                FuKind::Store if stores == 0 => continue,
-                _ => {}
+            if self.try_issue(seq, &mut ports) {
+                self.iq.issue(idx);
+                active = true;
+            } else {
+                idx += 1;
             }
-            if class.is_unpipelined() && self.div_busy_until > self.cycle {
-                continue;
-            }
-            if !psrcs.iter().flatten().all(|p| self.renamer.is_ready(*p)) {
-                continue;
-            }
-
-            let mut mem_level: Option<ServiceLevel> = None;
-            let complete_at = match class {
-                OpClass::Load => {
-                    let addr = mem_addr.expect("load without an address");
-                    match self.lsq.check_load(seq, addr, !self.cfg.perfect_disambiguation) {
-                        LoadCheck::Wait => continue,
-                        LoadCheck::Forward { data_ready } => {
-                            loads -= 1;
-                            mem_level = Some(ServiceLevel::L1);
-                            (self.cycle + 1).max(data_ready) + u64::from(self.cfg.forward_latency)
-                        }
-                        LoadCheck::GoToMemory => {
-                            loads -= 1;
-                            let done = self.mem.access(AccessKind::Load, addr, self.cycle + 1);
-                            mem_level = Some(self.mem.last_service_level());
-                            done
-                        }
-                    }
-                }
-                OpClass::Store => {
-                    let addr = mem_addr.expect("store without an address");
-                    stores -= 1;
-                    self.lsq.store_address_ready(seq, addr, self.cycle + 1);
-                    self.cycle + 1
-                }
-                _ => {
-                    alu -= 1;
-                    let done = self.cycle + u64::from(class.exec_latency());
-                    if class.is_unpipelined() {
-                        self.div_busy_until = done;
-                    }
-                    done
-                }
-            };
-
-            let entry = self.rob.get_mut(seq).expect("entry exists");
-            entry.state = RobState::Issued;
-            entry.complete_at = complete_at;
-            entry.mem_level = mem_level;
-            self.renamer.on_issue(&psrcs, self.cycle);
-            self.trace_event(seq, TraceStage::Issue, "");
-            issued.push(seq);
         }
-        self.iq.remove(&issued);
+        active
+    }
+
+    /// Issues the ready entry `seq` if a port of its kind is free, the
+    /// divider is idle (for divides) and no older store blocks it (for
+    /// loads). Returns whether it issued.
+    fn try_issue(&mut self, seq: InstSeq, ports: &mut FuPorts) -> bool {
+        let entry = self.rob.get(seq).expect("ready entry is in the ROB");
+        let class = entry.inst.sinst.class;
+        let psrcs = entry.uop.psrcs;
+        let mem_addr = entry.inst.outcome.mem_addr;
+        match class.fu_kind() {
+            FuKind::Alu if ports.alu == 0 => return false,
+            FuKind::Load if ports.load == 0 => return false,
+            FuKind::Store if ports.store == 0 => return false,
+            _ => {}
+        }
+        if class.is_unpipelined() && self.div_busy_until > self.cycle {
+            return false;
+        }
+
+        let mut mem_level: Option<ServiceLevel> = None;
+        let complete_at = match class {
+            OpClass::Load => {
+                let addr = mem_addr.expect("load without an address");
+                match self.lsq.check_load(seq, addr, !self.cfg.perfect_disambiguation) {
+                    LoadCheck::Wait => return false,
+                    LoadCheck::Forward { data_ready } => {
+                        ports.load -= 1;
+                        mem_level = Some(ServiceLevel::L1);
+                        (self.cycle + 1).max(data_ready) + u64::from(self.cfg.forward_latency)
+                    }
+                    LoadCheck::GoToMemory => {
+                        ports.load -= 1;
+                        let done = self.mem.access(AccessKind::Load, addr, self.cycle + 1);
+                        mem_level = Some(self.mem.last_service_level());
+                        done
+                    }
+                }
+            }
+            OpClass::Store => {
+                let addr = mem_addr.expect("store without an address");
+                ports.store -= 1;
+                self.lsq.store_address_ready(seq, addr, self.cycle + 1);
+                self.cycle + 1
+            }
+            _ => {
+                ports.alu -= 1;
+                let done = self.cycle + u64::from(class.exec_latency());
+                if class.is_unpipelined() {
+                    self.div_busy_until = done;
+                }
+                done
+            }
+        };
+
+        let entry = self.rob.get_mut(seq).expect("entry exists");
+        entry.state = RobState::Issued;
+        entry.complete_at = complete_at;
+        entry.mem_level = mem_level;
+        self.completions.push(complete_at, seq);
+        self.renamer.on_issue(&psrcs, self.cycle);
+        self.trace_event(seq, TraceStage::Issue, "");
+        true
     }
 
     // ------------------------------------------------------- writeback
 
-    fn writeback(&mut self) {
-        let completing: Vec<InstSeq> = self
-            .rob
-            .iter()
-            .filter(|e| e.state == RobState::Issued && e.complete_at <= self.cycle)
-            .map(|e| e.inst.seq)
-            .collect();
-
+    /// Completes the entries due this cycle, oldest first, broadcasting
+    /// their destination tags. Returns whether anything completed.
+    fn writeback(&mut self) -> bool {
+        let mut due = std::mem::take(&mut self.due);
+        self.completions.pop_due(self.cycle, &mut due);
         let mut resolved_mispredict: Option<InstSeq> = None;
-        for seq in completing {
+        for &seq in &due {
             let (pdst, is_cf, on_wp, mispredicted, renamed_at) = {
                 let e = self.rob.get_mut(seq).expect("completing entry");
                 e.state = RobState::Completed;
@@ -688,6 +842,7 @@ impl OooCore {
             };
             if let Some(p) = pdst {
                 self.renamer.set_ready(p);
+                self.iq.wake(p);
             }
             self.trace_event(seq, TraceStage::Exec, "");
             if is_cf && !on_wp {
@@ -706,9 +861,12 @@ impl OooCore {
                 }
             }
         }
+        let active = !due.is_empty();
+        self.due = due;
         if let Some(seq) = resolved_mispredict {
             self.handle_mispredict(seq);
         }
+        active
     }
 
     /// The architectural mappings still live after a squash: every
@@ -764,6 +922,7 @@ impl OooCore {
         }
         self.audit_flush_restore(&survivors);
         self.iq.squash_younger(seq);
+        self.completions.squash_younger(seq);
         self.lsq.squash_younger(seq);
         self.frontend.clear();
 
@@ -783,17 +942,17 @@ impl OooCore {
 
     /// Advances the precommit pointer (§2.3): an instruction precommits
     /// once every older branch is resolved and every older
-    /// exception-capable instruction is known safe.
-    fn advance_precommit(&mut self) {
-        let mut passed: Vec<InstSeq> = Vec::new();
+    /// exception-capable instruction is known safe. The walk resumes
+    /// after the already-precommitted prefix. Returns whether the
+    /// pointer moved.
+    fn advance_precommit(&mut self) -> bool {
         let head_seq = match self.rob.head() {
             Some(h) => h.inst.seq,
-            None => return,
+            None => return false,
         };
-        for e in self.rob.iter() {
-            if e.precommitted {
-                continue;
-            }
+        let start = self.rob.precommitted_len();
+        let mut idx = start;
+        while let Some(e) = self.rob.at(idx) {
             // Bounded confirmation-tracking hardware: the pointer can
             // only run `precommit_lead` instructions past the head.
             if e.inst.seq.saturating_sub(head_seq) > self.cfg.precommit_lead as u64 {
@@ -822,26 +981,27 @@ impl OooCore {
                 "wrong-path instruction precommitting: seq {} class {:?}",
                 e.inst.seq, e.inst.sinst.class
             );
-            passed.push(e.inst.seq);
-        }
-        for seq in passed {
-            let e = self.rob.get_mut(seq).expect("passed entry");
+            let e = self.rob.at_mut(idx).expect("walked entry");
             e.precommitted = true;
-            let mut uop = e.uop;
-            self.renamer.on_precommit(&mut uop, self.cycle);
-            self.rob.get_mut(seq).expect("passed entry").uop = uop;
+            let seq = e.inst.seq;
+            self.renamer.on_precommit(&mut e.uop, self.cycle);
             self.trace_event(seq, TraceStage::Precommit, "");
+            idx += 1;
         }
+        idx > start
     }
 
     // ---------------------------------------------------------- commit
 
-    fn commit(&mut self) {
+    /// Returns whether anything retired (or an exception was taken).
+    fn commit(&mut self) -> bool {
+        let mut active = false;
         for _ in 0..self.cfg.retire_width {
             let Some(head) = self.rob.head() else { break };
             if head.inst.outcome.exception.is_some() {
                 if head.completed() {
                     self.handle_exception();
+                    active = true;
                 }
                 break;
             }
@@ -855,6 +1015,7 @@ impl OooCore {
             );
 
             let head = self.rob.pop_head().expect("head exists");
+            active = true;
             let seq = head.inst.seq;
             match head.inst.sinst.class {
                 OpClass::Load => self.lsq.retire_load(seq),
@@ -894,23 +1055,25 @@ impl OooCore {
                 self.oracle.release_before(head.inst.oracle_idx);
             }
         }
+        active
     }
 
     /// Services a pending interrupt when its mode's condition is met.
-    fn service_interrupt(&mut self) {
-        let Some(mode) = self.pending_interrupt else { return };
+    /// Returns whether it was serviced.
+    fn service_interrupt(&mut self) -> bool {
+        let Some(mode) = self.pending_interrupt else { return false };
         match mode {
             InterruptMode::Drain => {
                 // Fetch is stopped; wait for the ROB and frontend pipe
                 // to drain, then run the handler.
-                if self.rob.is_empty() && self.frontend.is_empty() {
-                    self.pending_interrupt = None;
-                    self.stats.interrupts += 1;
-                    self.fetch_stall_until = self.cycle + u64::from(self.cfg.exception_penalty);
-                    self.serialize_until =
-                        self.fetch_stall_until + u64::from(self.cfg.frontend_depth);
-                    self.last_commit_cycle = self.cycle;
+                if !(self.rob.is_empty() && self.frontend.is_empty()) {
+                    return false;
                 }
+                self.pending_interrupt = None;
+                self.stats.interrupts += 1;
+                self.fetch_stall_until = self.cycle + u64::from(self.cfg.exception_penalty);
+                self.serialize_until = self.fetch_stall_until + u64::from(self.cfg.frontend_depth);
+                self.last_commit_cycle = self.cycle;
             }
             InterruptMode::FlushAtRegionBoundary => {
                 // §4.1b: wait until no atomic claim spans the flush
@@ -923,7 +1086,7 @@ impl OooCore {
                 // ROB first.
                 if self.renamer.open_atr_claims() > 0 {
                     self.stats.interrupt_wait_cycles += 1;
-                    return;
+                    return false;
                 }
                 let newest_precommitted =
                     self.rob.iter().take_while(|e| e.precommitted).last().map(|e| e.inst.seq);
@@ -935,7 +1098,7 @@ impl OooCore {
                     // Everything in flight is precommitted: let commit
                     // drain it and retry.
                     self.stats.interrupt_wait_cycles += 1;
-                    return;
+                    return false;
                 }
                 // Resume at the oldest discarded architectural
                 // instruction — it may sit in the squashed ROB suffix
@@ -973,10 +1136,12 @@ impl OooCore {
                 match newest_precommitted {
                     Some(seq) => {
                         self.iq.squash_younger(seq);
+                        self.completions.squash_younger(seq);
                         self.lsq.squash_younger(seq);
                     }
                     None => {
                         self.iq.clear();
+                        self.completions.clear();
                         self.lsq.clear();
                     }
                 }
@@ -990,6 +1155,7 @@ impl OooCore {
                 self.last_commit_cycle = self.cycle;
             }
         }
+        true
     }
 
     fn handle_exception(&mut self) {
@@ -1012,6 +1178,7 @@ impl OooCore {
             self.bpu.restore(&e.snapshot);
         }
         self.iq.clear();
+        self.completions.clear();
         self.lsq.clear();
         self.frontend.clear();
 
@@ -1026,6 +1193,65 @@ impl OooCore {
         self.serialize_until = self.fetch_stall_until + u64::from(self.cfg.frontend_depth);
         self.last_commit_cycle = self.cycle;
     }
+}
+
+/// Audits the event-driven scheduling state against a re-derivation
+/// from the ROB and the scoreboard: every issue-queue entry's
+/// outstanding-source count equals its not-yet-produced sources, the
+/// ready set holds exactly the entries with none outstanding, and every
+/// issued ROB entry waits in the completion queue (and nothing else
+/// does).
+///
+/// # Panics
+///
+/// Panics on the first divergence.
+fn audit_schedule(
+    renamer: &Renamer,
+    rob: &Rob,
+    iq: &IssueQueue,
+    completions: &CompletionQueue,
+    cycle: u64,
+) {
+    let mut ready = 0;
+    for (seq, outstanding) in iq.entries() {
+        let e = rob
+            .get(seq)
+            .unwrap_or_else(|| panic!("cycle {cycle}: issue-queue entry {seq} is not in the ROB"));
+        let unproduced = e.uop.psrcs.iter().flatten().filter(|&&p| !renamer.is_ready(p)).count();
+        assert_eq!(
+            outstanding as usize, unproduced,
+            "cycle {cycle}: issue-queue entry {seq} waits on {outstanding} sources, \
+             the scoreboard has {unproduced} unproduced"
+        );
+        if unproduced == 0 {
+            ready += 1;
+            assert!(
+                iq.ready().binary_search(&seq).is_ok(),
+                "cycle {cycle}: entry {seq} has every source but is missing from the ready set"
+            );
+        }
+    }
+    assert_eq!(
+        iq.ready().len(),
+        ready,
+        "cycle {cycle}: the ready set holds entries that still wait on sources"
+    );
+    let mut queued: Vec<InstSeq> = completions.seqs().collect();
+    queued.sort_unstable();
+    let mut issued = 0;
+    for e in rob.iter().filter(|e| e.state == RobState::Issued) {
+        issued += 1;
+        assert!(
+            queued.binary_search(&e.inst.seq).is_ok(),
+            "cycle {cycle}: issued entry {} is missing from the completion queue",
+            e.inst.seq
+        );
+    }
+    assert_eq!(
+        queued.len(),
+        issued,
+        "cycle {cycle}: the completion queue holds entries that are not issued"
+    );
 }
 
 /// A program is driven through a fresh core; convenience for tests,

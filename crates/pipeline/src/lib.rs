@@ -15,7 +15,10 @@
 //! * diversified functional units (Table 1: 5 ALU, 3 load, 2 store
 //!   ports, an unpipelined divider);
 //! * a precommit pointer (§2.3), walk- or checkpoint-based recovery,
-//!   and precise-exception handling with re-execution.
+//!   and precise-exception handling with re-execution;
+//! * an event-driven cycle loop — tag-broadcast wakeup, a completion
+//!   queue, and quiet-cycle skip-ahead — whose results are bit-identical
+//!   to stepping every cycle.
 //!
 //! # Examples
 //!

@@ -4,7 +4,8 @@ use atr_core::{RenamedUop, SrtCheckpoint};
 use atr_frontend::Prediction;
 use atr_isa::{DynInst, InstSeq};
 use atr_mem::ServiceLevel;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Execution state of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,6 +135,25 @@ impl Rob {
         self.entries.get_mut(idx).filter(|e| e.inst.seq == seq)
     }
 
+    /// Entry `idx` positions behind the head.
+    #[must_use]
+    pub fn at(&self, idx: usize) -> Option<&RobEntry> {
+        self.entries.get(idx)
+    }
+
+    /// Mutable entry `idx` positions behind the head.
+    pub fn at_mut(&mut self, idx: usize) -> Option<&mut RobEntry> {
+        self.entries.get_mut(idx)
+    }
+
+    /// Length of the precommitted prefix. The precommit pointer passes
+    /// entries strictly in age order and flushes only remove the tail,
+    /// so the precommitted entries always form a prefix of the ROB.
+    #[must_use]
+    pub fn precommitted_len(&self) -> usize {
+        self.entries.partition_point(|e| e.precommitted)
+    }
+
     /// Iterates oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         self.entries.iter()
@@ -159,6 +179,76 @@ impl Rob {
         let mut all: Vec<RobEntry> = std::mem::take(&mut self.entries).into();
         all.reverse();
         all
+    }
+}
+
+/// The issued, not yet completed ROB entries keyed by
+/// `(complete_at, seq)`, so writeback pops the due ones instead of
+/// scanning the ROB, and the core can see its next completion.
+#[derive(Debug, Default)]
+pub struct CompletionQueue {
+    heap: BinaryHeap<Reverse<(u64, InstSeq)>>,
+}
+
+impl CompletionQueue {
+    /// An empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        CompletionQueue::default()
+    }
+
+    /// Issued entries awaiting completion.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True when nothing is in flight.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Files an issued entry completing at `complete_at`.
+    pub fn push(&mut self, complete_at: u64, seq: InstSeq) {
+        self.heap.push(Reverse((complete_at, seq)));
+    }
+
+    /// The earliest pending completion cycle.
+    #[must_use]
+    pub fn next_at(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((at, _))| *at)
+    }
+
+    /// Moves every entry due at or before `cycle` into `due` (cleared
+    /// first), oldest first: predictor training and mispredict handling
+    /// depend on processing completions in age order.
+    pub fn pop_due(&mut self, cycle: u64, due: &mut Vec<InstSeq>) {
+        due.clear();
+        while let Some(&Reverse((at, seq))) = self.heap.peek() {
+            if at > cycle {
+                break;
+            }
+            self.heap.pop();
+            due.push(seq);
+        }
+        due.sort_unstable();
+    }
+
+    /// Every queued sequence number, in no particular order (auditor
+    /// cross-check).
+    pub fn seqs(&self) -> impl Iterator<Item = InstSeq> + '_ {
+        self.heap.iter().map(|Reverse((_, seq))| *seq)
+    }
+
+    /// Drops every entry younger than `seq` (flush).
+    pub fn squash_younger(&mut self, seq: InstSeq) {
+        self.heap.retain(|Reverse((_, s))| *s <= seq);
+    }
+
+    /// Drops everything (exception flush).
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 }
 
@@ -232,6 +322,43 @@ mod tests {
         let seqs: Vec<u64> = squashed.iter().map(|e| e.inst.seq).collect();
         assert_eq!(seqs, vec![5, 4, 3]);
         assert_eq!(rob.len(), 3);
+    }
+
+    #[test]
+    fn precommitted_prefix_and_positional_access() {
+        let mut rob = Rob::new(8);
+        for s in 0..4 {
+            rob.push(entry(s));
+        }
+        assert_eq!(rob.precommitted_len(), 0);
+        rob.at_mut(0).unwrap().precommitted = true;
+        rob.at_mut(1).unwrap().precommitted = true;
+        assert_eq!(rob.precommitted_len(), 2);
+        assert_eq!(rob.at(2).unwrap().inst.seq, 2);
+        rob.pop_head();
+        assert_eq!(rob.precommitted_len(), 1);
+        assert!(rob.at(3).is_none());
+    }
+
+    #[test]
+    fn completion_queue_pops_due_entries_oldest_first() {
+        let mut q = CompletionQueue::new();
+        q.push(12, 9);
+        q.push(10, 7);
+        q.push(10, 3);
+        q.push(11, 4);
+        assert_eq!(q.next_at(), Some(10));
+        let mut due = vec![99];
+        q.pop_due(9, &mut due);
+        assert!(due.is_empty());
+        q.pop_due(11, &mut due);
+        assert_eq!(due, vec![3, 4, 7], "due entries come out in age order");
+        assert_eq!(q.seqs().collect::<Vec<_>>(), vec![9]);
+        q.push(20, 15);
+        q.squash_younger(10);
+        assert_eq!((q.len(), q.next_at()), (1, Some(12)));
+        q.clear();
+        assert!(q.is_empty() && q.next_at().is_none());
     }
 
     #[test]

@@ -43,6 +43,23 @@ pub struct CycleScratch {
     backpressure_stalls: u64,
 }
 
+/// What the last accounted cycle recorded, so identical cycles the core
+/// skips can be credited in bulk ([`CoreTelemetry::repeat_last_cycle`]).
+#[derive(Debug, Clone, Copy)]
+struct LastCycle {
+    retired: u64,
+    cause: CpiBucket,
+    rob: u64,
+    int_prf: u64,
+    fp_prf: u64,
+}
+
+impl Default for LastCycle {
+    fn default() -> Self {
+        LastCycle { retired: 0, cause: CpiBucket::FrontendLatency, rob: 0, int_prf: 0, fp_prf: 0 }
+    }
+}
+
 /// What the rest of the machine reports into end-of-cycle attribution.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleView {
@@ -86,6 +103,7 @@ pub struct CoreTelemetry {
     /// The per-uop ring trace (empty below `trace` level).
     pub trace: PipeTrace,
     scratch: CycleScratch,
+    last: LastCycle,
 }
 
 impl CoreTelemetry {
@@ -102,6 +120,7 @@ impl CoreTelemetry {
             int_occ_series: TimeSeries::new(cfg.series_interval),
             trace: PipeTrace::new(if cfg.trace_enabled() { cfg.trace_cap } else { 0 }),
             scratch: CycleScratch::default(),
+            last: LastCycle::default(),
             cfg,
         }
     }
@@ -138,18 +157,26 @@ impl CoreTelemetry {
         )
     }
 
-    /// Attributes one cycle's empty retire slots. The precedence here
-    /// is the contract documented in DESIGN.md §Observability: every
-    /// empty slot gets exactly one cause, chosen by the first test
-    /// that fires.
+    /// Attributes one cycle's retire slots: the retired ones to
+    /// `retiring`, the empty ones to the first cause that fires in the
+    /// precedence of DESIGN.md §Observability.
     pub fn end_cycle(&mut self, view: &CycleView) {
-        let width = self.cpi.width;
-        debug_assert!(view.retired <= width);
-        if view.retired == width {
-            self.cpi.account_cycle(view.retired, CpiBucket::Retiring);
-            return;
+        let cause = self.classify(view);
+        self.cpi.account_cycle(view.retired, cause);
+        self.last.retired = view.retired;
+        self.last.cause = cause;
+    }
+
+    /// The bucket charged with one cycle's empty retire slots. The
+    /// precedence here is the contract documented in DESIGN.md
+    /// §Observability: every empty slot gets exactly one cause, chosen
+    /// by the first test that fires.
+    fn classify(&self, view: &CycleView) -> CpiBucket {
+        debug_assert!(view.retired <= self.cpi.width);
+        if view.retired == self.cpi.width {
+            return CpiBucket::Retiring;
         }
-        let cause = if view.serializing {
+        if view.serializing {
             CpiBucket::Serialization
         } else if view.redirecting {
             CpiBucket::BadSpeculation
@@ -166,8 +193,7 @@ impl CoreTelemetry {
             }
         } else {
             CpiBucket::FrontendLatency
-        };
-        self.cpi.account_cycle(view.retired, cause);
+        }
     }
 
     /// Samples the occupancy histograms (and the optional series) for
@@ -177,6 +203,23 @@ impl CoreTelemetry {
         self.int_prf_occupancy.record(int_prf);
         self.fp_prf_occupancy.record(fp_prf);
         self.int_occ_series.maybe_sample(cycle, int_prf);
+        self.last.rob = rob;
+        self.last.int_prf = int_prf;
+        self.last.fp_prf = fp_prf;
+    }
+
+    /// Credits the `n` cycles starting at `first_cycle` as exact repeats
+    /// of the last accounted cycle — the same CPI attribution and
+    /// occupancy samples `n` more [`CoreTelemetry::end_cycle`] plus
+    /// [`CoreTelemetry::sample_occupancy`] calls would record. The core
+    /// calls this for the quiet cycles it skips.
+    pub fn repeat_last_cycle(&mut self, first_cycle: u64, n: u64) {
+        let last = self.last;
+        self.cpi.account_cycles(last.retired, last.cause, n);
+        self.rob_occupancy.record_n(last.rob, n);
+        self.int_prf_occupancy.record_n(last.int_prf, n);
+        self.fp_prf_occupancy.record_n(last.fp_prf, n);
+        self.int_occ_series.sample_span(first_cycle, first_cycle + n, last.int_prf);
     }
 }
 

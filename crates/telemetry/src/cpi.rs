@@ -117,10 +117,21 @@ impl CpiStack {
     ///
     /// Panics (debug) if `retired > width`.
     pub fn account_cycle(&mut self, retired: u64, cause: CpiBucket) {
+        self.account_cycles(retired, cause, 1);
+    }
+
+    /// Accounts `n` identical cycles at once, exactly as `n` calls of
+    /// [`CpiStack::account_cycle`] would (bulk crediting of cycles the
+    /// core skipped).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `retired > width`.
+    pub fn account_cycles(&mut self, retired: u64, cause: CpiBucket, n: u64) {
         debug_assert!(retired <= self.width, "retired {} > width {}", retired, self.width);
-        self.slots[CpiBucket::Retiring.index()] += retired;
-        self.slots[cause.index()] += self.width - retired;
-        self.cycles += 1;
+        self.slots[CpiBucket::Retiring.index()] += retired * n;
+        self.slots[cause.index()] += (self.width - retired) * n;
+        self.cycles += n;
     }
 
     /// The slot count of one bucket.
@@ -212,6 +223,19 @@ mod tests {
         assert_eq!(s.get(CpiBucket::MemDram), 8);
         assert_eq!(s.get(CpiBucket::FreelistStall), 5);
         assert!((s.fraction(CpiBucket::Retiring) - 11.0 / 24.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bulk_accounting_matches_repeated_cycles() {
+        let mut one = CpiStack::new(8);
+        let mut bulk = CpiStack::new(8);
+        for _ in 0..5 {
+            one.account_cycle(3, CpiBucket::MemDram);
+        }
+        bulk.account_cycles(3, CpiBucket::MemDram, 5);
+        bulk.account_cycles(0, CpiBucket::FreelistStall, 0);
+        assert_eq!(one, bulk);
+        bulk.check().unwrap();
     }
 
     #[test]

@@ -67,9 +67,18 @@ impl Log2Hist {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(u128::from(value));
+        self.record_n(value, 1);
+    }
+
+    /// Records the same sample `n` times, exactly as `n` calls of
+    /// [`Log2Hist::record`] would.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(value)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(u128::from(value) * u128::from(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -174,6 +183,16 @@ impl TimeSeries {
         }
     }
 
+    /// Samples a value that held constant over the cycles `from..to`,
+    /// exactly as calling [`TimeSeries::maybe_sample`] on each would.
+    pub fn sample_span(&mut self, from: u64, to: u64, value: u64) {
+        if self.interval == 0 || to <= from {
+            return;
+        }
+        let boundaries = to.div_ceil(self.interval) - from.div_ceil(self.interval);
+        self.values.extend(std::iter::repeat_n(value, boundaries as usize));
+    }
+
     /// JSON: interval plus the sampled values.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -264,5 +283,30 @@ mod tests {
         let mut off = TimeSeries::new(0);
         off.maybe_sample(0, 1);
         assert!(off.values.is_empty());
+    }
+
+    #[test]
+    fn bulk_recording_matches_repeated_single_records() {
+        let mut one = Log2Hist::new();
+        let mut bulk = Log2Hist::new();
+        for (value, n) in [(0u64, 3u64), (17, 0), (17, 5), (1 << 40, 2)] {
+            for _ in 0..n {
+                one.record(value);
+            }
+            bulk.record_n(value, n);
+        }
+        assert_eq!(one, bulk);
+
+        for interval in [1u64, 3, 10] {
+            for (from, to) in [(0u64, 0u64), (0, 35), (7, 8), (9, 10), (10, 31), (11, 19)] {
+                let mut step = TimeSeries::new(interval);
+                let mut span = TimeSeries::new(interval);
+                for cycle in from..to {
+                    step.maybe_sample(cycle, 42);
+                }
+                span.sample_span(from, to, 42);
+                assert_eq!(step, span, "interval {interval}, cycles {from}..{to}");
+            }
+        }
     }
 }

@@ -17,15 +17,19 @@ echo "== cargo test (tiny budget)"
 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
     cargo test --workspace --offline -q
 
+fingerprint() { cat "$1"/*.json | sha256sum | cut -d' ' -f1; }
+
 echo "== all_experiments with rename auditor (tiny budget)"
 # Re-runs the experiment matrix with the cycle-level rename/release
 # auditor attached; any invariant violation panics the run. The results
 # dir is redirected so the tiny-budget pass never clobbers the committed
-# full-budget results/*.json. Stdout is captured to assert the
-# telemetry-off default emits zero telemetry records.
+# full-budget results/*.json; its fingerprint is compared with the live
+# pass below. Stdout is captured to assert the telemetry-off default
+# emits zero telemetry records.
 audit_out="$(mktemp)"
+audit_results="$(mktemp -d)"
 ATR_AUDIT=1 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
-    ATR_RESULTS_DIR="$(mktemp -d)" \
+    ATR_RESULTS_DIR="$audit_results" \
     cargo run --release --offline -p atr-bench --bin all_experiments >"$audit_out"
 if grep -q "atr-run-telemetry" "$audit_out"; then
     echo "FAIL: telemetry records leaked onto stdout with ATR_TELEMETRY unset" >&2
@@ -39,8 +43,9 @@ echo "== all_experiments with telemetry + audit (tiny budget), JSONL schema chec
 # Σ slots == width x cycles invariant (also asserted per-cycle in-core
 # because ATR_AUDIT=1 is set).
 telemetry_out="$(mktemp)"
+telemetry_results="$(mktemp -d)"
 ATR_TELEMETRY=stats ATR_AUDIT=1 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 \
-    ATR_SIM_PROGRESS=0 ATR_RESULTS_DIR="$(mktemp -d)" \
+    ATR_SIM_PROGRESS=0 ATR_RESULTS_DIR="$telemetry_results" \
     cargo run --release --offline -p atr-bench --bin all_experiments >"$telemetry_out"
 cargo run --release --offline -p atr-bench --bin jsonl_check "$telemetry_out"
 
@@ -58,7 +63,6 @@ echo "== trace capture→replay determinism gate + cache wall-clock report"
 # generation, and any drift in the substrate shows up here as a
 # fingerprint mismatch long before it would corrupt a paper figure.
 # The warm pass doubles as the cache-hit wall-clock report.
-fingerprint() { cat "$1"/*.json | sha256sum | cut -d' ' -f1; }
 now_ms() { date +%s%3N; }
 trace_cache="$(mktemp -d)"
 live_results="$(mktemp -d)"
@@ -96,6 +100,18 @@ if [ "$traces" -eq 0 ]; then
     exit 1
 fi
 echo "trace gate OK: fingerprint $live_fp ($traces cached traces)"
+
+# The cycle loop skips quiet cycles on one path whether telemetry and
+# audit are on or off, so the observed passes above must reproduce the
+# live figures bit for bit.
+audit_fp=$(fingerprint "$audit_results")
+telemetry_fp=$(fingerprint "$telemetry_results")
+if [ "$audit_fp" != "$live_fp" ] || [ "$telemetry_fp" != "$live_fp" ]; then
+    echo "FAIL: observation changed the figures" >&2
+    echo "  live $live_fp / audit $audit_fp / telemetry+audit $telemetry_fp" >&2
+    exit 1
+fi
+echo "observation gate OK: audit and telemetry+audit passes match the live fingerprint"
 echo "wall clock: live ${live_ms}ms, cold-cache ${cold_ms}ms, warm-cache ${warm_ms}ms"
 awk -v l="$live_ms" -v w="$warm_ms" \
     'BEGIN { printf "warm-cache speedup over live: %.2fx\n", l / w }'
