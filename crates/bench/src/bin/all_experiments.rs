@@ -169,7 +169,7 @@ fn main() {
         logic.max_frequency_ghz(1)
     );
 
-    if let Some(marker) = coverage_marker(matrix.failed(), matrix.executed()) {
+    if let Some(marker) = coverage_marker(matrix.failed(), matrix.executed() + matrix.served()) {
         for (point, failure) in matrix.failures() {
             atr_telemetry::warn!("failed point {}: {failure}", point.label());
         }

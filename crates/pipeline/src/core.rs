@@ -23,7 +23,7 @@ use atr_frontend::{Bpu, Prediction};
 use atr_isa::{ArchReg, DynInst, FuKind, InstSeq, OpClass, RegClass};
 use atr_mem::{AccessKind, MemoryHierarchy, ServiceLevel};
 use atr_telemetry::TraceStage;
-use atr_workload::{synthesize_outcome, Oracle, Program, TraceSource};
+use atr_workload::{synthesize_outcome, Oracle, Program};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -86,7 +86,7 @@ struct Fetched {
 pub struct OooCore {
     cfg: CoreConfig,
     cycle: u64,
-    oracle: Box<dyn TraceSource>,
+    oracle: Oracle,
     program: Arc<Program>,
     bpu: Bpu,
     mem: MemoryHierarchy,
@@ -143,20 +143,7 @@ impl OooCore {
     /// Builds a core over `oracle`'s program.
     #[must_use]
     pub fn new(cfg: CoreConfig, oracle: Oracle) -> Self {
-        OooCore::with_source(cfg, Box::new(oracle))
-    }
-
-    /// Builds a core over any [`TraceSource`] — a live [`Oracle`] or a
-    /// captured trace replay. Fetch starts at the source's
-    /// [`start_index`](TraceSource::start_index), so a replay
-    /// fast-forwarded to a checkpoint frame begins detailed simulation
-    /// mid-stream (the warmup fast-forward path).
-    #[must_use]
-    pub fn with_source(cfg: CoreConfig, mut oracle: Box<dyn TraceSource>) -> Self {
         let program = oracle.program().clone();
-        let start_idx = oracle.start_index();
-        let fetch_pc =
-            if start_idx == 0 { program.entry() } else { oracle.get(start_idx).sinst.pc };
         OooCore {
             bpu: Bpu::new(&cfg.bpu),
             mem: MemoryHierarchy::new(&cfg.mem),
@@ -167,8 +154,8 @@ impl OooCore {
             due: Vec::new(),
             lsq: Lsq::new(cfg.load_buffer, cfg.store_buffer),
             frontend: VecDeque::new(),
-            fetch_pc,
-            next_oracle_idx: start_idx,
+            fetch_pc: program.entry(),
+            next_oracle_idx: 0,
             on_wrong_path: false,
             wrong_path_dead: false,
             wp_salt: program.seed(),

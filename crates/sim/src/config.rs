@@ -29,109 +29,30 @@ impl Default for SimConfig {
     }
 }
 
-/// Reads the measurement budget from `ATR_SIM_WARMUP` / `ATR_SIM_INSTS`,
-/// defaulting to a quick 40k/160k pass (the paper simulates 10M-weighted
-/// simpoints; scale up for full runs).
+/// Reads the measurement budget from the process environment; see
+/// [`budget_from_lookup`].
+#[must_use]
+pub fn budget_from_env() -> (u64, u64) {
+    budget_from_lookup(|name| std::env::var(name).ok())
+}
+
+/// Resolves the measurement budget `(warmup, measure)` from
+/// `ATR_SIM_WARMUP` / `ATR_SIM_INSTS` through `lookup` (variable name →
+/// value, `None` when unset), defaulting to a quick 40k/160k pass (the
+/// paper simulates 10M-weighted simpoints; scale up for full runs).
 ///
 /// A malformed value is *not* silently swallowed: it falls back to the
 /// default with a one-line warning on stderr, so a typo in a sweep
 /// script cannot quietly produce default-budget numbers.
 #[must_use]
-pub fn budget_from_env() -> (u64, u64) {
-    (env_u64("ATR_SIM_WARMUP", 40_000), env_u64("ATR_SIM_INSTS", 160_000))
-}
-
-/// Reads the `ATR_AUDIT` switch: any value other than unset, empty, or
-/// `0` attaches the cycle-level [`atr_core::audit::RenameAuditor`] to
-/// every run. CI uses this for an audited tiny-budget pass; it changes
-/// no simulation result, only adds checking (and cost), so it is
-/// deliberately *not* part of the run-matrix memoization key.
-#[must_use]
-pub fn audit_from_env() -> bool {
-    std::env::var("ATR_AUDIT").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// Reads the telemetry (observer) configuration from `ATR_TELEMETRY`
-/// plus `ATR_TRACE_CAP` / `ATR_TELEMETRY_SERIES`. Telemetry is pure
-/// observation — flipping it never changes a simulated result — so,
-/// like [`audit_from_env`], it is deliberately *not* part of the
-/// run-matrix memoization key.
-#[must_use]
-pub fn telemetry_from_env() -> atr_telemetry::TelemetryConfig {
-    atr_telemetry::TelemetryConfig::from_env()
-}
-
-/// Reads the trace-cache location from `ATR_TRACE_CACHE`: unset, empty,
-/// or `0` disables trace capture/replay (every point runs a live
-/// Oracle); `1` selects the default `trace-cache/` directory under the
-/// results dir (itself `ATR_RESULTS_DIR`-relocatable); any other value
-/// is an explicit cache directory.
-#[must_use]
-pub fn trace_cache_from_env() -> Option<std::path::PathBuf> {
-    let raw = std::env::var("ATR_TRACE_CACHE").ok()?;
-    let raw = raw.trim();
-    match raw {
-        "" | "0" => None,
-        "1" => Some(crate::report::results_dir().join("trace-cache")),
-        dir => Some(std::path::PathBuf::from(dir)),
-    }
-}
-
-/// Reads the `ATR_TRACE_FF` switch: any value other than unset, empty,
-/// or `0` makes trace replay fast-forward to the checkpoint frame at or
-/// below the warmup target instead of streaming the whole warmup
-/// through the pipeline. Off by default because skipping detailed
-/// warmup perturbs timing (structures start cold at the checkpoint) —
-/// results stay architecturally identical but are no longer
-/// cycle-comparable with live runs.
-#[must_use]
-pub fn trace_ff_from_env() -> bool {
-    std::env::var("ATR_TRACE_FF").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// Reads the `ATR_SIM_PROGRESS` switch: per-point progress lines are on
-/// unless the variable is set to `0`.
-#[must_use]
-pub fn progress_from_env() -> bool {
-    std::env::var("ATR_SIM_PROGRESS").map_or(true, |v| v != "0")
-}
-
-/// Reads the run-journal location from `ATR_RUN_JOURNAL`: unset, empty,
-/// or `0` disables journaling; `1` selects the default `run-journal/`
-/// directory under the results dir (itself `ATR_RESULTS_DIR`-
-/// relocatable); any other value is an explicit journal directory.
-/// Like the trace cache, the journal is a serving layer — flipping it
-/// never changes a simulated result — so it is deliberately *not* part
-/// of the run-matrix memoization key.
-#[must_use]
-pub fn journal_from_env() -> Option<std::path::PathBuf> {
-    let raw = std::env::var("ATR_RUN_JOURNAL").ok()?;
-    let raw = raw.trim();
-    match raw {
-        "" | "0" => None,
-        "1" => Some(crate::report::results_dir().join("run-journal")),
-        dir => Some(std::path::PathBuf::from(dir)),
-    }
-}
-
-/// Reads the `ATR_FAULT_INJECT` chaos hook: a non-empty value makes
-/// every point whose label contains it panic inside the worker. Only
-/// the CI interrupt-resume gate and the panic-isolation tests set this.
-#[must_use]
-pub fn fault_injection_from_env() -> Option<String> {
-    let raw = std::env::var("ATR_FAULT_INJECT").ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        None
-    } else {
-        Some(trimmed.to_owned())
-    }
-}
-
-fn env_u64(var: &str, default: u64) -> u64 {
-    let Ok(raw) = std::env::var(var) else {
-        return default;
+pub fn budget_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> (u64, u64) {
+    let count = |var: &str, default: u64| {
+        lookup(var).map_or(default, |raw| parse_count(var, &raw, default))
     };
+    (count("ATR_SIM_WARMUP", 40_000), count("ATR_SIM_INSTS", 160_000))
+}
+
+fn parse_count(var: &str, raw: &str, default: u64) -> u64 {
     let trimmed = raw.trim();
     match trimmed.parse::<u64>() {
         Ok(v) => v,
@@ -236,75 +157,22 @@ mod tests {
 
     #[test]
     fn budget_env_parsing_accepts_valid_and_rejects_malformed() {
-        // All env manipulation lives in this one test: parallel tests
-        // never observe the transient state of these two variables.
-        std::env::set_var("ATR_SIM_WARMUP", "1234");
-        std::env::set_var("ATR_SIM_INSTS", " 5678 ");
-        assert_eq!(budget_from_env(), (1234, 5678));
-
-        std::env::set_var("ATR_SIM_WARMUP", "not-a-number");
-        std::env::set_var("ATR_SIM_INSTS", "-5");
+        let budget = |warmup: Option<&str>, insts: Option<&str>| {
+            budget_from_lookup(|name| match name {
+                "ATR_SIM_WARMUP" => warmup.map(str::to_owned),
+                "ATR_SIM_INSTS" => insts.map(str::to_owned),
+                _ => None,
+            })
+        };
+        assert_eq!(budget(Some("1234"), Some(" 5678 ")), (1234, 5678));
         // Malformed and negative values warn on stderr and fall back.
-        assert_eq!(budget_from_env(), (40_000, 160_000));
-
+        assert_eq!(budget(Some("not-a-number"), Some("-5")), (40_000, 160_000));
         // A value past u64::MAX is an overflow, not a silent wrap.
-        std::env::set_var("ATR_SIM_WARMUP", "99999999999999999999999999");
-        std::env::set_var("ATR_SIM_INSTS", "+12");
-        assert_eq!(budget_from_env(), (40_000, 12), "leading + is valid u64 syntax");
-
-        std::env::remove_var("ATR_SIM_WARMUP");
-        std::env::remove_var("ATR_SIM_INSTS");
-        assert_eq!(budget_from_env(), (40_000, 160_000));
-    }
-
-    #[test]
-    fn trace_env_knobs_parse() {
-        // All ATR_TRACE_* manipulation lives in this one test (parallel
-        // tests must not observe transient values).
-        std::env::remove_var("ATR_TRACE_CACHE");
-        std::env::remove_var("ATR_TRACE_FF");
-        assert_eq!(trace_cache_from_env(), None);
-        assert!(!trace_ff_from_env());
-
-        std::env::set_var("ATR_TRACE_CACHE", "0");
-        assert_eq!(trace_cache_from_env(), None);
-        std::env::set_var("ATR_TRACE_CACHE", "1");
-        let default_dir = trace_cache_from_env().expect("1 selects the default dir");
-        assert!(default_dir.ends_with("trace-cache"));
-        std::env::set_var("ATR_TRACE_CACHE", "/tmp/custom-traces");
-        assert_eq!(trace_cache_from_env(), Some(std::path::PathBuf::from("/tmp/custom-traces")));
-        std::env::remove_var("ATR_TRACE_CACHE");
-
-        std::env::set_var("ATR_TRACE_FF", "1");
-        assert!(trace_ff_from_env());
-        std::env::set_var("ATR_TRACE_FF", "0");
-        assert!(!trace_ff_from_env());
-        std::env::remove_var("ATR_TRACE_FF");
-    }
-
-    #[test]
-    fn journal_and_fault_env_knobs_parse() {
-        // All ATR_RUN_JOURNAL / ATR_FAULT_INJECT manipulation lives in
-        // this one test (parallel tests must not observe transient
-        // values).
-        std::env::remove_var("ATR_RUN_JOURNAL");
-        std::env::remove_var("ATR_FAULT_INJECT");
-        assert_eq!(journal_from_env(), None);
-        assert_eq!(fault_injection_from_env(), None);
-
-        std::env::set_var("ATR_RUN_JOURNAL", "0");
-        assert_eq!(journal_from_env(), None);
-        std::env::set_var("ATR_RUN_JOURNAL", "1");
-        let default_dir = journal_from_env().expect("1 selects the default dir");
-        assert!(default_dir.ends_with("run-journal"));
-        std::env::set_var("ATR_RUN_JOURNAL", "/tmp/custom-journal");
-        assert_eq!(journal_from_env(), Some(std::path::PathBuf::from("/tmp/custom-journal")));
-        std::env::remove_var("ATR_RUN_JOURNAL");
-
-        std::env::set_var("ATR_FAULT_INJECT", "  ");
-        assert_eq!(fault_injection_from_env(), None, "blank needle is off");
-        std::env::set_var("ATR_FAULT_INJECT", "505.mcf_r");
-        assert_eq!(fault_injection_from_env().as_deref(), Some("505.mcf_r"));
-        std::env::remove_var("ATR_FAULT_INJECT");
+        assert_eq!(
+            budget(Some("99999999999999999999999999"), Some("+12")),
+            (40_000, 12),
+            "leading + is valid u64 syntax"
+        );
+        assert_eq!(budget(None, None), (40_000, 160_000));
     }
 }

@@ -25,7 +25,6 @@
 
 use atr_core::ReleaseScheme;
 use atr_pipeline::{CoreConfig, OooCore, RetiredInst};
-use atr_trace::{capture, TraceReplay};
 use atr_workload::{Oracle, Program};
 use std::sync::Arc;
 
@@ -133,75 +132,6 @@ pub fn run_differential(
     Ok(DifferentialReport { streams, compared })
 }
 
-/// Capture→replay differential: captures `program`'s stream to a trace
-/// under `dir`, then runs every release scheme twice — once on the live
-/// [`Oracle`], once on a [`TraceReplay`] of the capture — and compares
-/// the two retired streams element-wise, plus cycle counts (replay must
-/// be *bit*-identical, timing included). Returns the retired
-/// instructions compared.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence (scheme, retired
-/// index, both versions), or of a capture/open failure.
-pub fn verify_capture_replay(
-    base: &CoreConfig,
-    program: &Arc<Program>,
-    insts: u64,
-    dir: &std::path::Path,
-) -> Result<usize, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("capture_replay.atrt");
-    // Size the capture like the executor does: past the last retired
-    // index by the in-flight window.
-    let records = insts + 2 * base.rob_size as u64 + 8192;
-    capture(program, "capture_replay", records, 256, &path)
-        .map_err(|e| format!("capture failed: {e}"))?;
-
-    let mut compared = 0usize;
-    for scheme in ReleaseScheme::ALL {
-        let run = |replayed: bool| -> Result<(Vec<RetiredInst>, u64), String> {
-            let cfg = base.clone().with_scheme(scheme);
-            let mut core = if replayed {
-                let replay = TraceReplay::open(&path, program.clone())
-                    .map_err(|e| format!("opening the capture: {e}"))?;
-                OooCore::with_source(cfg, Box::new(replay))
-            } else {
-                OooCore::new(cfg, Oracle::new(program.clone()))
-            };
-            core.enable_retire_log();
-            let stats = core.run(insts);
-            Ok((core.retire_log().to_vec(), stats.cycles))
-        };
-        let label = scheme.label();
-        let (live, live_cycles) = run(false)?;
-        let (replayed, replayed_cycles) = run(true)?;
-        if live_cycles != replayed_cycles {
-            return Err(format!(
-                "{label}: live run took {live_cycles} cycles but replay took \
-                 {replayed_cycles} — replay is not timing-identical"
-            ));
-        }
-        if live.len() != replayed.len() {
-            return Err(format!(
-                "{label}: live retired {} instructions but replay retired {}",
-                live.len(),
-                replayed.len()
-            ));
-        }
-        for (i, (a, b)) in live.iter().zip(&replayed).enumerate() {
-            if a != b {
-                return Err(format!(
-                    "{label}: retired index {i} diverged between substrates: \
-                     live {a:?}, replay {b:?}"
-                ));
-            }
-        }
-        compared += live.len();
-    }
-    Ok(compared)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,17 +145,6 @@ mod tests {
         assert_eq!(report.streams.len(), ReleaseScheme::ALL.len());
         assert!(report.compared >= 3 * 4_000);
         assert_eq!(report.streams[0].audit_cycles, 0, "audit was off");
-    }
-
-    #[test]
-    fn capture_replay_is_bit_identical_across_schemes() {
-        let program = ProfileParams { seed: 41, ..ProfileParams::default() }.build();
-        let dir =
-            std::env::temp_dir().join(format!("atr_diff_capture_replay_{}", std::process::id()));
-        let compared = verify_capture_replay(&CoreConfig::default(), &program, 2_000, &dir)
-            .expect("replayed runs must match live runs bit-for-bit");
-        assert!(compared >= ReleaseScheme::ALL.len() * 2_000);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! input slice, which keeps the output bit-identical to a serial pass.
 //! Uses only `std::thread::scope` — no external dependencies.
 //!
-//! The primary entry point is [`execute_session`]: every runtime knob
+//! The one entry point is [`execute_session`]: every runtime knob
 //! comes from one resolved [`Session`] (see [`crate::session`]), and
 //! each point yields a [`PointOutcome`] instead of a bare result:
 //!
@@ -21,30 +21,19 @@
 //! * a **straggler supervisor** warns when a point exceeds a
 //!   budget-scaled soft deadline (it never kills the point — the
 //!   simulator is deterministic, slow points are just slow).
-//!
-//! [`execute`], [`execute_with`], and [`execute_with_cache`] remain as
-//! thin shims that resolve a [`Session`] (from the environment) and
-//! panic on the first failure — the pre-fault-tolerance contract their
-//! callers still expect.
 
 use crate::journal::RunJournal;
 use crate::matrix::SimPoint;
-use crate::runner::{run_with_source, RunResult, RunSpec};
+use crate::runner::{run, RunResult, RunSpec};
 use crate::session::Session;
 use atr_pipeline::CoreConfig;
-use atr_trace::{TraceCache, TraceReplay};
 use atr_workload::spec::all_profiles;
-use atr_workload::{Oracle, Program, TraceSource};
+use atr_workload::Program;
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Checkpoint frames are laid down every this many records in cached
-/// captures (see `atr_trace::writer::DEFAULT_CHECKPOINT_INTERVAL`).
-const CHECKPOINT_INTERVAL: u64 = atr_trace::writer::DEFAULT_CHECKPOINT_INTERVAL;
 
 /// Fixed part of the straggler soft deadline.
 const STRAGGLER_BASE: Duration = Duration::from_secs(10);
@@ -56,37 +45,6 @@ const STRAGGLER_MICROS_PER_INST: u64 = 50;
 
 /// How often the straggler supervisor scans the in-flight set.
 const STRAGGLER_SCAN: Duration = Duration::from_millis(200);
-
-/// Extra records captured beyond the largest `warmup + measure` of the
-/// points sharing a program: fetch runs ahead of retirement by up to
-/// the in-flight window (ROB plus frontend buffering), so the trace
-/// must extend past the last *retired* index or replay would exhaust
-/// it mid-run.
-fn capture_slack(core: &CoreConfig) -> u64 {
-    2 * core.rob_size as u64 + 8192
-}
-
-/// The worker count with no environment consulted: the machine's
-/// available parallelism. [`Session::default`] uses this.
-#[must_use]
-pub fn thread_count_default() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The worker count: `ATR_SIM_THREADS` if set and valid, otherwise the
-/// machine's available parallelism.
-#[must_use]
-pub fn thread_count() -> usize {
-    if let Ok(raw) = std::env::var("ATR_SIM_THREADS") {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => atr_telemetry::warn!(
-                "ignoring malformed ATR_SIM_THREADS={raw:?} (expected a positive count)"
-            ),
-        }
-    }
-    thread_count_default()
-}
 
 /// Why a point produced no result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,20 +87,27 @@ impl std::fmt::Display for PointFailure {
 /// One point's outcome under [`execute_session`].
 pub type PointOutcome = Result<RunResult, PointFailure>;
 
+/// What one [`execute_session`] call produced.
+#[derive(Debug)]
+pub struct Execution {
+    /// One outcome per input point, index-aligned with the input.
+    pub outcomes: Vec<PointOutcome>,
+    /// How many of those outcomes the run journal served without
+    /// simulating; the rest were simulated (or failed) in this call.
+    pub served: usize,
+}
+
 /// Executes every point, in parallel, against the base core config,
 /// with every runtime knob taken from `session` (the environment is
 /// *not* consulted — resolve a session first with
-/// [`Session::from_env`]). The outcome vector is index-aligned with
+/// [`Session::from_env`]). The outcomes are index-aligned with
 /// `points`; equal results are bit-identical no matter the thread
 /// count, journal state, or telemetry level.
 #[must_use]
-pub fn execute_session(
-    session: &Session,
-    core: &CoreConfig,
-    points: &[SimPoint],
-) -> Vec<PointOutcome> {
+pub fn execute_session(session: &Session, core: &CoreConfig, points: &[SimPoint]) -> Execution {
+    let mut served = 0usize;
     if points.is_empty() {
-        return Vec::new();
+        return Execution { outcomes: Vec::new(), served };
     }
     let mut outcomes: Vec<Option<PointOutcome>> = Vec::new();
     outcomes.resize_with(points.len(), || None);
@@ -194,7 +159,6 @@ pub fn execute_session(
         }
     }
     if let Some(j) = &journal {
-        let mut served = 0usize;
         for (idx, point) in points.iter().enumerate() {
             if outcomes[idx].is_none() {
                 if let Some(result) = j.lookup(point) {
@@ -211,8 +175,6 @@ pub fn execute_session(
     }
 
     let todo: Vec<usize> = (0..points.len()).filter(|&i| outcomes[i].is_none()).collect();
-    let todo_points: Vec<&SimPoint> = todo.iter().map(|&i| &points[i]).collect();
-    let traces = prepare_traces(session, core, &todo_points, &programs);
 
     let mut walls: HashMap<usize, Duration> = HashMap::new();
     if !todo.is_empty() {
@@ -261,7 +223,6 @@ pub fn execute_session(
                 let done = &done;
                 let todo = &todo;
                 let programs = &programs;
-                let traces = &traces;
                 let inflight = &inflight;
                 let journal_cell = &journal_cell;
                 handles.push(scope.spawn(move || {
@@ -279,7 +240,6 @@ pub fn execute_session(
                             core,
                             programs[point.profile].clone(),
                             point,
-                            traces.get(point.profile).map(PathBuf::as_path),
                         );
                         inflight.lock().unwrap().remove(&idx);
                         let wall = started.elapsed();
@@ -352,7 +312,7 @@ pub fn execute_session(
             points.len()
         );
     }
-    outcomes
+    Execution { outcomes, served }
 }
 
 /// The soft deadline after which a running point is flagged as a
@@ -366,146 +326,6 @@ fn straggler_deadline(point: &SimPoint) -> Duration {
         )
 }
 
-/// Executes every point against the environment-resolved session,
-/// panicking on any failure. The result vector is index-aligned with
-/// `points`.
-///
-/// # Panics
-///
-/// Panics on the first failed point (unknown profile, exhausted panic
-/// retries). Use [`execute_session`] for structured failures.
-#[must_use]
-pub fn execute(core: &CoreConfig, points: &[SimPoint]) -> Vec<RunResult> {
-    expect_all(execute_session(&Session::from_env(), core, points))
-}
-
-/// [`execute`] with an explicit worker count (1 = serial). Exposed so
-/// the determinism tests can compare serial and parallel passes. The
-/// trace cache (and fast-forward switch) come from the environment;
-/// [`execute_with_cache`] takes them explicitly.
-///
-/// # Panics
-///
-/// Panics on the first failed point.
-#[must_use]
-pub fn execute_with(core: &CoreConfig, points: &[SimPoint], threads: usize) -> Vec<RunResult> {
-    expect_all(execute_session(&Session::from_env().with_threads(threads), core, points))
-}
-
-/// [`execute_with`] with an explicit trace-cache directory and
-/// fast-forward switch — the cache knobs are *not* read from the
-/// environment, so tests exercising the cache cannot race parallel
-/// tests on env state.
-///
-/// When `cache_dir` is set, each distinct program among `points` is
-/// captured once (sized to the largest `warmup + measure` of its points
-/// plus in-flight slack) before the workers spawn, and every point
-/// replays the capture instead of re-generating the stream. Replay is
-/// bit-identical to live generation; any cache problem (unwritable
-/// directory, corrupt file) degrades that program to live generation
-/// with a warning rather than failing the pass.
-///
-/// # Panics
-///
-/// Panics on the first failed point.
-#[must_use]
-pub fn execute_with_cache(
-    core: &CoreConfig,
-    points: &[SimPoint],
-    threads: usize,
-    cache_dir: Option<&Path>,
-    fast_forward: bool,
-) -> Vec<RunResult> {
-    let mut session = Session::from_env().with_threads(threads).with_trace_ff(fast_forward);
-    session.trace_cache = cache_dir.map(Path::to_path_buf);
-    expect_all(execute_session(&session, core, points))
-}
-
-fn expect_all(outcomes: Vec<PointOutcome>) -> Vec<RunResult> {
-    outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            Ok(result) => result,
-            Err(failure) => panic!("{failure}"),
-        })
-        .collect()
-}
-
-/// Captures (or finds cached) one trace per distinct program among
-/// `points`, sized for the largest budget any of its points needs.
-/// Distinct programs are captured concurrently on a scoped pool — on a
-/// cold cache this turns the slowest serial phase of a pass into a
-/// parallel one. Returns the per-profile trace paths; an empty map
-/// means every point runs a live oracle.
-fn prepare_traces(
-    session: &Session,
-    core: &CoreConfig,
-    points: &[&SimPoint],
-    programs: &HashMap<&'static str, Arc<Program>>,
-) -> HashMap<&'static str, PathBuf> {
-    let Some(dir) = &session.trace_cache else {
-        return HashMap::new();
-    };
-    let cache = match TraceCache::new(dir) {
-        Ok(c) => c,
-        Err(e) => {
-            atr_telemetry::warn!(
-                "trace cache at {} is unusable ({e}); running every point live",
-                dir.display()
-            );
-            return HashMap::new();
-        }
-    };
-    let slack = capture_slack(core);
-    let mut needed: HashMap<&'static str, u64> = HashMap::new();
-    for point in points {
-        let records = point.warmup + point.measure + slack;
-        let entry = needed.entry(point.profile).or_insert(0);
-        *entry = (*entry).max(records);
-    }
-    let jobs: Vec<(&'static str, u64)> = needed.into_iter().collect();
-    if jobs.is_empty() {
-        return HashMap::new();
-    }
-    let workers = session.threads.clamp(1, jobs.len());
-    let next = AtomicUsize::new(0);
-    let traces: Mutex<HashMap<&'static str, PathBuf>> = Mutex::new(HashMap::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let jobs = &jobs;
-            let cache = &cache;
-            let traces = &traces;
-            scope.spawn(move || loop {
-                let Some(&(name, records)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                    return;
-                };
-                let t0 = Instant::now();
-                match cache.ensure(&programs[name], name, CHECKPOINT_INTERVAL, records) {
-                    Ok((path, hit)) => {
-                        if session.progress {
-                            atr_telemetry::info!(
-                                "[trace {}] {name}: {} records in {:.0?} ({})",
-                                if hit { "hit" } else { "capture" },
-                                records,
-                                t0.elapsed(),
-                                path.display()
-                            );
-                        }
-                        traces.lock().unwrap().insert(name, path);
-                    }
-                    Err(e) => {
-                        atr_telemetry::warn!(
-                            "trace capture failed for {name} ({e}); running it live"
-                        );
-                    }
-                }
-            });
-        }
-    });
-    traces.into_inner().unwrap()
-}
-
 /// Runs one point with panic isolation and bounded retry. The closure
 /// is unwind-safe in the only sense that matters here: the simulator
 /// owns all its state per run and a failed attempt shares nothing with
@@ -515,7 +335,6 @@ fn run_point_guarded(
     core: &CoreConfig,
     program: Arc<Program>,
     point: &SimPoint,
-    trace: Option<&Path>,
 ) -> PointOutcome {
     let attempts = session.retries + 1;
     let mut payload = String::new();
@@ -526,7 +345,7 @@ fn run_point_guarded(
                     panic!("injected fault for {}", point.label());
                 }
             }
-            run_point(session, core, program.clone(), point, trace)
+            run_point(session, core, program.clone(), point)
         }));
         match caught {
             Ok(result) => return Ok(result),
@@ -559,7 +378,6 @@ fn run_point(
     core: &CoreConfig,
     program: Arc<Program>,
     point: &SimPoint,
-    trace: Option<&Path>,
 ) -> RunResult {
     let mut cfg = core.clone();
     point.tweak.apply(&mut cfg);
@@ -572,47 +390,7 @@ fn run_point(
         audit: session.audit,
         telemetry: session.telemetry,
     };
-    let source: Box<dyn TraceSource> = match trace
-        .and_then(|path| open_replay(path, &program, spec.warmup, session.trace_ff, point))
-    {
-        Some(replay) => Box::new(replay),
-        None => Box::new(Oracle::new(program)),
-    };
-    run_with_source(&cfg, source, &spec)
-}
-
-/// Opens `path` for replay, optionally fast-forwarded to the warmup
-/// target. Any failure degrades gracefully: a failed fast-forward may
-/// leave the reader mid-stream, so the file is reopened for a full
-/// replay; an unopenable file yields `None` (the point runs live).
-fn open_replay(
-    path: &Path,
-    program: &Arc<Program>,
-    warmup: u64,
-    fast_forward: bool,
-    point: &SimPoint,
-) -> Option<TraceReplay> {
-    let open = || match TraceReplay::open(path, program.clone()) {
-        Ok(replay) => Some(replay),
-        Err(e) => {
-            atr_telemetry::warn!(
-                "trace replay unavailable for {} ({e}); running it live",
-                point.label()
-            );
-            None
-        }
-    };
-    let mut replay = open()?;
-    if fast_forward && warmup > 0 {
-        if let Err(e) = replay.fast_forward_to(warmup) {
-            atr_telemetry::warn!(
-                "fast-forward to {warmup} failed for {} ({e}); replaying from 0",
-                point.label()
-            );
-            replay = open()?;
-        }
-    }
-    Some(replay)
+    run(&cfg, program, &spec)
 }
 
 #[cfg(test)]
@@ -620,23 +398,25 @@ mod tests {
     use super::*;
     use atr_core::ReleaseScheme;
 
+    /// Runs `points` serially on an env-free session, panicking on any
+    /// failed point.
+    fn results(points: &[SimPoint]) -> Vec<RunResult> {
+        let session = Session::default().quiet().with_threads(1);
+        let run = execute_session(&session, &CoreConfig::default(), points);
+        run.outcomes.into_iter().map(|o| o.unwrap_or_else(|f| panic!("{f}"))).collect()
+    }
+
     #[test]
     fn results_align_with_input_order() {
         let points = vec![
             SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 50, 200),
             SimPoint::new("548.exchange2_r", ReleaseScheme::Baseline, 224, 50, 200),
         ];
-        let serial = execute_with(&CoreConfig::default(), &points, 1);
+        let serial = results(&points);
         assert_eq!(serial.len(), 2);
         // exchange2 at 224 registers must comfortably out-run mcf at 64:
         // order inversion here would mean results got shuffled.
         assert!(serial[1].ipc > serial[0].ipc);
-    }
-
-    #[test]
-    fn thread_count_is_positive() {
-        assert!(thread_count() >= 1);
-        assert!(thread_count_default() >= 1);
     }
 
     /// An unknown profile becomes a structured failure; its siblings
@@ -648,7 +428,7 @@ mod tests {
             SimPoint::new("999.not_a_profile", ReleaseScheme::Baseline, 64, 50, 200),
         ];
         let session = Session::default().quiet().with_threads(1);
-        let outcomes = execute_session(&session, &CoreConfig::default(), &points);
+        let outcomes = execute_session(&session, &CoreConfig::default(), &points).outcomes;
         assert!(outcomes[0].is_ok(), "the healthy sibling must survive");
         let failure = outcomes[1].as_ref().expect_err("unknown profile must fail");
         assert_eq!(failure.kind, FailureKind::UnknownProfile);
@@ -656,61 +436,19 @@ mod tests {
         assert!(failure.payload.contains("999.not_a_profile"), "{}", failure.payload);
     }
 
-    /// A cached pass — capture on the first point, replay everywhere —
-    /// must be bit-identical to the live pass, with and without warmup
-    /// fast-forward on the architectural stream (fast-forward may and
-    /// does change timing, so only the no-FF pass is compared on IPC).
-    #[test]
-    fn trace_cached_pass_matches_live_pass() {
-        let dir =
-            std::env::temp_dir().join(format!("atr_executor_trace_cache_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let points = vec![
-            SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 600, 1_500),
-            SimPoint::new("505.mcf_r", ReleaseScheme::Atr { redefine_delay: 0 }, 64, 600, 1_500),
-            SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 224, 300, 1_000),
-        ];
-        let core = CoreConfig::default();
-        let live = execute_with_cache(&core, &points, 1, None, false);
-        let cached = execute_with_cache(&core, &points, 2, Some(&dir), false);
-        assert_eq!(
-            std::fs::read_dir(&dir).unwrap().count(),
-            1,
-            "three points over one program capture exactly one trace"
-        );
-        for (i, (a, b)) in live.iter().zip(&cached).enumerate() {
-            assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "point {i} IPC diverged under replay");
-            assert_eq!(a.stats.cycles, b.stats.cycles, "point {i} cycles diverged under replay");
-            assert_eq!(a.stats.retired, b.stats.retired);
-            assert_eq!(a.stats.flushes, b.stats.flushes);
-        }
-
-        // Fast-forward skips detailed warmup: retired count per window
-        // still matches, and the measured stream is the same
-        // architectural instructions (cycles legitimately differ).
-        let ff = execute_with_cache(&core, &points, 1, Some(&dir), true);
-        for (i, (a, b)) in live.iter().zip(&ff).enumerate() {
-            let lived = a.stats.retired;
-            let ffd = b.stats.retired;
-            assert!(ffd <= lived, "point {i}: FF run retired more ({ffd}) than live ({lived})");
-            assert!(b.ipc > 0.0, "point {i}: FF run produced no progress");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Event collection is observation-only: the lifetime log records
     /// what the renamer does but feeds nothing back into scheduling, so
     /// timing is bit-identical with and without it. (`stats.markings`
     /// may differ — the log enables region marking under schemes that
     /// would otherwise skip it — but no timed quantity does.) This is
-    /// what lets `RunMatrix::ensure` serve a non-events point from its
+    /// what lets `RunMatrix::ensure_with` serve a non-events point from its
     /// `.with_events()` twin.
     #[test]
     fn event_collection_does_not_change_timing() {
         for scheme in [ReleaseScheme::Baseline, ReleaseScheme::Atr { redefine_delay: 0 }] {
             let plain = SimPoint::new("505.mcf_r", scheme, 64, 50, 200);
             let events = plain.clone().with_events();
-            let r = execute_with(&CoreConfig::default(), &[plain, events], 1);
+            let r = results(&[plain, events]);
             assert_eq!(r[0].ipc.to_bits(), r[1].ipc.to_bits());
             assert_eq!(r[0].stats.cycles, r[1].stats.cycles);
             assert_eq!(r[0].stats.retired, r[1].stats.retired);

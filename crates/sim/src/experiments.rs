@@ -18,6 +18,7 @@
 use crate::config::SimConfig;
 use crate::matrix::{CoreTweak, RunMatrix, SimPoint};
 use crate::runner::geomean;
+use crate::session::Session;
 use atr_core::ReleaseScheme;
 use atr_json::json_record;
 use atr_workload::spec::{all_profiles, spec2017_fp, spec2017_int, SpecProfile, WorkloadClass};
@@ -59,10 +60,11 @@ fn reg_class_of(p: &SpecProfile) -> atr_isa::RegClass {
     }
 }
 
-/// Runs one figure's `points → assemble` pair on a private matrix.
+/// Runs one figure's `points → assemble` pair on a private matrix,
+/// under the session the environment describes.
 fn solo<R>(sim: &SimConfig, points: Vec<SimPoint>, assemble: impl FnOnce(&RunMatrix) -> R) -> R {
     let mut matrix = RunMatrix::new();
-    matrix.ensure(&sim.core, &points);
+    matrix.ensure_with(&Session::from_env(), &sim.core, &points);
     assemble(&matrix)
 }
 
@@ -856,9 +858,10 @@ mod tests {
         // must produce exactly the rows of its solo wrapper: results
         // are keyed, not positional.
         let sim = tiny(500, 2_000);
+        let session = Session::default().quiet();
         let mut matrix = RunMatrix::new();
-        matrix.ensure(&sim.core, &fig13_points(&sim));
-        matrix.ensure(&sim.core, &fig11_points(&sim));
+        matrix.ensure_with(&session, &sim.core, &fig13_points(&sim));
+        matrix.ensure_with(&session, &sim.core, &fig11_points(&sim));
         let shared = fig13_assemble(&sim, &matrix);
         let solo_rows = fig13(&sim);
         assert_eq!(shared.len(), solo_rows.len());

@@ -38,9 +38,9 @@ pub mod session;
 pub mod telemetry;
 
 pub use config::{table1, SimConfig};
-pub use differential::{run_differential, verify_capture_replay, DifferentialReport, SchemeStream};
+pub use differential::{run_differential, DifferentialReport, SchemeStream};
 pub use executor::{execute_session, FailureKind, PointFailure, PointOutcome};
 pub use journal::RunJournal;
 pub use matrix::{CoreTweak, RunMatrix, SimPoint};
-pub use runner::{run, run_with_source, RunResult, RunSpec};
+pub use runner::{run, RunResult, RunSpec};
 pub use session::Session;

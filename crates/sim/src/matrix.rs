@@ -153,7 +153,7 @@ impl SimPoint {
 
 /// A memoizing, deduplicating executor of simulation points.
 ///
-/// Feed it point sets with [`RunMatrix::ensure`]; read results back by
+/// Feed it point sets with [`RunMatrix::ensure_with`]; read results back by
 /// key with [`RunMatrix::get`] / [`RunMatrix::ipc`]. A matrix shared
 /// across figures (as `all_experiments` does) deduplicates globally:
 /// a baseline point requested by four figures simulates once.
@@ -169,6 +169,8 @@ pub struct RunMatrix {
     failures: HashMap<SimPoint, PointFailure>,
     requested: usize,
     executed: usize,
+    /// Unique points the run journal served without simulating.
+    served: usize,
 }
 
 impl RunMatrix {
@@ -179,9 +181,11 @@ impl RunMatrix {
     }
 
     /// Makes every point in `points` available in the cache, executing
-    /// the not-yet-cached unique subset in parallel. Results are stored
-    /// by key, so the outcome is independent of execution order and of
-    /// the worker count.
+    /// the not-yet-cached unique subset in parallel under `session` (the
+    /// environment is consulted exactly zero times; drivers resolve
+    /// `Session::from_env()` once at entry). Results are stored by key,
+    /// so the outcome is independent of execution order and of the
+    /// worker count.
     ///
     /// Two requested keys that cannot produce different results are
     /// collapsed onto one simulation:
@@ -192,20 +196,12 @@ impl RunMatrix {
     ///   matrix is served by the twin — event collection is
     ///   observation-only and never perturbs timing (pinned by
     ///   `executor::tests::event_collection_does_not_change_timing`).
-    pub fn ensure(&mut self, core: &CoreConfig, points: &[SimPoint]) {
-        self.ensure_with(&Session::from_env(), core, points);
-    }
-
-    /// [`RunMatrix::ensure`] against an explicit [`Session`] — the
-    /// environment is consulted exactly zero times, so library callers
-    /// and tests get deterministic sessions, and drivers resolve
-    /// `Session::from_env()` once at entry instead of per batch.
     ///
     /// A point that fails (panics past its retry budget, or names an
     /// unknown profile) is recorded in the failure set instead of
-    /// aborting the batch; it is not retried by later `ensure` calls in
-    /// the same process (the simulator is deterministic — it would fail
-    /// again).
+    /// aborting the batch; it is not retried by later `ensure_with`
+    /// calls in the same process (the simulator is deterministic — it
+    /// would fail again).
     pub fn ensure_with(&mut self, session: &Session, core: &CoreConfig, points: &[SimPoint]) {
         self.requested += points.len();
         // Events-enabled keys that will exist after this call, from the
@@ -234,9 +230,10 @@ impl RunMatrix {
         if missing.is_empty() {
             return;
         }
-        self.executed += missing.len();
-        let outcomes = executor::execute_session(session, core, &missing);
-        for (point, outcome) in missing.into_iter().zip(outcomes) {
+        let run = executor::execute_session(session, core, &missing);
+        self.served += run.served;
+        self.executed += missing.len() - run.served;
+        for (point, outcome) in missing.into_iter().zip(run.outcomes) {
             match outcome {
                 Ok(result) => {
                     self.cache.insert(point, result);
@@ -254,7 +251,7 @@ impl RunMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if the point was never [`RunMatrix::ensure`]d — that is a
+    /// Panics if the point was never ensured — that is a
     /// bug in the calling figure's `points()` declaration, not a
     /// runtime failure, so it stays loud.
     #[must_use]
@@ -279,7 +276,7 @@ impl RunMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if the point was never [`RunMatrix::ensure`]d or if it
+    /// Panics if the point was never ensured or if it
     /// failed — callers that can degrade use [`RunMatrix::try_get`].
     #[must_use]
     pub fn get(&self, point: &SimPoint) -> &RunResult {
@@ -306,30 +303,39 @@ impl RunMatrix {
         self.failures.iter()
     }
 
-    /// Points requested across all `ensure` calls, duplicates included —
-    /// what a naive serial pass would have simulated.
+    /// Points requested across all `ensure_with` calls, duplicates
+    /// included — what a naive serial pass would have simulated.
     #[must_use]
     pub fn requested(&self) -> usize {
         self.requested
     }
 
-    /// Points actually simulated (unique, after memoization).
+    /// Points actually simulated (unique, after memoization, not served
+    /// by the run journal). Failed points count: they were attempted.
     #[must_use]
     pub fn executed(&self) -> usize {
         self.executed
     }
 
+    /// Unique points the run journal served without simulating.
+    #[must_use]
+    pub fn served(&self) -> usize {
+        self.served
+    }
+
     /// One-line dedup summary for pass-level logging.
     #[must_use]
     pub fn summary(&self) -> String {
-        let saved = self.requested - self.executed;
-        let mut s = format!(
-            "{} points requested, {} simulated ({} deduplicated, {:.2}x)",
-            self.requested,
-            self.executed,
-            saved,
-            self.requested as f64 / self.executed.max(1) as f64
-        );
+        let unique = self.executed + self.served;
+        let mut s = format!("{} points requested, {} simulated", self.requested, self.executed);
+        if self.served > 0 {
+            s.push_str(&format!(", {} served from the journal", self.served));
+        }
+        s.push_str(&format!(
+            " ({} deduplicated, {:.2}x)",
+            self.requested - unique,
+            self.requested as f64 / unique.max(1) as f64
+        ));
         if !self.failures.is_empty() {
             s.push_str(&format!(", {} FAILED", self.failures.len()));
         }
@@ -340,6 +346,10 @@ impl RunMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn quiet() -> Session {
+        Session::default().quiet()
+    }
 
     #[test]
     fn points_key_on_every_field() {
@@ -380,10 +390,10 @@ mod tests {
         let a = SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 50, 200);
         let b = SimPoint::new("505.mcf_r", ReleaseScheme::NonSpecEr, 64, 50, 200);
         let mut m = RunMatrix::new();
-        m.ensure(&core, &[a.clone(), b.clone(), a.clone()]);
+        m.ensure_with(&quiet(), &core, &[a.clone(), b.clone(), a.clone()]);
         assert_eq!(m.requested(), 3);
         assert_eq!(m.executed(), 2);
-        m.ensure(&core, &[a.clone(), b.clone()]);
+        m.ensure_with(&quiet(), &core, &[a.clone(), b.clone()]);
         assert_eq!(m.requested(), 5);
         assert_eq!(m.executed(), 2, "second ensure must be fully cached");
         assert!(m.ipc(&a) > 0.0);
@@ -448,7 +458,7 @@ mod tests {
         assert_eq!(different.canonical(&core), different);
 
         let mut m = RunMatrix::new();
-        m.ensure(&core, &[plain.clone(), spelled.clone()]);
+        m.ensure_with(&quiet(), &core, &[plain.clone(), spelled.clone()]);
         assert_eq!(m.executed(), 1, "identity tweak must share the untweaked simulation");
         assert_eq!(m.ipc(&plain).to_bits(), m.ipc(&spelled).to_bits());
     }
@@ -459,14 +469,14 @@ mod tests {
         let plain = SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 50, 200);
         let events = plain.clone().with_events();
         let mut m = RunMatrix::new();
-        m.ensure(&core, &[plain.clone(), events.clone()]);
+        m.ensure_with(&quiet(), &core, &[plain.clone(), events.clone()]);
         assert_eq!(m.executed(), 1, "the events run subsumes the plain one");
         assert_eq!(m.ipc(&plain).to_bits(), m.ipc(&events).to_bits());
         assert!(!m.get(&events).lifetimes.is_empty());
         // The upgrade also applies across ensure calls (twin cached first).
         let plain2 = SimPoint::new("548.exchange2_r", ReleaseScheme::Baseline, 64, 50, 200);
-        m.ensure(&core, &[plain2.clone().with_events()]);
-        m.ensure(&core, std::slice::from_ref(&plain2));
+        m.ensure_with(&quiet(), &core, &[plain2.clone().with_events()]);
+        m.ensure_with(&quiet(), &core, std::slice::from_ref(&plain2));
         assert_eq!(m.executed(), 2);
         assert!(m.ipc(&plain2) > 0.0);
     }

@@ -105,15 +105,21 @@ pub fn coverage_marker(failed: usize, requested: usize) -> Option<String> {
 /// same place no matter which directory they are launched from.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("ATR_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    // crates/sim/ -> workspace root, resolved at compile time.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crate dir has a workspace root")
-        .join("results")
+    results_dir_for(std::env::var_os("ATR_RESULTS_DIR").map(PathBuf::from))
+}
+
+/// [`results_dir`] for an explicit `ATR_RESULTS_DIR` value: the
+/// override when given, otherwise `<workspace root>/results`.
+#[must_use]
+pub fn results_dir_for(override_dir: Option<PathBuf>) -> PathBuf {
+    override_dir.unwrap_or_else(|| {
+        // crates/sim/ -> workspace root, resolved at compile time.
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crate dir has a workspace root")
+            .join("results")
+    })
 }
 
 /// Persists experiment rows as JSON under [`results_dir`] (created on
@@ -179,18 +185,10 @@ mod tests {
 
     #[test]
     fn results_dir_override_and_fallback() {
-        // One test covers both paths so no parallel test observes the
-        // transient env-var state.
         let dir = std::env::temp_dir().join("atr_sim_report_test");
-        std::env::set_var("ATR_RESULTS_DIR", &dir);
-        let path = save_json("unit_test_rows", &vec![1.5f64, 2.0]).unwrap();
-        std::env::remove_var("ATR_RESULTS_DIR");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("1.5"));
-        assert!(path.starts_with(&dir));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(results_dir_for(Some(dir.clone())), dir);
 
-        let fallback = results_dir();
+        let fallback = results_dir_for(None);
         assert!(fallback.ends_with("results"));
         assert!(fallback.parent().unwrap().join("Cargo.toml").exists());
     }

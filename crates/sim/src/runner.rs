@@ -4,7 +4,7 @@ use atr_core::{RegLifetime, ReleaseKind, ReleaseScheme};
 use atr_pipeline::telemetry::hist_names;
 use atr_pipeline::{CoreConfig, CoreStats, OooCore};
 use atr_telemetry::{Log2Hist, RunTelemetry, TelemetryConfig};
-use atr_workload::{Oracle, Program, SpecProfile, TraceSource};
+use atr_workload::{Oracle, Program, SpecProfile};
 use std::sync::Arc;
 
 /// One run's parameters.
@@ -32,35 +32,6 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A spec with the environment-controlled budget, audit switch, and
-    /// telemetry level — sugar for `for_session(&Session::from_env(), …)`.
-    #[must_use]
-    pub fn new(scheme: ReleaseScheme, rf_size: usize) -> Self {
-        RunSpec::for_session(&crate::session::Session::from_env(), scheme, rf_size)
-    }
-
-    /// A spec taking its audit switch and telemetry level from a
-    /// resolved [`crate::session::Session`] (budget still from
-    /// `ATR_SIM_WARMUP`/`ATR_SIM_INSTS` — the budget is part of the
-    /// *measurement*, not the session's serving knobs).
-    #[must_use]
-    pub fn for_session(
-        session: &crate::session::Session,
-        scheme: ReleaseScheme,
-        rf_size: usize,
-    ) -> Self {
-        let (warmup, measure) = crate::config::budget_from_env();
-        RunSpec {
-            scheme,
-            rf_size,
-            warmup,
-            measure,
-            collect_events: false,
-            audit: session.audit,
-            telemetry: session.telemetry,
-        }
-    }
-
     /// Enables lifetime-event collection.
     #[must_use]
     pub fn with_events(mut self) -> Self {
@@ -87,25 +58,9 @@ pub struct RunResult {
 }
 
 /// Runs `program` under `spec` on top of `base` (everything except
-/// scheme/RF size/event collection is taken from `base`), generating
-/// the stream with a live [`Oracle`].
+/// scheme/RF size/event collection is taken from `base`).
 #[must_use]
 pub fn run(base: &CoreConfig, program: Arc<Program>, spec: &RunSpec) -> RunResult {
-    run_with_source(base, Box::new(Oracle::new(program)), spec)
-}
-
-/// [`run`] over an arbitrary stream source — a live [`Oracle`] or an
-/// `atr-trace` replay. A source that starts mid-stream (a
-/// fast-forwarded replay) has its start index credited against the
-/// warmup budget: the pipeline only streams the residual
-/// `warmup - start_index()` instructions before the measured window, so
-/// the window covers the same architectural instructions either way.
-#[must_use]
-pub fn run_with_source(
-    base: &CoreConfig,
-    source: Box<dyn TraceSource>,
-    spec: &RunSpec,
-) -> RunResult {
     let mut cfg = base.clone().with_rf_size(spec.rf_size).with_scheme(spec.scheme);
     // Stats-level telemetry derives the lifetime/claim histograms from
     // the lifetime log, so it forces collection on. Collection is
@@ -115,9 +70,8 @@ pub fn run_with_source(
     cfg.rename.collect_events = spec.collect_events || spec.telemetry.stats_enabled();
     cfg.rename.audit = spec.audit;
     cfg.telemetry = spec.telemetry;
-    let residual_warmup = spec.warmup.saturating_sub(source.start_index());
-    let mut core = OooCore::with_source(cfg, source);
-    let s0 = if residual_warmup > 0 { core.run(residual_warmup) } else { core.snapshot_stats() };
+    let mut core = OooCore::new(cfg, Oracle::new(program));
+    let s0 = if spec.warmup > 0 { core.run(spec.warmup) } else { core.snapshot_stats() };
     let s1 = core.run(spec.measure);
     let cycles = (s1.cycles - s0.cycles).max(1);
     let ipc = (s1.retired - s0.retired) as f64 / cycles as f64;

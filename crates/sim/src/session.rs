@@ -1,13 +1,11 @@
 //! The typed execution session: every runtime knob resolved **once**.
 //!
-//! Before this module existed, the executor re-read
-//! `ATR_AUDIT`/`ATR_TELEMETRY` per point *inside worker threads*, which
-//! wasted syscalls and let parallel tests race on transient env state.
-//! A [`Session`] is the one place the environment is consulted:
-//! [`Session::from_env`] resolves every `ATR_*` variable at the
-//! executor/driver entry, and the resolved struct is threaded
-//! explicitly through [`crate::executor::execute_session`] and
-//! [`crate::matrix::RunMatrix::ensure_with`]. No `std::env` read
+//! A [`Session`] is the one place the `ATR_*` knobs are parsed:
+//! [`Session::from_lookup`] resolves them from any variable lookup (a
+//! test passes a map), [`Session::from_env`] is that parser over the
+//! process environment, and the resolved struct is threaded explicitly
+//! through [`crate::executor::execute_session`] and
+//! [`crate::matrix::RunMatrix::ensure_with`]. No environment read
 //! remains inside the per-point worker path.
 //!
 //! Every field is also settable in code (builder style), so tests and
@@ -28,14 +26,14 @@ pub const DEFAULT_RETRIES: u32 = 1;
 /// All runtime knobs of one execution pass, resolved up front.
 ///
 /// Nothing in here may change a simulated result: threads, progress,
-/// audit, telemetry, the trace cache, and the run journal are all
-/// serving/observation concerns, which is why none of them is part of
+/// audit, telemetry, the run journal, retries and fault injection are
+/// all serving/observation concerns, which is why none of them is part of
 /// the [`crate::matrix::SimPoint`] memoization key and why fingerprints
 /// are bit-identical under every setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Session {
-    /// Worker threads for the point pool and trace capture
-    /// (`ATR_SIM_THREADS`; default: available cores).
+    /// Worker threads for the point pool (`ATR_SIM_THREADS`; default:
+    /// available cores).
     pub threads: usize,
     /// Per-point progress lines on stderr (`ATR_SIM_PROGRESS`, on by
     /// default).
@@ -44,10 +42,6 @@ pub struct Session {
     pub audit: bool,
     /// Observer configuration (`ATR_TELEMETRY` plus its satellites).
     pub telemetry: TelemetryConfig,
-    /// Trace capture/replay cache directory (`ATR_TRACE_CACHE`).
-    pub trace_cache: Option<PathBuf>,
-    /// Fast-forward replays to the warmup checkpoint (`ATR_TRACE_FF`).
-    pub trace_ff: bool,
     /// Run-journal directory for fault-tolerant resume
     /// (`ATR_RUN_JOURNAL`; off by default).
     pub journal: Option<PathBuf>,
@@ -64,12 +58,10 @@ impl Default for Session {
     /// everything else off.
     fn default() -> Self {
         Session {
-            threads: crate::executor::thread_count_default(),
+            threads: available_threads(),
             progress: true,
             audit: false,
             telemetry: TelemetryConfig::default(),
-            trace_cache: None,
-            trace_ff: false,
             journal: None,
             retries: DEFAULT_RETRIES,
             fault_injection: None,
@@ -78,22 +70,56 @@ impl Default for Session {
 }
 
 impl Session {
-    /// Resolves every `ATR_*` knob from the environment, once. This is
-    /// the compatibility surface: the variable names and their parsing
-    /// are unchanged from the scattered `*_from_env()` era — they are
-    /// just read at one entry point instead of per worker iteration.
+    /// Resolves every `ATR_*` knob from the process environment, once.
     #[must_use]
     pub fn from_env() -> Self {
+        Session::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Resolves every `ATR_*` knob through `lookup` (variable name →
+    /// value, `None` when unset), without touching the process
+    /// environment. Malformed values warn once and keep the default.
+    ///
+    /// * `ATR_SIM_THREADS` — positive worker count;
+    /// * `ATR_SIM_PROGRESS` — progress lines unless `0`;
+    /// * `ATR_AUDIT` — on unless unset, empty or `0`;
+    /// * `ATR_TELEMETRY` (+ `ATR_TRACE_CAP`, `ATR_TELEMETRY_SERIES`);
+    /// * `ATR_RUN_JOURNAL` — unset, empty or `0` is off, `1` is
+    ///   `run-journal/` under the results dir (`ATR_RESULTS_DIR`),
+    ///   anything else a directory;
+    /// * `ATR_FAULT_INJECT` — non-blank label needle.
+    #[must_use]
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let threads = match lookup("ATR_SIM_THREADS") {
+            None => available_threads(),
+            Some(raw) => match raw.trim().parse::<usize>() {
+                Ok(n) if n > 0 => n,
+                _ => {
+                    atr_telemetry::warn!(
+                        "ignoring malformed ATR_SIM_THREADS={raw:?} (expected a positive count)"
+                    );
+                    available_threads()
+                }
+            },
+        };
+        let journal = lookup("ATR_RUN_JOURNAL").and_then(|raw| match raw.trim() {
+            "" | "0" => None,
+            "1" => Some(
+                crate::report::results_dir_for(lookup("ATR_RESULTS_DIR").map(PathBuf::from))
+                    .join("run-journal"),
+            ),
+            dir => Some(PathBuf::from(dir)),
+        });
         Session {
-            threads: crate::executor::thread_count(),
-            progress: crate::config::progress_from_env(),
-            audit: crate::config::audit_from_env(),
-            telemetry: crate::config::telemetry_from_env(),
-            trace_cache: crate::config::trace_cache_from_env(),
-            trace_ff: crate::config::trace_ff_from_env(),
-            journal: crate::config::journal_from_env(),
+            threads,
+            progress: lookup("ATR_SIM_PROGRESS").is_none_or(|v| v != "0"),
+            audit: lookup("ATR_AUDIT").is_some_and(|v| !v.trim().is_empty() && v.trim() != "0"),
+            telemetry: TelemetryConfig::from_lookup(&lookup),
+            journal,
             retries: DEFAULT_RETRIES,
-            fault_injection: crate::config::fault_injection_from_env(),
+            fault_injection: lookup("ATR_FAULT_INJECT")
+                .map(|v| v.trim().to_owned())
+                .filter(|v| !v.is_empty()),
         }
     }
 
@@ -125,20 +151,6 @@ impl Session {
         self
     }
 
-    /// Points the trace capture/replay cache at `dir`.
-    #[must_use]
-    pub fn with_trace_cache(mut self, dir: impl AsRef<Path>) -> Self {
-        self.trace_cache = Some(dir.as_ref().to_owned());
-        self
-    }
-
-    /// Sets warmup fast-forward for trace replays.
-    #[must_use]
-    pub fn with_trace_ff(mut self, ff: bool) -> Self {
-        self.trace_ff = ff;
-        self
-    }
-
     /// Journals completed points under `dir` and serves journaled
     /// points on the next pass (fault-tolerant resume).
     #[must_use]
@@ -165,25 +177,33 @@ impl Session {
     /// One-line description for pass-level logging.
     #[must_use]
     pub fn describe(&self) -> String {
-        let dir = |d: &Option<PathBuf>| {
-            d.as_ref().map_or_else(|| "off".to_owned(), |p| p.display().to_string())
-        };
         format!(
-            "threads={} progress={} audit={} telemetry={:?} trace-cache={} ff={} journal={}",
+            "threads={} progress={} audit={} telemetry={:?} journal={}",
             self.threads,
             if self.progress { "on" } else { "off" },
             if self.audit { "on" } else { "off" },
             self.telemetry.level,
-            dir(&self.trace_cache),
-            self.trace_ff,
-            dir(&self.journal),
+            self.journal.as_ref().map_or_else(|| "off".to_owned(), |p| p.display().to_string()),
         )
     }
+}
+
+/// The machine's available parallelism: the worker count when
+/// `ATR_SIM_THREADS` is unset.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// A session resolved from `vars` alone.
+    fn parse(vars: &[(&str, &str)]) -> Session {
+        let vars: HashMap<&str, &str> = vars.iter().copied().collect();
+        Session::from_lookup(|name| vars.get(name).map(|v| (*v).to_owned()))
+    }
 
     #[test]
     fn default_session_is_env_free_and_off() {
@@ -192,7 +212,6 @@ mod tests {
         assert!(s.progress);
         assert!(!s.audit);
         assert!(!s.telemetry.stats_enabled());
-        assert_eq!(s.trace_cache, None);
         assert_eq!(s.journal, None);
         assert_eq!(s.retries, DEFAULT_RETRIES);
         assert_eq!(s.fault_injection, None);
@@ -204,19 +223,61 @@ mod tests {
             .quiet()
             .with_threads(0)
             .with_audit(true)
-            .with_trace_cache("/tmp/tc")
-            .with_trace_ff(true)
             .with_journal("/tmp/j")
             .with_retries(3)
             .with_fault_injection("505.mcf_r");
         assert_eq!(s.threads, 1, "a zero thread request clamps to serial");
         assert!(!s.progress);
-        assert!(s.audit && s.trace_ff);
-        assert_eq!(s.trace_cache.as_deref(), Some(Path::new("/tmp/tc")));
+        assert!(s.audit);
         assert_eq!(s.journal.as_deref(), Some(Path::new("/tmp/j")));
         assert_eq!(s.retries, 3);
         assert_eq!(s.fault_injection.as_deref(), Some("505.mcf_r"));
         let d = s.describe();
         assert!(d.contains("threads=1") && d.contains("journal=/tmp/j"), "{d}");
+    }
+
+    #[test]
+    fn empty_lookup_is_the_default_session() {
+        assert_eq!(parse(&[]), Session::default());
+    }
+
+    #[test]
+    fn switches_and_threads_parse() {
+        let s = parse(&[("ATR_SIM_THREADS", " 3 "), ("ATR_SIM_PROGRESS", "0"), ("ATR_AUDIT", "1")]);
+        assert_eq!(s.threads, 3);
+        assert!(!s.progress && s.audit);
+        assert!(parse(&[("ATR_SIM_PROGRESS", "1")]).progress);
+        assert!(!parse(&[("ATR_AUDIT", "0")]).audit);
+        assert!(!parse(&[("ATR_AUDIT", " ")]).audit);
+        // Malformed or zero counts warn and keep the machine default.
+        let default_threads = Session::default().threads;
+        assert_eq!(parse(&[("ATR_SIM_THREADS", "0")]).threads, default_threads);
+        assert_eq!(parse(&[("ATR_SIM_THREADS", "many")]).threads, default_threads);
+        let t = parse(&[("ATR_TELEMETRY", "stats"), ("ATR_TELEMETRY_SERIES", "100")]).telemetry;
+        assert!(t.stats_enabled() && !t.trace_enabled());
+        assert_eq!(t.series_interval, 100);
+    }
+
+    #[test]
+    fn journal_and_fault_env_knobs_parse() {
+        assert_eq!(parse(&[("ATR_RUN_JOURNAL", "0")]).journal, None);
+        assert_eq!(parse(&[("ATR_RUN_JOURNAL", "")]).journal, None);
+        let default_dir = parse(&[("ATR_RUN_JOURNAL", "1")]).journal.expect("1 selects a dir");
+        assert!(default_dir.ends_with("results/run-journal"), "{}", default_dir.display());
+        assert_eq!(
+            parse(&[("ATR_RUN_JOURNAL", "1"), ("ATR_RESULTS_DIR", "/tmp/r")]).journal,
+            Some(PathBuf::from("/tmp/r/run-journal")),
+            "the default journal follows the results dir"
+        );
+        assert_eq!(
+            parse(&[("ATR_RUN_JOURNAL", "/tmp/custom-journal")]).journal,
+            Some(PathBuf::from("/tmp/custom-journal"))
+        );
+
+        assert_eq!(parse(&[("ATR_FAULT_INJECT", "  ")]).fault_injection, None, "blank is off");
+        assert_eq!(
+            parse(&[("ATR_FAULT_INJECT", " 505.mcf_r ")]).fault_injection.as_deref(),
+            Some("505.mcf_r")
+        );
     }
 }

@@ -59,7 +59,7 @@ fn assert_bit_identical(context: &str, a: &RunResult, b: &RunResult) {
 fn injected_panic_is_isolated_and_carries_its_payload() {
     let core = CoreConfig::default();
     let session = Session::default().quiet().with_threads(2).with_fault_injection("505.mcf_r");
-    let outcomes = execute_session(&session, &core, &points());
+    let outcomes = execute_session(&session, &core, &points()).outcomes;
 
     for idx in [0usize, 1] {
         let failure = outcomes[idx].as_ref().expect_err("poisoned mcf point must fail");
@@ -73,7 +73,7 @@ fn injected_panic_is_isolated_and_carries_its_payload() {
 
     // Retries are honored exactly: 0 retries = 1 attempt.
     let once = Session::default().quiet().with_retries(0).with_fault_injection("548.exchange2_r");
-    let outcomes = execute_session(&once, &core, &points());
+    let outcomes = execute_session(&once, &core, &points()).outcomes;
     assert!(outcomes[0].is_ok() && outcomes[1].is_ok());
     assert_eq!(outcomes[2].as_ref().unwrap_err().attempts, 1);
 }
@@ -105,6 +105,7 @@ fn killed_pass_resumes_bit_identical_without_resimulating() {
 
     // The uninterrupted, journal-less reference pass.
     let clean: Vec<RunResult> = execute_session(&Session::default().quiet(), &core, &all)
+        .outcomes
         .into_iter()
         .map(|o| o.expect("reference pass is healthy"))
         .collect();
@@ -112,7 +113,8 @@ fn killed_pass_resumes_bit_identical_without_resimulating() {
     // "Killed" pass: only the two mcf points completed before the kill.
     let journaled = Session::default().quiet().with_journal(&dir);
     let partial = execute_session(&journaled, &core, &all[..2]);
-    assert!(partial.iter().all(Result::is_ok));
+    assert!(partial.outcomes.iter().all(Result::is_ok));
+    assert_eq!(partial.served, 0, "an empty journal serves nothing");
     let journal_path = dir.join(JOURNAL_FILE);
     let lines = std::fs::read_to_string(&journal_path).unwrap().lines().count();
     assert_eq!(lines, 2, "one journal record per completed point");
@@ -121,7 +123,8 @@ fn killed_pass_resumes_bit_identical_without_resimulating() {
     // they would fail, so an all-Ok resume proves journal serving.
     let resume = journaled.clone().with_fault_injection("505.mcf_r");
     let resumed = execute_session(&resume, &core, &all);
-    for (idx, (outcome, reference)) in resumed.iter().zip(&clean).enumerate() {
+    assert_eq!(resumed.served, 2, "the two journaled points are served");
+    for (idx, (outcome, reference)) in resumed.outcomes.iter().zip(&clean).enumerate() {
         let result = outcome
             .as_ref()
             .unwrap_or_else(|f| panic!("resume re-simulated or failed journaled point {idx}: {f}"));
@@ -132,13 +135,39 @@ fn killed_pass_resumes_bit_identical_without_resimulating() {
 
     // A second resume serves everything — still bit-identical.
     let served = execute_session(&resume, &core, &all);
-    for (idx, (outcome, reference)) in served.iter().zip(&clean).enumerate() {
+    assert_eq!(served.served, all.len());
+    for (idx, (outcome, reference)) in served.outcomes.iter().zip(&clean).enumerate() {
         assert_bit_identical(
             &format!("fully-served point {idx}"),
             outcome.as_ref().unwrap(),
             reference,
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The matrix counts journal-served points apart from simulated ones:
+/// a second pass over a fully journaled set simulates nothing.
+#[test]
+fn fully_journaled_pass_reports_zero_simulated() {
+    let core = CoreConfig::default();
+    let all = points();
+    let dir = tmp_dir("journal_counts");
+    let journaled = Session::default().quiet().with_journal(&dir);
+
+    let mut first = RunMatrix::new();
+    first.ensure_with(&journaled, &core, &all);
+    assert_eq!(first.executed(), all.len());
+
+    let mut second = RunMatrix::new();
+    second.ensure_with(&journaled, &core, &all);
+    assert_eq!(second.executed(), 0, "every point came from the journal: {}", second.summary());
+    assert_eq!(second.served(), all.len());
+    assert!(
+        second.summary().starts_with("3 points requested, 0 simulated, 3 served from the journal"),
+        "{}",
+        second.summary()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -152,7 +181,7 @@ fn journal_tolerates_torn_tails_and_ignores_foreign_configs() {
     let dir = tmp_dir("journal_hygiene");
     let journaled = Session::default().quiet().with_journal(&dir);
 
-    let first = execute_session(&journaled, &core, &all);
+    let first = execute_session(&journaled, &core, &all).outcomes;
     assert!(first.iter().all(Result::is_ok));
     let journal_path = dir.join(JOURNAL_FILE);
 
@@ -164,7 +193,7 @@ fn journal_tolerates_torn_tails_and_ignores_foreign_configs() {
     // Poisoned resume: all served despite the torn tail ⇒ the intact
     // records survived and the garbage was ignored.
     let poisoned = journaled.clone().with_fault_injection("505.mcf_r");
-    let resumed = execute_session(&poisoned, &core, &all);
+    let resumed = execute_session(&poisoned, &core, &all).outcomes;
     for (idx, (outcome, reference)) in resumed.iter().zip(&first).enumerate() {
         assert_bit_identical(
             &format!("post-torn-tail point {idx}"),
@@ -181,7 +210,7 @@ fn journal_tolerates_torn_tails_and_ignores_foreign_configs() {
     // poisoned session now fails its mcf points — proof of a live run).
     let mut other_core = core.clone();
     other_core.rob_size = 64;
-    let foreign = execute_session(&poisoned, &other_core, &all);
+    let foreign = execute_session(&poisoned, &other_core, &all).outcomes;
     assert!(foreign[0].is_err() && foreign[1].is_err(), "foreign config must re-simulate");
     assert!(foreign[2].is_ok());
     let _ = std::fs::remove_dir_all(&dir);

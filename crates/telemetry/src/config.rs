@@ -1,7 +1,7 @@
 //! Runtime telemetry gating.
 //!
 //! Telemetry is an observer, never part of the simulated machine, so
-//! its level is read from the environment at run construction and is
+//! its level is resolved with the rest of the run's knobs and is
 //! deliberately **excluded** from the SimPoint memoization key (same
 //! policy as `ATR_AUDIT`): flipping `ATR_TELEMETRY` must never fork
 //! the result cache, because results are identical either way.
@@ -57,13 +57,14 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Reads `ATR_TELEMETRY` (off|stats|trace), `ATR_TRACE_CAP`, and
-    /// `ATR_TELEMETRY_SERIES` (sampling interval in cycles). Malformed
+    /// Resolves `ATR_TELEMETRY` (off|stats|trace), `ATR_TRACE_CAP`, and
+    /// `ATR_TELEMETRY_SERIES` (sampling interval in cycles) through
+    /// `lookup` (variable name → value, `None` when unset). Malformed
     /// values warn once and fall back to the defaults above.
     #[must_use]
-    pub fn from_env() -> TelemetryConfig {
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> TelemetryConfig {
         let mut cfg = TelemetryConfig::default();
-        if let Ok(raw) = std::env::var("ATR_TELEMETRY") {
+        if let Some(raw) = lookup("ATR_TELEMETRY") {
             match TelemetryLevel::parse(&raw) {
                 Some(level) => cfg.level = level,
                 None => {
@@ -74,7 +75,7 @@ impl TelemetryConfig {
                 }
             }
         }
-        if let Ok(raw) = std::env::var("ATR_TRACE_CAP") {
+        if let Some(raw) = lookup("ATR_TRACE_CAP") {
             match raw.trim().parse::<usize>() {
                 Ok(cap) => cfg.trace_cap = cap,
                 Err(_) => {
@@ -85,7 +86,7 @@ impl TelemetryConfig {
                 }
             }
         }
-        if let Ok(raw) = std::env::var("ATR_TELEMETRY_SERIES") {
+        if let Some(raw) = lookup("ATR_TELEMETRY_SERIES") {
             match raw.trim().parse::<u64>() {
                 Ok(iv) => cfg.series_interval = iv,
                 Err(_) => {

@@ -13,9 +13,6 @@
 //! * an **oracle stream** ([`Oracle`]) — the functional execution of the
 //!   program, which the pipeline consumes in order and re-enters after
 //!   flushes;
-//! * the [`TraceSource`] trait abstracting over stream substrates, so a
-//!   captured on-disk trace replay (the `atr-trace` crate) can stand in
-//!   for live functional execution bit-for-bit;
 //! * a **program generator** ([`generator::generate`]) driven by
 //!   [`ProfileParams`] that control the microarchitectural character of
 //!   the workload (branch predictability, memory footprint, dependency
@@ -39,7 +36,6 @@ pub mod behavior;
 pub mod generator;
 pub mod oracle;
 pub mod program;
-pub mod source;
 pub mod spec;
 pub mod wrongpath;
 
@@ -47,6 +43,5 @@ pub use behavior::{AddrPattern, BranchBehavior};
 pub use generator::ProfileParams;
 pub use oracle::Oracle;
 pub use program::{Program, ProgramBuilder};
-pub use source::TraceSource;
 pub use spec::{SpecProfile, WorkloadClass};
 pub use wrongpath::synthesize_outcome;

@@ -16,5 +16,4 @@ pub use atr_mem as mem;
 pub use atr_pipeline as pipeline;
 pub use atr_sim as sim;
 pub use atr_telemetry as telemetry;
-pub use atr_trace as trace;
 pub use atr_workload as workload;

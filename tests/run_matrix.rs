@@ -4,13 +4,20 @@
 
 use atr_core::ReleaseScheme;
 use atr_pipeline::CoreConfig;
-use atr_sim::executor::execute_with;
 use atr_sim::experiments::{fig01_points, fig10_points, fig11_points};
-use atr_sim::{RunMatrix, SimConfig, SimPoint};
+use atr_sim::{execute_session, RunMatrix, RunResult, Session, SimConfig, SimPoint};
 use std::collections::HashSet;
 
 fn tiny() -> SimConfig {
     SimConfig { core: CoreConfig::default(), warmup: 500, measure: 2_000 }
+}
+
+/// Runs `points` on an env-free session with `threads` workers,
+/// panicking on any failed point.
+fn execute(sim: &SimConfig, points: &[SimPoint], threads: usize) -> Vec<RunResult> {
+    let session = Session::default().quiet().with_threads(threads);
+    let run = execute_session(&session, &sim.core, points);
+    run.outcomes.into_iter().map(|o| o.unwrap_or_else(|f| panic!("{f}"))).collect()
 }
 
 /// A small mixed batch: several profiles × schemes × RF sizes, one
@@ -35,8 +42,8 @@ fn mixed_points(sim: &SimConfig) -> Vec<SimPoint> {
 fn parallel_execution_is_bit_identical_to_serial() {
     let sim = tiny();
     let points = mixed_points(&sim);
-    let serial = execute_with(&sim.core, &points, 1);
-    let parallel = execute_with(&sim.core, &points, 4);
+    let serial = execute(&sim, &points, 1);
+    let parallel = execute(&sim, &points, 4);
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(
@@ -63,13 +70,14 @@ fn shared_matrix_deduplicates_figure_overlap() {
     let unique: HashSet<&SimPoint> = points.iter().collect();
     assert!(unique.len() < points.len(), "fig01/fig10/fig11 must overlap on baseline points");
 
+    let session = Session::default().quiet();
     let mut matrix = RunMatrix::new();
-    matrix.ensure(&sim.core, &points);
+    matrix.ensure_with(&session, &sim.core, &points);
     assert_eq!(matrix.requested(), points.len());
     assert_eq!(matrix.executed(), unique.len(), "each unique point must simulate exactly once");
 
     // Re-ensuring any subset must hit the cache, not the simulator.
-    matrix.ensure(&sim.core, &fig11_points(&sim));
+    matrix.ensure_with(&session, &sim.core, &fig11_points(&sim));
     assert_eq!(matrix.executed(), unique.len(), "re-ensure must not re-execute");
 
     // And every declared point must be readable back.
