@@ -1,10 +1,12 @@
-//! Substrate microbenchmarks: branch prediction, cache hierarchy, and
-//! oracle-stream generation throughput.
+//! Substrate microbenchmarks: branch prediction, cache hierarchy,
+//! oracle-stream generation throughput, and the cost of building a
+//! memory hierarchy and a whole core.
 
 use atr_bench::timing::bench;
 use atr_frontend::{Bpu, BpuConfig, DirectionPredictor, GlobalHistory, PredictorKind, Tage};
 use atr_isa::{ArchReg, StaticInst};
 use atr_mem::{AccessKind, MemConfig, MemoryHierarchy};
+use atr_pipeline::{CoreConfig, OooCore};
 use atr_workload::{spec, Oracle};
 
 const SAMPLES: usize = 10;
@@ -65,6 +67,13 @@ fn main() {
             t = mem.access(AccessKind::Load, i * 64 * 131, t.min(i * 4));
         }
         t
+    });
+
+    let mem_cfg = MemConfig::golden_cove();
+    bench("memory_hierarchy/construct", SAMPLES, 1, || MemoryHierarchy::new(&mem_cfg));
+    let program = spec::find_profile("exchange2").expect("profile").build();
+    bench("core/construct_rf64", SAMPLES, 1, || {
+        OooCore::new(CoreConfig::default().with_rf_size(64), Oracle::new(program.clone()))
     });
 
     for name in ["exchange2", "omnetpp"] {

@@ -17,6 +17,9 @@ pub struct BtbEntry {
 
 /// Set-associative BTB (Table 1: 12K entries).
 ///
+/// Sets start empty and grow on insert up to `ways` entries, as the
+/// memory hierarchy's cache sets do.
+///
 /// In this simulator the frontend decodes instructions directly from the
 /// static program, so the BTB's modeled role is *taken-branch target
 /// latency*: a predicted-taken branch that misses in the BTB costs a
@@ -44,7 +47,7 @@ impl Btb {
         assert_eq!(entries % ways, 0, "entries must be a multiple of ways");
         let nsets = entries / ways;
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
-        Btb { sets: vec![Vec::with_capacity(ways); nsets], ways, tick: 0, hits: 0, misses: 0 }
+        Btb { sets: vec![Vec::new(); nsets], ways, tick: 0, hits: 0, misses: 0 }
     }
 
     fn set_of(&self, pc: u64) -> usize {
@@ -80,6 +83,8 @@ impl Btb {
         }
         let entry = BtbEntry { pc, target, class, lru: tick };
         if set_vec.len() < ways {
+            // A set's first insert reserves every way; later ones find room.
+            set_vec.reserve_exact(ways - set_vec.len());
             set_vec.push(entry);
         } else {
             let victim = set_vec.iter_mut().min_by_key(|e| e.lru).expect("non-empty set");

@@ -83,9 +83,8 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Line {
-    valid: bool,
     tag: u64,
     dirty: bool,
     prefetched: bool,
@@ -109,6 +108,11 @@ pub enum Probe {
 }
 
 /// A set-associative cache with timestamped lines and MSHR bookkeeping.
+///
+/// Each set holds only its valid lines, in way order: a set starts empty
+/// and grows by one line per fill until it has `ways` lines. Nothing
+/// ever invalidates a line, so a set never shrinks, and building a
+/// cache costs one allocation however many lines it has.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -129,7 +133,7 @@ impl Cache {
     /// [`CacheConfig::num_sets`]).
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = vec![vec![Line::default(); cfg.ways]; cfg.num_sets()];
+        let sets = vec![Vec::new(); cfg.num_sets()];
         Cache {
             sets,
             stats: CacheStats::default(),
@@ -173,7 +177,7 @@ impl Cache {
         let tick = self.tick;
         let (set, tag) = (self.set_index(addr), self.tag_of(addr));
         let lru = self.cfg.policy == ReplacementPolicy::Lru;
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(line) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
             if lru {
                 line.stamp = tick;
             }
@@ -199,7 +203,7 @@ impl Cache {
     /// state or statistics (write-allocate fill completion).
     pub fn mark_dirty(&mut self, addr: u64) {
         let (set, tag) = (self.set_index(addr), self.tag_of(addr));
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(line) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
             line.dirty = true;
         }
     }
@@ -209,7 +213,7 @@ impl Cache {
     #[must_use]
     pub fn peek(&self, addr: u64) -> bool {
         let (set, tag) = (self.set_index(addr), self.tag_of(addr));
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.sets[set].iter().any(|l| l.tag == tag)
     }
 
     /// Installs the line for `addr`, arriving at `ready_at`. Returns the
@@ -225,38 +229,38 @@ impl Cache {
             self.stats.prefetch_fills += 1;
         }
         // Refill of a present (possibly in-flight) line: refresh timestamp.
-        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.tag == tag) {
             line.ready_at = line.ready_at.min(ready_at);
             return None;
         }
-        let victim_idx = if let Some(i) = self.sets[set_idx].iter().position(|l| !l.valid) {
-            i
-        } else {
-            match self.cfg.policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.sets[set_idx]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .map(|(i, _)| i)
-                    .expect("non-empty set"),
-                ReplacementPolicy::Random => {
-                    let bit =
-                        (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
-                    self.lfsr = (self.lfsr >> 1) | (bit << 15);
-                    (self.lfsr as usize) % self.cfg.ways
-                }
+        let line = Line { tag, dirty: false, prefetched: is_prefetch, ready_at, stamp: tick };
+        let set = &mut self.sets[set_idx];
+        if set.len() < self.cfg.ways {
+            // The first fill reserves every way; later ones find room.
+            set.reserve_exact(self.cfg.ways - set.len());
+            set.push(line);
+            return None;
+        }
+        let victim_idx = match self.cfg.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.stamp)
+                .map(|(i, _)| i)
+                .expect("non-empty set"),
+            ReplacementPolicy::Random => {
+                let bit = (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
+                self.lfsr = (self.lfsr >> 1) | (bit << 15);
+                (self.lfsr as usize) % self.cfg.ways
             }
         };
-        let victim = self.sets[set_idx][victim_idx];
-        let wb = if victim.valid && victim.dirty {
+        let victim = std::mem::replace(&mut set[victim_idx], line);
+        if victim.dirty {
             self.stats.writebacks += 1;
             Some((victim.tag * nsets + set_idx as u64) * line_bytes)
         } else {
             None
-        };
-        self.sets[set_idx][victim_idx] =
-            Line { valid: true, tag, dirty: false, prefetched: is_prefetch, ready_at, stamp: tick };
-        wb
+        }
     }
 
     /// MSHR admission for a new miss starting at `cycle`: returns the

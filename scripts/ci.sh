@@ -74,6 +74,19 @@ env $tiny ATR_RESULTS_DIR="$live_results" \
 live_fp=$(fingerprint "$live_results")
 echo "live fingerprint: $live_fp"
 
+# Every other gate compares against this same build, so a change that
+# silently moved the figures would still pass them; the live pass is
+# therefore pinned to a known fingerprint as well. Change the pin only
+# together with a CHANGES.md entry that names and justifies every
+# figure number that moved.
+pinned_fp=93d38585c64873d3cceb3f7ec467b79946726c6ad77625d5f7c9da11bd8c9f91
+if [ "$live_fp" != "$pinned_fp" ]; then
+    echo "FAIL: the tiny-pass figures changed" >&2
+    echo "  pinned $pinned_fp / live $live_fp" >&2
+    exit 1
+fi
+echo "pinned fingerprint OK"
+
 # The cycle loop skips quiet cycles on one path whether telemetry and
 # audit are on or off, so the observed passes above must reproduce the
 # live figures bit for bit.
