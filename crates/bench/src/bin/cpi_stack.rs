@@ -10,10 +10,11 @@
 //! needed — but budget (`ATR_SIM_WARMUP`/`ATR_SIM_INSTS`) and `ATR_LOG`
 //! behave as everywhere else.
 
-use atr_bench::driver;
 use atr_core::ReleaseScheme;
+use atr_sim::config::budget_from_env;
 use atr_sim::report::cpi_table;
 use atr_sim::runner::{run_profile, RunSpec};
+use atr_sim::SimConfig;
 use atr_telemetry::{RunTelemetry, TelemetryConfig, TelemetryLevel};
 use atr_workload::spec::all_profiles;
 
@@ -27,7 +28,8 @@ const SCHEMES: [ReleaseScheme; 4] = [
 const RF_SIZE: usize = 64;
 
 fn main() {
-    let sim = driver::sim();
+    let (warmup, measure) = budget_from_env();
+    let sim = SimConfig { warmup, measure, ..SimConfig::golden_cove() };
     let profiles = all_profiles();
     atr_telemetry::info!(
         "cpi_stack: {} profiles x {} schemes @{} regs (warmup {}, measure {})",

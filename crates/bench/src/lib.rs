@@ -1,9 +1,10 @@
-//! Benchmark harness support crate (binaries live in `src/bin`).
+//! Benchmark harness support crate.
 //!
-//! [`driver`] is the one shared entry path all figure binaries go
-//! through: each `--bin figNN` only names its experiment, headers, and
-//! cell formatting, and the driver handles the table rendering, the
-//! `results/*.json` artifact, and the shared [`atr_sim::SimConfig`].
+//! The binaries in `src/bin` are thin: `all_experiments` walks the
+//! figure registry ([`atr_sim::experiments::FIGURES`]), `cpi_stack`
+//! prints per-scheme CPI stacks, and `jsonl_check` and
+//! `telemetry_overhead` are CI checks. [`timing`] backs the `benches/`
+//! harnesses.
 
 pub mod timing {
     //! Minimal wall-clock micro-benchmark support for the `benches/`
@@ -32,54 +33,6 @@ pub mod timing {
             println!("{name:<44} min {min:>10.1?}  median {median:>10.1?}  {rate:>12.0} elem/s");
         } else {
             println!("{name:<44} min {min:>10.1?}  median {median:>10.1?}");
-        }
-    }
-}
-
-pub mod driver {
-    use atr_json::ToJson;
-    use atr_sim::report::{render_table, save_json};
-    use atr_sim::{Session, SimConfig};
-
-    /// The configuration every binary simulates under: Golden-Cove core,
-    /// `ATR_SIM_WARMUP`/`ATR_SIM_INSTS` budget.
-    #[must_use]
-    pub fn sim() -> SimConfig {
-        SimConfig::golden_cove()
-    }
-
-    /// The one place a binary resolves its `ATR_*` runtime knobs: call
-    /// once at entry, thread the session through
-    /// `RunMatrix::ensure_with` / `execute_session`.
-    #[must_use]
-    pub fn session() -> Session {
-        Session::from_env()
-    }
-
-    /// Prints a titled table without a JSON artifact (Table 1/2, §4.4).
-    pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-        println!("{title}\n");
-        print!("{}", render_table(headers, rows));
-    }
-
-    /// The full figure-binary protocol: titled table on stdout, optional
-    /// footer lines, then the `results/<name>.json` artifact.
-    pub fn emit<R: ToJson>(
-        name: &str,
-        title: &str,
-        headers: &[&str],
-        rows: &[R],
-        cells: impl Fn(&R) -> Vec<String>,
-        footer: Option<String>,
-    ) {
-        let table: Vec<Vec<String>> = rows.iter().map(&cells).collect();
-        print_table(title, headers, &table);
-        if let Some(footer) = footer {
-            println!("\n{footer}");
-        }
-        match save_json(name, rows) {
-            Ok(path) => atr_telemetry::info!("saved {}", path.display()),
-            Err(err) => atr_telemetry::warn!("could not save results/{name}.json: {err}"),
         }
     }
 }

@@ -167,10 +167,9 @@ impl OooCore {
             pending_interrupt: None,
             auditor: cfg.rename.audit.then(RenameAuditor::new),
             retire_log: None,
-            telemetry: cfg
-                .telemetry
-                .stats_enabled()
-                .then(|| Box::new(CoreTelemetry::new(cfg.telemetry, cfg.retire_width as u64))),
+            telemetry: cfg.telemetry.stats_enabled().then(|| {
+                Box::new(CoreTelemetry::new(cfg.telemetry.clone(), cfg.retire_width as u64))
+            }),
             serialize_until: 0,
             badspec_until: 0,
             cycle: 1,
@@ -442,14 +441,19 @@ impl OooCore {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(audit));
         if let Err(payload) = outcome {
             if let Some(t) = self.telemetry.as_ref() {
-                let path = std::env::var("ATR_TRACE_DUMP")
-                    .unwrap_or_else(|_| format!("atr-audit-trace-cycle{cycle}.kanata"));
+                let path = t
+                    .config()
+                    .trace_dump
+                    .as_deref()
+                    .cloned()
+                    .unwrap_or_else(|| format!("atr-audit-trace-cycle{cycle}.kanata").into());
+                let shown = path.display();
                 match std::fs::write(&path, t.trace.dump_konata()) {
                     Ok(()) => atr_telemetry::info!(
-                        "audit failure at cycle {cycle}: wrote {} trace events to {path}",
+                        "audit failure at cycle {cycle}: wrote {} trace events to {shown}",
                         t.trace.len()
                     ),
-                    Err(e) => atr_telemetry::warn!("could not write audit trace to {path}: {e}"),
+                    Err(e) => atr_telemetry::warn!("could not write audit trace to {shown}: {e}"),
                 }
             }
             std::panic::resume_unwind(payload);

@@ -118,7 +118,7 @@ impl CoreTelemetry {
             flush_walk_len: Log2Hist::new(),
             branch_resolution: Log2Hist::new(),
             int_occ_series: TimeSeries::new(cfg.series_interval),
-            trace: PipeTrace::new(if cfg.trace_enabled() { cfg.trace_cap } else { 0 }),
+            trace: PipeTrace::new(if cfg.trace_enabled() { cfg.trace_cap as usize } else { 0 }),
             scratch: CycleScratch::default(),
             last: LastCycle::default(),
             cfg,

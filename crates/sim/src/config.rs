@@ -13,13 +13,19 @@ pub struct SimConfig {
     pub measure: u64,
 }
 
+/// Default warmup instructions per point.
+pub const DEFAULT_WARMUP: u64 = 40_000;
+/// Default measured instructions per point.
+pub const DEFAULT_MEASURE: u64 = 160_000;
+
 impl SimConfig {
-    /// The paper's Golden-Cove-like configuration (Table 1) with the
-    /// environment-controlled measurement budget.
+    /// The paper's Golden-Cove-like configuration (Table 1) at the
+    /// default budget ([`DEFAULT_WARMUP`] + [`DEFAULT_MEASURE`]). Reads
+    /// no environment: a binary resolves [`budget_from_env`] once at
+    /// entry and overrides `warmup`/`measure`.
     #[must_use]
     pub fn golden_cove() -> Self {
-        let (warmup, measure) = budget_from_env();
-        SimConfig { core: CoreConfig::default(), warmup, measure }
+        SimConfig { core: CoreConfig::default(), warmup: DEFAULT_WARMUP, measure: DEFAULT_MEASURE }
     }
 }
 
@@ -38,8 +44,9 @@ pub fn budget_from_env() -> (u64, u64) {
 
 /// Resolves the measurement budget `(warmup, measure)` from
 /// `ATR_SIM_WARMUP` / `ATR_SIM_INSTS` through `lookup` (variable name →
-/// value, `None` when unset), defaulting to a quick 40k/160k pass (the
-/// paper simulates 10M-weighted simpoints; scale up for full runs).
+/// value, `None` when unset), defaulting to a quick
+/// [`DEFAULT_WARMUP`]/[`DEFAULT_MEASURE`] pass (the paper simulates
+/// 10M-weighted simpoints; scale up for full runs).
 ///
 /// A malformed value is *not* silently swallowed: it falls back to the
 /// default with a one-line warning on stderr, so a typo in a sweep
@@ -49,7 +56,7 @@ pub fn budget_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> (u64, u64)
     let count = |var: &str, default: u64| {
         lookup(var).map_or(default, |raw| parse_count(var, &raw, default))
     };
-    (count("ATR_SIM_WARMUP", 40_000), count("ATR_SIM_INSTS", 160_000))
+    (count("ATR_SIM_WARMUP", DEFAULT_WARMUP), count("ATR_SIM_INSTS", DEFAULT_MEASURE))
 }
 
 fn parse_count(var: &str, raw: &str, default: u64) -> u64 {
@@ -150,9 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn golden_cove_uses_env_budget() {
+    fn golden_cove_is_the_table1_core_at_the_fixed_default_budget() {
         let cfg = SimConfig::golden_cove();
-        assert!(cfg.warmup > 0 && cfg.measure > 0);
+        assert_eq!((cfg.warmup, cfg.measure), (40_000, 160_000));
+        assert_eq!(cfg.core, CoreConfig::default());
+        assert_eq!(SimConfig::default(), cfg);
     }
 
     #[test]

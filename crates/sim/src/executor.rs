@@ -9,9 +9,10 @@
 //! comes from one resolved [`Session`] (see [`crate::session`]), and
 //! each point yields a [`PointOutcome`] instead of a bare result:
 //!
-//! * a point that **panics** is retried a bounded number of times, then
-//!   surfaced as a structured [`PointFailure`] carrying the panic
-//!   payload — the other points' results survive;
+//! * a point that **panics** is surfaced as a structured
+//!   [`PointFailure`] carrying the panic payload — the other points'
+//!   results survive (points are deterministic, so a retry would only
+//!   panic again);
 //! * a point naming an **unknown profile** fails the same structured
 //!   way during prebuild instead of sinking the pass;
 //! * with a [`crate::journal::RunJournal`] configured, completed points
@@ -51,7 +52,7 @@ const STRAGGLER_SCAN: Duration = Duration::from_millis(200);
 pub enum FailureKind {
     /// The point names a profile `atr_workload::spec` does not know.
     UnknownProfile,
-    /// Every attempt at the point panicked.
+    /// The point panicked.
     Panic,
 }
 
@@ -63,23 +64,15 @@ pub struct PointFailure {
     pub label: String,
     /// What went wrong.
     pub kind: FailureKind,
-    /// The panic payload (or prebuild diagnostic) of the last attempt.
+    /// The panic payload (or prebuild diagnostic).
     pub payload: String,
-    /// Attempts made (0 for prebuild failures that never ran).
-    pub attempts: u32,
 }
 
 impl std::fmt::Display for PointFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.kind {
             FailureKind::UnknownProfile => write!(f, "{}: {}", self.label, self.payload),
-            FailureKind::Panic => {
-                write!(
-                    f,
-                    "{} panicked after {} attempt(s): {}",
-                    self.label, self.attempts, self.payload
-                )
-            }
+            FailureKind::Panic => write!(f, "{} panicked: {}", self.label, self.payload),
         }
     }
 }
@@ -139,7 +132,6 @@ pub fn execute_session(session: &Session, core: &CoreConfig, points: &[SimPoint]
                 label: point.label(),
                 kind: FailureKind::UnknownProfile,
                 payload: format!("unknown profile in SimPoint: {}", point.profile),
-                attempts: 0,
             }));
         }
     }
@@ -326,41 +318,28 @@ fn straggler_deadline(point: &SimPoint) -> Duration {
         )
 }
 
-/// Runs one point with panic isolation and bounded retry. The closure
-/// is unwind-safe in the only sense that matters here: the simulator
-/// owns all its state per run and a failed attempt shares nothing with
-/// the retry.
+/// Runs one point with panic isolation. The closure is unwind-safe in
+/// the only sense that matters here: the simulator owns all its state
+/// per run, and a panicking run leaves nothing behind but its payload.
 fn run_point_guarded(
     session: &Session,
     core: &CoreConfig,
     program: Arc<Program>,
     point: &SimPoint,
 ) -> PointOutcome {
-    let attempts = session.retries + 1;
-    let mut payload = String::new();
-    for attempt in 1..=attempts {
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(needle) = &session.fault_injection {
-                if point.label().contains(needle.as_str()) {
-                    panic!("injected fault for {}", point.label());
-                }
-            }
-            run_point(session, core, program.clone(), point)
-        }));
-        match caught {
-            Ok(result) => return Ok(result),
-            Err(panic) => {
-                payload = panic_message(panic.as_ref());
-                if attempt < attempts {
-                    atr_telemetry::warn!(
-                        "{} panicked on attempt {attempt}/{attempts} ({payload}); retrying",
-                        point.label()
-                    );
-                }
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(needle) = &session.fault_injection {
+            if point.label().contains(needle.as_str()) {
+                panic!("injected fault for {}", point.label());
             }
         }
-    }
-    Err(PointFailure { label: point.label(), kind: FailureKind::Panic, payload, attempts })
+        run_point(session, core, program, point)
+    }))
+    .map_err(|panic| PointFailure {
+        label: point.label(),
+        kind: FailureKind::Panic,
+        payload: panic_message(panic.as_ref()),
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -388,7 +367,7 @@ fn run_point(
         measure: point.measure,
         collect_events: point.collect_events,
         audit: session.audit,
-        telemetry: session.telemetry,
+        telemetry: session.telemetry.clone(),
     };
     run(&cfg, program, &spec)
 }
@@ -432,7 +411,6 @@ mod tests {
         assert!(outcomes[0].is_ok(), "the healthy sibling must survive");
         let failure = outcomes[1].as_ref().expect_err("unknown profile must fail");
         assert_eq!(failure.kind, FailureKind::UnknownProfile);
-        assert_eq!(failure.attempts, 0, "prebuild failures never run");
         assert!(failure.payload.contains("999.not_a_profile"), "{}", failure.payload);
     }
 

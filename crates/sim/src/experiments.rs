@@ -1,27 +1,29 @@
-//! One function per evaluation artifact (figure) of the paper, built on
-//! the run-matrix engine.
+//! The paper's evaluation, one record per artifact: [`FIGURES`].
 //!
-//! Every figure is expressed as a pure `points → assemble` pair:
-//! `figNN_points` declares the exact [`SimPoint`]s the figure needs and
-//! `figNN_assemble` folds cached results into rows. The one-shot
-//! `figNN(sim)` wrappers run a private [`RunMatrix`]; a shared matrix
-//! (see `all_experiments`) deduplicates across figures — fig01, fig10,
-//! fig11, and fig15 all request overlapping `Baseline` points that then
-//! simulate exactly once.
+//! Every figure is a pure `points → assemble` pair: `figNN_points`
+//! declares the exact [`SimPoint`]s the figure needs and
+//! `figNN_assemble` folds cached results into rows. A [`Figure`] entry
+//! adds the table layout and the headlines beside the paper's values,
+//! and the tables and the §4.4 analysis join the registry as entries
+//! without points. [`run_figures`] ensures the union of the selected
+//! entries' points on one shared [`RunMatrix`] — fig01, fig10, fig11
+//! and fig15 request overlapping `Baseline` points that then simulate
+//! exactly once — and writes each entry's files.
 //!
-//! Every function returns plain serializable rows; the `atr-bench`
-//! binaries print them (and `report::render_table` formats them as
-//! aligned tables). Budgets come from the [`SimConfig`] argument, which
-//! `SimConfig::golden_cove()` populates from the `ATR_SIM_WARMUP` /
-//! `ATR_SIM_INSTS` environment variables.
+//! Budgets come from the [`SimConfig`] argument; nothing here reads the
+//! environment.
 
-use crate::config::SimConfig;
+use crate::config::{table1, SimConfig};
 use crate::matrix::{CoreTweak, RunMatrix, SimPoint};
+use crate::report::{coverage_marker, gain, pct, render_table};
 use crate::runner::geomean;
 use crate::session::Session;
+use atr_analysis::{BulkReleaseLogic, CorePowerModel};
 use atr_core::ReleaseScheme;
-use atr_json::json_record;
+use atr_json::{json_record, Json, ToJson};
 use atr_workload::spec::{all_profiles, spec2017_fp, spec2017_int, SpecProfile, WorkloadClass};
+use std::path::Path;
+use std::time::Instant;
 
 /// RF sizes swept by Fig 1 / Fig 11 (the paper's 64…280 plus a
 /// practically infinite point for normalization).
@@ -58,14 +60,6 @@ fn reg_class_of(p: &SpecProfile) -> atr_isa::RegClass {
         WorkloadClass::Int => atr_isa::RegClass::Int,
         WorkloadClass::Fp => atr_isa::RegClass::Fp,
     }
-}
-
-/// Runs one figure's `points → assemble` pair on a private matrix,
-/// under the session the environment describes.
-fn solo<R>(sim: &SimConfig, points: Vec<SimPoint>, assemble: impl FnOnce(&RunMatrix) -> R) -> R {
-    let mut matrix = RunMatrix::new();
-    matrix.ensure_with(&Session::from_env(), &sim.core, &points);
-    assemble(&matrix)
 }
 
 // ------------------------------------------------------------- Fig 1
@@ -124,13 +118,6 @@ pub fn fig01_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig01Row> {
         });
     }
     rows
-}
-
-/// Fig 1: normalized baseline IPC across register file sizes
-/// (SPEC2017int).
-#[must_use]
-pub fn fig01(sim: &SimConfig) -> Vec<Fig01Row> {
-    solo(sim, fig01_points(sim), |m| fig01_assemble(sim, m))
 }
 
 /// Average of Fig 1 rows at one RF size.
@@ -195,13 +182,6 @@ pub fn fig04_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig04Row> {
     rows
 }
 
-/// Fig 4: register lifecycle cycle distribution under the baseline
-/// scheme, per benchmark plus suite averages.
-#[must_use]
-pub fn fig04(sim: &SimConfig) -> Vec<Fig04Row> {
-    solo(sim, fig04_points(sim), |m| fig04_assemble(sim, m))
-}
-
 // ------------------------------------------------------------- Fig 6
 
 /// One benchmark's region ratios (Fig 6).
@@ -255,12 +235,6 @@ pub fn fig06_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig06Row> {
         });
     }
     rows
-}
-
-/// Fig 6: atomic register ratios per benchmark plus suite averages.
-#[must_use]
-pub fn fig06(sim: &SimConfig) -> Vec<Fig06Row> {
-    solo(sim, fig06_points(sim), |m| fig06_assemble(sim, m))
 }
 
 // ------------------------------------------------------------ Fig 10
@@ -344,19 +318,6 @@ pub fn fig10_assemble(sim: &SimConfig, matrix: &RunMatrix, rf_sizes: &[usize]) -
     rows
 }
 
-/// Fig 10: speedup of each early-release scheme over the baseline at 64
-/// and 224 physical registers.
-#[must_use]
-pub fn fig10(sim: &SimConfig) -> Vec<Fig10Row> {
-    fig10_at(sim, &[64, 224])
-}
-
-/// Fig 10 at caller-chosen RF sizes.
-#[must_use]
-pub fn fig10_at(sim: &SimConfig, rf_sizes: &[usize]) -> Vec<Fig10Row> {
-    solo(sim, fig10_points(sim, rf_sizes), |m| fig10_assemble(sim, m, rf_sizes))
-}
-
 // ------------------------------------------------------------ Fig 11
 
 /// One suite-average point of Fig 11.
@@ -410,12 +371,6 @@ pub fn fig11_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig11Row> {
     rows
 }
 
-/// Fig 11: atomic-scheme speedup over the baseline across RF sizes.
-#[must_use]
-pub fn fig11(sim: &SimConfig) -> Vec<Fig11Row> {
-    solo(sim, fig11_points(sim), |m| fig11_assemble(sim, m))
-}
-
 // ------------------------------------------------------------ Fig 12
 
 /// One benchmark's consumer distribution (Fig 12).
@@ -455,12 +410,6 @@ pub fn fig12_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig12Row> {
         });
     }
     rows
-}
-
-/// Fig 12: consumers per atomic region, per benchmark.
-#[must_use]
-pub fn fig12(sim: &SimConfig) -> Vec<Fig12Row> {
-    solo(sim, fig12_points(sim), |m| fig12_assemble(sim, m))
 }
 
 // ------------------------------------------------------------ Fig 13
@@ -521,13 +470,6 @@ pub fn fig13_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig13Row> {
     rows
 }
 
-/// Fig 13: sensitivity of the atomic scheme to pipelining the marking
-/// logic by 0/1/2 cycles.
-#[must_use]
-pub fn fig13(sim: &SimConfig) -> Vec<Fig13Row> {
-    solo(sim, fig13_points(sim), |m| fig13_assemble(sim, m))
-}
-
 // ------------------------------------------------------------ Fig 14
 
 /// One benchmark's region cycle gaps (Fig 14).
@@ -578,12 +520,6 @@ pub fn fig14_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig14Row> {
     rows
 }
 
-/// Fig 14: average cycle gaps within atomic commit regions.
-#[must_use]
-pub fn fig14(sim: &SimConfig) -> Vec<Fig14Row> {
-    solo(sim, fig14_points(sim), |m| fig14_assemble(sim, m))
-}
-
 // ------------------------------------------------------------ Fig 15
 
 /// One scheme's register-requirement result (Fig 15).
@@ -616,7 +552,15 @@ pub fn fig15_points(sim: &SimConfig) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles Fig 15 rows from an ensured matrix.
+/// Assembles Fig 15 rows from an ensured matrix: the smallest register
+/// file for which each scheme's mean IPC stays within `tolerance`
+/// (paper: 3%) of the 280-register baseline.
+///
+/// Each scheme is measured once on the fixed [`RF_SWEEP`] grid, and the
+/// crossing point is interpolated linearly between grid neighbours
+/// (rounded outward to `step` entries), which bounds the cost at
+/// `4 schemes × 8 sizes × 23 profiles` regardless of where the
+/// crossings fall.
 #[must_use]
 pub fn fig15_assemble(
     sim: &SimConfig,
@@ -675,20 +619,6 @@ pub fn fig15_assemble(
         .collect()
 }
 
-/// Fig 15: the smallest register file for which each scheme's mean IPC
-/// stays within `tolerance` (paper: 3%) of the 280-register baseline.
-///
-/// Measures each scheme once on the fixed [`RF_SWEEP`] grid and
-/// interpolates the crossing point linearly between grid neighbours
-/// (rounded outward to `step` entries), which bounds the cost at
-/// `4 schemes × 8 sizes × 23 profiles` regardless of where the
-/// crossings fall — and the matrix cache means the whole grid is
-/// simulated once, not once per scheme query.
-#[must_use]
-pub fn fig15(sim: &SimConfig, tolerance: f64, step: usize) -> Vec<Fig15Row> {
-    solo(sim, fig15_points(sim), |m| fig15_assemble(sim, m, tolerance, step))
-}
-
 // -------------------------------------------------------- Ablations
 
 /// One ablation data point.
@@ -738,13 +668,6 @@ pub fn ablation_move_elimination_assemble(sim: &SimConfig, matrix: &RunMatrix) -
     ]
 }
 
-/// §6 move-elimination ablation: ATR at 64 registers with and without
-/// move elimination (the paper argues they compose synergistically).
-#[must_use]
-pub fn ablation_move_elimination(sim: &SimConfig) -> Vec<AblationRow> {
-    solo(sim, ablation_move_elimination_points(sim), |m| ablation_move_elimination_assemble(sim, m))
-}
-
 /// Counter widths the §5.4 ablation sweeps (8 is the reference).
 const COUNTER_WIDTHS: [u32; 4] = [2, 3, 4, 8];
 
@@ -791,33 +714,569 @@ pub fn ablation_counter_width_assemble(sim: &SimConfig, matrix: &RunMatrix) -> V
         .collect()
 }
 
-/// §5.4 consumer-counter-width ablation: ATR with 2/3/4/8-bit counters
-/// at 64 registers (the paper: 3 bits lose nothing vs infinite).
-#[must_use]
-pub fn ablation_counter_width(sim: &SimConfig) -> Vec<AblationRow> {
-    solo(sim, ablation_counter_width_points(sim), |m| ablation_counter_width_assemble(sim, m))
+// ---------------------------------------------------------- Registry
+
+/// A measured quantity beside the paper's value for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Headline {
+    /// What is measured.
+    pub label: String,
+    /// This pass's value, formatted.
+    pub measured: String,
+    /// The paper's value, as the paper states it.
+    pub paper: &'static str,
 }
 
-// ------------------------------------------------- Full-pass support
+impl std::fmt::Display for Headline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {} (paper {})", self.label, self.measured, self.paper)
+    }
+}
 
-/// Every point of a full experiment pass (the union the
-/// `all_experiments` binary ensures once, before any assembly): the
-/// global-dedup factor reported by [`RunMatrix::summary`] measures
-/// exactly how much cross-figure overlap the engine removes.
+/// Headlines labelled `"{prefix}{what}"`, pairing each measured value
+/// with the paper's.
+fn paired<const N: usize>(
+    prefix: &str,
+    measured: [(&str, String); N],
+    paper: [&'static str; N],
+) -> Vec<Headline> {
+    measured
+        .into_iter()
+        .zip(paper)
+        .map(|((what, measured), paper)| Headline {
+            label: format!("{prefix}{what}"),
+            measured,
+            paper,
+        })
+        .collect()
+}
+
+/// What a [`Figure`] assembles from an ensured matrix.
+#[derive(Debug, Clone)]
+pub struct Output {
+    /// The rows, written as `<name>.json`; `None` for the entries
+    /// without points, which write only their table.
+    pub json: Option<Json>,
+    /// The table cells, one row each, under [`Figure::headers`].
+    pub cells: Vec<Vec<String>>,
+    /// The headlines beside the paper's values.
+    pub headlines: Vec<Headline>,
+}
+
+fn rows_output<R: ToJson>(
+    rows: &[R],
+    headlines: Vec<Headline>,
+    cells: impl Fn(&R) -> Vec<String>,
+) -> Output {
+    Output { json: Some(rows.to_json()), cells: rows.iter().map(cells).collect(), headlines }
+}
+
+/// One evaluation artifact of the paper — a figure, a table, the §4.4
+/// analysis or the ablations — in one record.
+#[derive(Debug)]
+pub struct Figure {
+    /// File stem of `<name>.json` / `<name>.txt`, and the name
+    /// `all_experiments --only` selects it by.
+    pub name: &'static str,
+    /// The table's title.
+    pub title: &'static str,
+    /// The table's column headers.
+    pub headers: &'static [&'static str],
+    /// The simulation points the entry needs (none for the tables).
+    pub points: fn(&SimConfig) -> Vec<SimPoint>,
+    /// Turns a matrix holding the entry's points into its output.
+    pub assemble: fn(&SimConfig, &RunMatrix) -> Output,
+}
+
+impl Figure {
+    /// The titled table followed by the headlines: `<name>.txt`.
+    #[must_use]
+    pub fn render(&self, out: &Output) -> String {
+        let table = render_table(self.headers, &out.cells);
+        let headlines: String = out.headlines.iter().map(|h| format!("{h}\n")).collect();
+        let gap = if headlines.is_empty() { "" } else { "\n" };
+        format!("{}\n\n{table}{gap}{headlines}", self.title)
+    }
+}
+
+/// Every evaluation artifact, in paper order.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        name: "table1",
+        title: "Table 1: Processor Configuration (simulated)",
+        headers: &["Parameter", "Value"],
+        points: no_points,
+        assemble: table1_output,
+    },
+    Figure {
+        name: "table2",
+        title: "Table 2: SPEC CPU 2017 Benchmarks (synthetic stand-in profiles)",
+        headers: &["benchmark", "suite", "loads", "branch entropy", "footprint", "burst frac"],
+        points: no_points,
+        assemble: table2_output,
+    },
+    Figure {
+        name: "fig01",
+        title: "Fig 1: Normalized baseline IPC vs RF size",
+        headers: &["benchmark", "rf", "ipc/ideal"],
+        points: fig01_points,
+        assemble: fig01_output,
+    },
+    Figure {
+        name: "fig04",
+        title: "Fig 4: Register lifecycle distribution",
+        headers: &["benchmark", "suite", "in-use", "unused", "verified-unused"],
+        points: fig04_points,
+        assemble: fig04_output,
+    },
+    Figure {
+        name: "fig06",
+        title: "Fig 6: Atomic register ratio",
+        headers: &["benchmark", "suite", "non-branch", "non-except", "atomic"],
+        points: fig06_points,
+        assemble: fig06_output,
+    },
+    Figure {
+        name: "hw_overhead",
+        title: "§4.4 Hardware overheads",
+        headers: &["quantity", "value"],
+        points: no_points,
+        assemble: hw_overhead_output,
+    },
+    Figure {
+        name: "fig10",
+        title: "Fig 10: Scheme speedups over baseline @64/@224 registers",
+        headers: &["benchmark", "suite", "rf", "scheme", "speedup"],
+        points: |sim| fig10_points(sim, &FIG10_RF_SIZES),
+        assemble: fig10_output,
+    },
+    Figure {
+        name: "fig11",
+        title: "Fig 11: Atomic speedup vs RF size",
+        headers: &["suite", "rf", "speedup"],
+        points: fig11_points,
+        assemble: fig11_output,
+    },
+    Figure {
+        name: "fig12",
+        title: "Fig 12: Consumers per atomic region",
+        headers: &["benchmark", "suite", "mean", "0", "1", "2", "3", "4", "5", "6", ">=7"],
+        points: fig12_points,
+        assemble: fig12_output,
+    },
+    Figure {
+        name: "fig13",
+        title: "Fig 13: Redefine-pipeline delay sensitivity @64 registers",
+        headers: &["suite", "delay", "speedup vs baseline"],
+        points: fig13_points,
+        assemble: fig13_output,
+    },
+    Figure {
+        name: "fig14",
+        title: "Fig 14: Mean cycles from rename within atomic regions",
+        headers: &["benchmark", "suite", "to redefine", "to last consume", "to redefiner commit"],
+        points: fig14_points,
+        assemble: fig14_output,
+    },
+    Figure {
+        name: "fig15",
+        title: "Fig 15: RF size for <=3% slowdown vs baseline@280",
+        headers: &["scheme", "required rf", "reduction", "power saving", "area saving"],
+        points: fig15_points,
+        assemble: fig15_output,
+    },
+    Figure {
+        name: "ablations",
+        title: "Ablations (ATR @64 registers, int suite)",
+        headers: &["study", "variant", "relative IPC"],
+        points: |sim| {
+            let mut points = ablation_move_elimination_points(sim);
+            points.extend(ablation_counter_width_points(sim));
+            points
+        },
+        assemble: ablations_output,
+    },
+];
+
+/// The entries named in the comma-separated `list`, in registry order.
+///
+/// # Errors
+///
+/// An unknown name or an empty list, with every valid name listed.
+pub fn select(list: &str) -> Result<Vec<&'static Figure>, String> {
+    let names: Vec<&str> = list.split(',').map(str::trim).filter(|n| !n.is_empty()).collect();
+    let unknown = names.iter().find(|n| FIGURES.iter().all(|f| f.name != **n));
+    if names.is_empty() || unknown.is_some() {
+        let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        let what =
+            unknown.map_or("no figure named".to_owned(), |n| format!("unknown figure `{n}`"));
+        return Err(format!("{what}; valid names: {}", valid.join(", ")));
+    }
+    Ok(FIGURES.iter().filter(|f| names.contains(&f.name)).collect())
+}
+
+/// Every point of a full experiment pass: the registry's points in
+/// order, duplicates included, so [`RunMatrix::summary`]'s dedup factor
+/// measures exactly how much cross-figure overlap the engine removes.
 #[must_use]
 pub fn full_pass_points(sim: &SimConfig) -> Vec<SimPoint> {
-    let mut points = fig01_points(sim);
-    points.extend(fig04_points(sim));
-    points.extend(fig06_points(sim));
-    points.extend(fig10_points(sim, &[64, 224]));
-    points.extend(fig11_points(sim));
-    points.extend(fig12_points(sim));
-    points.extend(fig13_points(sim));
-    points.extend(fig14_points(sim));
-    points.extend(fig15_points(sim));
-    points.extend(ablation_move_elimination_points(sim));
-    points.extend(ablation_counter_width_points(sim));
-    points
+    FIGURES.iter().flat_map(|f| (f.points)(sim)).collect()
+}
+
+/// What one [`run_figures`] call produced.
+#[derive(Debug)]
+pub struct FiguresRun {
+    /// The matrix holding every selected entry's points.
+    pub matrix: RunMatrix,
+    /// Entries whose JSON or table could not be written, with the error.
+    pub unwritten: Vec<(&'static str, String)>,
+}
+
+impl FiguresRun {
+    /// The pass's [`coverage_marker`]: `None` when every point
+    /// simulated and every file was written.
+    #[must_use]
+    pub fn coverage_marker(&self) -> Option<String> {
+        let unwritten: Vec<&str> = self.unwritten.iter().map(|(name, _)| *name).collect();
+        let m = &self.matrix;
+        coverage_marker(m.failed(), m.executed() + m.served(), &unwritten)
+    }
+}
+
+/// Ensures the union of `figures`' points once on a shared matrix, then
+/// assembles each entry, logs its headlines to stderr and writes
+/// `<dir>/<name>.json` (entries with points) and `<dir>/<name>.txt`
+/// (every entry). An entry that cannot be written is named on stderr
+/// and in [`FiguresRun::unwritten`]; the others are still written. A
+/// partial pass ends by logging its failed points and coverage marker.
+pub fn run_figures(
+    session: &Session,
+    sim: &SimConfig,
+    figures: &[&Figure],
+    dir: &Path,
+) -> FiguresRun {
+    let t0 = Instant::now();
+    let points: Vec<SimPoint> = figures.iter().flat_map(|f| (f.points)(sim)).collect();
+    let mut matrix = RunMatrix::new();
+    matrix.ensure_with(session, &sim.core, &points);
+    atr_telemetry::info!("[{:>5.0?}] matrix: {}", t0.elapsed(), matrix.summary());
+
+    let mut unwritten = Vec::new();
+    for figure in figures {
+        let out = (figure.assemble)(sim, &matrix);
+        for h in &out.headlines {
+            atr_telemetry::info!("[{:>5.0?}] {} {h}", t0.elapsed(), figure.name);
+        }
+        let write = || -> std::io::Result<()> {
+            std::fs::create_dir_all(dir)?;
+            if let Some(json) = &out.json {
+                std::fs::write(dir.join(format!("{}.json", figure.name)), json.pretty())?;
+            }
+            std::fs::write(dir.join(format!("{}.txt", figure.name)), figure.render(&out))
+        };
+        if let Err(e) = write() {
+            atr_telemetry::warn!("could not write {} to {}: {e}", figure.name, dir.display());
+            unwritten.push((figure.name, e.to_string()));
+        }
+    }
+    let run = FiguresRun { matrix, unwritten };
+    if let Some(marker) = run.coverage_marker() {
+        for (point, failure) in run.matrix.failures() {
+            atr_telemetry::warn!("failed point {}: {failure}", point.label());
+        }
+        atr_telemetry::warn!("{marker}");
+    }
+    run
+}
+
+fn no_points(_: &SimConfig) -> Vec<SimPoint> {
+    Vec::new()
+}
+
+fn table1_output(sim: &SimConfig, _: &RunMatrix) -> Output {
+    let cells = table1(&sim.core).into_iter().map(|(k, v)| vec![k, v]).collect();
+    Output { json: None, cells, headlines: Vec::new() }
+}
+
+fn table2_output(_: &SimConfig, _: &RunMatrix) -> Output {
+    let share = |x: f64| format!("{:.0}%", x * 100.0);
+    let cells = all_profiles()
+        .iter()
+        .map(|p| {
+            vec![
+                p.name.to_owned(),
+                p.class.to_string(),
+                share(p.params.load_frac),
+                share(p.params.branch_entropy),
+                format!("{} MiB", p.params.mem_footprint >> 20),
+                share(p.params.burst_frac),
+            ]
+        })
+        .collect();
+    Output { json: None, cells, headlines: Vec::new() }
+}
+
+fn fig01_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig01_assemble(sim, matrix);
+    let within_5pct = RF_SWEEP.iter().find(|&&rf| fig01_average(&rows, rf) >= 0.95);
+    let headlines = paired(
+        "",
+        [
+            ("average @64", pct(fig01_average(&rows, 64))),
+            ("smallest RF within 5% of ideal", within_5pct.map_or("none".into(), usize::to_string)),
+        ],
+        ["37.7%", "~280"],
+    );
+    rows_output(&rows, headlines, |r| {
+        vec![r.benchmark.clone(), r.rf_size.to_string(), pct(r.normalized_ipc)]
+    })
+}
+
+fn fig04_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig04_assemble(sim, matrix);
+    let paper = [["53.52%", "41.03%", "5.05%"], ["78.27%", "18.91%", "2.81%"]];
+    let mut headlines = Vec::new();
+    let averages = rows.iter().filter(|r| r.benchmark.starts_with("average-"));
+    for (r, paper) in averages.zip(paper) {
+        let measured =
+            [("in-use", r.in_use), ("unused", r.unused), ("verified-unused", r.verified_unused)];
+        headlines.extend(paired(
+            &format!("{} ", r.benchmark),
+            measured.map(|(w, v)| (w, pct(v))),
+            paper,
+        ));
+    }
+    rows_output(&rows, headlines, |r| {
+        vec![
+            r.benchmark.clone(),
+            r.class.clone(),
+            pct(r.in_use),
+            pct(r.unused),
+            pct(r.verified_unused),
+        ]
+    })
+}
+
+fn fig06_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig06_assemble(sim, matrix);
+    let mut headlines = Vec::new();
+    let averages = rows.iter().filter(|r| r.benchmark.starts_with("average-"));
+    for (r, paper) in averages.zip(["17.04%", "13.14%"]) {
+        headlines.extend(paired(&r.benchmark, [(" atomic", pct(r.atomic))], [paper]));
+    }
+    rows_output(&rows, headlines, |r| {
+        vec![
+            r.benchmark.clone(),
+            r.class.clone(),
+            pct(r.non_branch),
+            pct(r.non_except),
+            pct(r.atomic),
+        ]
+    })
+}
+
+fn hw_overhead_output(_: &SimConfig, _: &RunMatrix) -> Output {
+    let logic = BulkReleaseLogic::default().report();
+    let ghz = |stages: u32| format!("{:.1} GHz", logic.max_frequency_ghz(stages));
+    let counter = |class: atr_isa::RegClass| {
+        let bits = class.bit_width();
+        let share = 3.0 / f64::from(bits) * 100.0;
+        (format!("{class} consumer counter"), format!("3 bits / {bits} -> {share:.1}%"))
+    };
+    let [(int, int_share), (fp, fp_share)] = atr_isa::RegClass::ALL.map(counter);
+    // (quantity, value, the paper's value where it gives one)
+    let quantities = [
+        (int.as_str(), int_share, Some("4.6%")),
+        (fp.as_str(), fp_share, Some("1.1%")),
+        ("mark signals (16 SRT + width-1)", logic.mark_signals.to_string(), None),
+        ("gates (2-input equivalent)", logic.gates.to_string(), Some("2,960")),
+        ("logic levels", logic.levels.to_string(), Some("42")),
+        ("delay (ps, FO4=4.5ps, 100% margin)", format!("{:.0}", logic.delay_ps), None),
+        ("combinational fmax", ghz(1), Some("2.6 GHz")),
+        ("3-stage pipelined fmax", ghz(3), Some(">4 GHz")),
+    ];
+    let headlines = quantities
+        .iter()
+        .filter_map(|(label, measured, paper)| {
+            Some(Headline {
+                label: (*label).to_owned(),
+                measured: measured.clone(),
+                paper: (*paper)?,
+            })
+        })
+        .collect();
+    let cells =
+        quantities.into_iter().map(|(label, value, _)| vec![label.to_owned(), value]).collect();
+    Output { json: None, cells, headlines }
+}
+
+/// Fig 10's register file sizes.
+const FIG10_RF_SIZES: [usize; 2] = [64, 224];
+
+/// The paper's atomic-scheme speedup at 64 registers (int, fp), which
+/// both Fig 10 and Fig 11 report.
+const PAPER_ATOMIC_AT_64: [&str; 2] = ["+5.70%", "+4.69%"];
+
+fn fig10_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig10_assemble(sim, matrix, &FIG10_RF_SIZES);
+    let paper = [
+        ("int", ["+13.91%", PAPER_ATOMIC_AT_64[0], "+3.23%", "+1.48%", "+0.37%"]),
+        ("fp", ["+14.43%", PAPER_ATOMIC_AT_64[1], "+3.27%", "+1.11%", "+0.46%"]),
+    ];
+    let mut headlines = Vec::new();
+    for (class, paper) in paper {
+        let average = format!("average-{class}");
+        let speedup = |rf: usize, scheme: &str| {
+            let r = rows
+                .iter()
+                .find(|r| r.benchmark == average && r.rf_size == rf && r.scheme == scheme);
+            r.map_or(f64::NAN, |r| r.speedup)
+        };
+        let measured = [
+            ("@64 nonspec-ER", speedup(64, "nonspec-ER")),
+            ("@64 atomic", speedup(64, "atomic")),
+            ("@64 combined over nonspec-ER", speedup(64, "combined") / speedup(64, "nonspec-ER")),
+            ("@224 atomic", speedup(224, "atomic")),
+            ("@224 atomic over nonspec-ER", speedup(224, "atomic") / speedup(224, "nonspec-ER")),
+        ];
+        headlines.extend(paired(
+            &format!("{average} "),
+            measured.map(|(w, s)| (w, gain(s))),
+            paper,
+        ));
+    }
+    rows_output(&rows, headlines, |r| {
+        vec![
+            r.benchmark.clone(),
+            r.class.clone(),
+            r.rf_size.to_string(),
+            r.scheme.clone(),
+            gain(r.speedup),
+        ]
+    })
+}
+
+fn fig11_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig11_assemble(sim, matrix);
+    let paper =
+        [("int", [PAPER_ATOMIC_AT_64[0], "+0.93%"]), ("fp", [PAPER_ATOMIC_AT_64[1], "+0.53%"])];
+    let mut headlines = Vec::new();
+    for (class, paper) in paper {
+        let at = |rf: usize| {
+            let r = rows.iter().find(|r| r.class == class && r.rf_size == rf);
+            gain(r.map_or(f64::NAN, |r| r.speedup))
+        };
+        headlines.extend(paired(&format!("{class} "), [("@64", at(64)), ("@280", at(280))], paper));
+    }
+    rows_output(&rows, headlines, |r| vec![r.class.clone(), r.rf_size.to_string(), gain(r.speedup)])
+}
+
+fn fig12_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig12_assemble(sim, matrix);
+    let mean = rows.iter().map(|r| r.mean).sum::<f64>() / rows.len() as f64;
+    let namd = rows.iter().find(|r| r.benchmark.contains("namd")).map_or(0.0, |r| r.mean);
+    let measured = [("all", format!("{mean:.2}")), ("namd", format!("{namd:.2}"))];
+    let headlines =
+        paired("mean consumers per atomic region, ", measured, ["1-2 typical", "up to 5"]);
+    rows_output(&rows, headlines, |r| {
+        let mut cells = vec![r.benchmark.clone(), r.class.clone(), format!("{:.2}", r.mean)];
+        cells.extend(r.buckets.iter().map(|b| pct(*b)));
+        cells
+    })
+}
+
+fn fig13_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig13_assemble(sim, matrix);
+    let mut headlines = Vec::new();
+    for class in ["int", "fp"] {
+        let at = |delay: u32| {
+            rows.iter()
+                .find(|r| r.class == class && r.delay == delay)
+                .map_or(f64::NAN, |r| r.speedup)
+        };
+        headlines.extend(paired(
+            class,
+            [(" delay=2 vs delay=0", gain(at(2) / at(0)))],
+            ["negligible"],
+        ));
+    }
+    rows_output(&rows, headlines, |r| vec![r.class.clone(), r.delay.to_string(), gain(r.speedup)])
+}
+
+fn fig14_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let rows = fig14_assemble(sim, matrix);
+    let mean = |f: fn(&Fig14Row) -> f64| {
+        format!("{:.1}", rows.iter().map(f).sum::<f64>() / rows.len() as f64)
+    };
+    let headlines = paired(
+        "mean cycles rename -> ",
+        [
+            ("redefine", mean(|r| r.rename_to_redefine)),
+            ("last consume", mean(|r| r.rename_to_consume)),
+            ("redefiner commit", mean(|r| r.rename_to_commit)),
+        ],
+        ["a few cycles", "significantly later", "much later still"],
+    );
+    let cycles = |x: f64| format!("{x:.1}");
+    rows_output(&rows, headlines, |r| {
+        vec![
+            r.benchmark.clone(),
+            r.class.clone(),
+            cycles(r.rename_to_redefine),
+            cycles(r.rename_to_consume),
+            cycles(r.rename_to_commit),
+        ]
+    })
+}
+
+fn fig15_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    // Within 3% of the 280-register baseline, rounded up to 8 entries.
+    const TOLERANCE: f64 = 0.03;
+    const STEP: usize = 8;
+    let rows = fig15_assemble(sim, matrix, TOLERANCE, STEP);
+    let model = CorePowerModel::default();
+    let baseline = model.estimate(280, 280);
+    let cells = |r: &Fig15Row| {
+        let est = model.estimate(r.required_rf, r.required_rf);
+        let (power, area) = (est.power_saving_vs(&baseline), est.area_saving_vs(&baseline));
+        vec![r.scheme.clone(), r.required_rf.to_string(), pct(r.reduction), pct(power), pct(area)]
+    };
+    let headlines = rows
+        .iter()
+        .filter_map(|r| {
+            let paper = match r.scheme.as_str() {
+                "nonspec-ER" => "212 regs (24.3% reduction)",
+                "atomic" => "204 regs (27.1% reduction), ~5.5% power, ~2.7-2.9% area",
+                "combined" => "196 regs (30% reduction)",
+                _ => return None,
+            };
+            let c = cells(r);
+            let measured =
+                format!("{} regs ({} reduction), {} power, {} area", c[1], c[2], c[3], c[4]);
+            Some(Headline { label: r.scheme.clone(), measured, paper })
+        })
+        .collect();
+    rows_output(&rows, headlines, cells)
+}
+
+fn ablations_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
+    let mut rows = ablation_move_elimination_assemble(sim, matrix);
+    rows.extend(ablation_counter_width_assemble(sim, matrix));
+    let relative = |r: &AblationRow| format!("{:+.2}%", (r.relative_ipc - 1.0) * 100.0);
+    let at = |study: &str, variant: &str| {
+        rows.iter()
+            .find(|r| r.study == study && r.variant == variant)
+            .map_or_else(String::new, relative)
+    };
+    let headlines = paired(
+        "",
+        [
+            ("move-elim on", at("move-elim", "on")),
+            ("counter-width 3-bit", at("counter-width", "3-bit")),
+        ],
+        ["composes with ATR, §6", "no loss, §5.4"],
+    );
+    rows_output(&rows, headlines, |r| vec![r.study.clone(), r.variant.clone(), relative(r)])
 }
 
 #[cfg(test)]
@@ -829,10 +1288,18 @@ mod tests {
         SimConfig { core: CoreConfig::default(), warmup, measure }
     }
 
+    /// A private matrix holding `points`.
+    fn ensured(sim: &SimConfig, points: &[SimPoint]) -> RunMatrix {
+        let mut matrix = RunMatrix::new();
+        matrix.ensure_with(&Session::default().quiet(), &sim.core, points);
+        matrix
+    }
+
     #[test]
     fn fig10_rows_cover_schemes_and_sizes() {
         // A tiny budget keeps CI fast; one RF size.
-        let rows = fig10_at(&tiny(1_000, 4_000), &[64]);
+        let sim = tiny(1_000, 4_000);
+        let rows = fig10_assemble(&sim, &ensured(&sim, &fig10_points(&sim, &[64])), &[64]);
         // 23 benchmarks x 3 schemes + 2 averages x 3 schemes.
         assert_eq!(rows.len(), 23 * 3 + 6);
         assert!(
@@ -846,43 +1313,67 @@ mod tests {
 
     #[test]
     fn fig15_requires_less_for_early_release() {
-        let rows = fig15(&tiny(500, 2_000), 0.10, 64);
+        let sim = tiny(500, 2_000);
+        let rows = fig15_assemble(&sim, &ensured(&sim, &fig15_points(&sim)), 0.10, 64);
         let get = |label: &str| rows.iter().find(|r| r.scheme == label).unwrap().required_rf;
         assert!(get("combined") <= get("baseline"));
         assert!(rows.iter().all(|r| r.required_rf <= 280));
     }
 
     #[test]
-    fn shared_matrix_reproduces_solo_rows() {
-        // A figure assembled from a shared (over-provisioned) matrix
-        // must produce exactly the rows of its solo wrapper: results
-        // are keyed, not positional.
+    fn shared_matrix_reproduces_private_matrix_output() {
+        // An entry assembled from a shared (over-provisioned) matrix
+        // must produce exactly the output of a matrix holding only its
+        // own points: results are keyed, not positional.
         let sim = tiny(500, 2_000);
-        let session = Session::default().quiet();
-        let mut matrix = RunMatrix::new();
-        matrix.ensure_with(&session, &sim.core, &fig13_points(&sim));
-        matrix.ensure_with(&session, &sim.core, &fig11_points(&sim));
-        let shared = fig13_assemble(&sim, &matrix);
-        let solo_rows = fig13(&sim);
-        assert_eq!(shared.len(), solo_rows.len());
-        for (a, b) in shared.iter().zip(&solo_rows) {
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.delay, b.delay);
-            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "rows must be bit-identical");
-        }
+        let [fig11, fig13] = [select("fig11").unwrap()[0], select("fig13").unwrap()[0]];
+        let mut points = (fig13.points)(&sim);
+        points.extend((fig11.points)(&sim));
+        let shared = (fig13.assemble)(&sim, &ensured(&sim, &points));
+        let private = (fig13.assemble)(&sim, &ensured(&sim, &(fig13.points)(&sim)));
+        assert_eq!(fig13.render(&shared), fig13.render(&private));
+        let pretty = |out: &Output| out.json.as_ref().expect("fig13 has rows").pretty();
+        assert_eq!(pretty(&shared), pretty(&private), "rows must be bit-identical");
     }
-}
 
-#[cfg(test)]
-mod ablation_tests {
-    use super::*;
-    use atr_pipeline::CoreConfig;
+    #[test]
+    fn full_pass_is_the_registry_walk_in_figure_order() {
+        // perfbench's sim_digest hashes this plan in order.
+        let sim = tiny(1, 2);
+        let mut expected = fig01_points(&sim);
+        expected.extend(fig04_points(&sim));
+        expected.extend(fig06_points(&sim));
+        expected.extend(fig10_points(&sim, &[64, 224]));
+        expected.extend(fig11_points(&sim));
+        expected.extend(fig12_points(&sim));
+        expected.extend(fig13_points(&sim));
+        expected.extend(fig14_points(&sim));
+        expected.extend(fig15_points(&sim));
+        expected.extend(ablation_move_elimination_points(&sim));
+        expected.extend(ablation_counter_width_points(&sim));
+        assert_eq!(full_pass_points(&sim), expected);
+        assert_eq!(expected.len(), 1701);
+    }
+
+    #[test]
+    fn select_takes_registry_order_and_rejects_unknown_names() {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(select(&names.join(",")).unwrap().len(), 13, "every name selects once");
+        let picked: Vec<&str> = select(" fig11,fig10 ").unwrap().iter().map(|f| f.name).collect();
+        assert_eq!(picked, ["fig10", "fig11"]);
+        let err = select("fig10,nope").unwrap_err();
+        assert!(err.contains("`nope`") && names.iter().all(|n| err.contains(n)), "{err}");
+        assert!(select(",").is_err());
+    }
 
     #[test]
     fn counter_width_three_bits_suffice() {
-        let sim = SimConfig { core: CoreConfig::default(), warmup: 1_000, measure: 6_000 };
-        let rows = ablation_counter_width(&sim);
-        let three = rows.iter().find(|r| r.variant == "3-bit").unwrap();
+        let sim = tiny(1_000, 6_000);
+        let matrix = ensured(&sim, &ablation_counter_width_points(&sim));
+        let three = ablation_counter_width_assemble(&sim, &matrix)
+            .into_iter()
+            .find(|r| r.variant == "3-bit")
+            .unwrap();
         assert!(
             three.relative_ipc > 0.98,
             "§5.4: a 3-bit counter must track a wide one, got {}",

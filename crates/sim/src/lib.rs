@@ -5,26 +5,15 @@
 //! it needs (`figNN_points`), a [`matrix::RunMatrix`] memoizes results by
 //! point key and executes the unique subset in parallel
 //! ([`executor`], `ATR_SIM_THREADS` workers), and `figNN_assemble` folds
-//! the cached results into rows. One function per evaluation artifact of
-//! the paper:
+//! the cached results into rows. Each evaluation artifact of the paper —
+//! Tables 1–2, Figs 1/4/6/10–15, the §4.4 hardware analysis and the
+//! §5.4/§6 ablations — is one entry of [`experiments::FIGURES`] (DESIGN.md's
+//! experiment index maps them to the paper), and [`experiments::run_figures`]
+//! runs any subset on one shared matrix.
 //!
-//! | paper artifact | function |
-//! |---|---|
-//! | Table 1 configuration | [`config::table1`] |
-//! | Fig 1 (baseline IPC vs RF size) | [`experiments::fig01`] |
-//! | Fig 4 (register lifecycle) | [`experiments::fig04`] |
-//! | Fig 6 (atomic register ratio) | [`experiments::fig06`] |
-//! | Fig 10 (scheme speedups @64/@224) | [`experiments::fig10`] |
-//! | Fig 11 (RF-size sensitivity) | [`experiments::fig11`] |
-//! | Fig 12 (consumer histogram) | [`experiments::fig12`] |
-//! | Fig 13 (redefine-delay sensitivity) | [`experiments::fig13`] |
-//! | Fig 14 (region cycle gaps) | [`experiments::fig14`] |
-//! | Fig 15 (RF-size reduction study) | [`experiments::fig15`] |
-//! | §5.4 / §6 ablations | [`experiments::ablation_counter_width`], [`experiments::ablation_move_elimination`] |
-//!
-//! Budgets default to a laptop-scale quick pass and are overridden with
-//! `ATR_SIM_WARMUP` / `ATR_SIM_INSTS` (instructions per measured window)
-//! for full runs.
+//! Budgets come from [`SimConfig`]: `SimConfig::golden_cove()` is the fixed
+//! 40k + 160k default, and binaries override it once at entry from
+//! `ATR_SIM_WARMUP` / `ATR_SIM_INSTS` ([`config::budget_from_env`]).
 
 pub mod config;
 pub mod differential;

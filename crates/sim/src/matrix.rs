@@ -164,7 +164,7 @@ pub struct RunMatrix {
     /// tweaks, events-superset runs).
     alias: HashMap<SimPoint, SimPoint>,
     /// Points that produced a structured failure instead of a result
-    /// (panicked past retries, unknown profile). Kept so assemblies can
+    /// (panicked, unknown profile). Kept so assemblies can
     /// degrade to the surviving set and reports can say `n/m failed`.
     failures: HashMap<SimPoint, PointFailure>,
     requested: usize,
@@ -197,9 +197,8 @@ impl RunMatrix {
     ///   observation-only and never perturbs timing (pinned by
     ///   `executor::tests::event_collection_does_not_change_timing`).
     ///
-    /// A point that fails (panics past its retry budget, or names an
-    /// unknown profile) is recorded in the failure set instead of
-    /// aborting the batch; it is not retried by later `ensure_with`
+    /// A point that fails (panics, or names an unknown profile) is
+    /// recorded in the failure set instead of aborting the batch; it is not retried by later `ensure_with`
     /// calls in the same process (the simulator is deterministic — it
     /// would fail again).
     pub fn ensure_with(&mut self, session: &Session, core: &CoreConfig, points: &[SimPoint]) {
@@ -426,7 +425,7 @@ mod tests {
         let core = CoreConfig::default();
         let good = SimPoint::new("548.exchange2_r", ReleaseScheme::Baseline, 64, 50, 200);
         let bad = SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 50, 200);
-        let session = Session::default().quiet().with_retries(0).with_fault_injection("505.mcf_r");
+        let session = Session::default().quiet().with_fault_injection("505.mcf_r");
         let mut m = RunMatrix::new();
         m.ensure_with(&session, &core, &[good.clone(), bad.clone()]);
         assert_eq!(m.failed(), 1);

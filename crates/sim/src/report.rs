@@ -1,5 +1,5 @@
-//! Plain-text table rendering and JSON result persistence for the
-//! experiment binaries.
+//! Plain-text table rendering, formatting helpers and JSON result
+//! persistence for the experiment drivers.
 
 use atr_json::ToJson;
 use atr_telemetry::{CpiBucket, CpiStack};
@@ -87,17 +87,21 @@ pub fn cpi_table(stacks: &[(String, &CpiStack)]) -> String {
 }
 
 /// The explicit degraded-coverage marker for a pass with failed
-/// points: `Some("7/832 points failed; figures cover the surviving
-/// set")`, `None` when everything succeeded. Drivers print it under
-/// their tables so a partial pass can never masquerade as a complete
+/// points or unwritten entries, e.g. `Some("7/832 points failed;
+/// figures cover the surviving set")` or `Some("could not write fig10,
+/// table1")`; `None` when everything succeeded. Drivers print it at the
+/// end of a pass so a partial pass can never masquerade as a complete
 /// one.
 #[must_use]
-pub fn coverage_marker(failed: usize, requested: usize) -> Option<String> {
-    if failed == 0 {
-        None
-    } else {
-        Some(format!("{failed}/{requested} points failed; figures cover the surviving set"))
+pub fn coverage_marker(failed: usize, requested: usize, unwritten: &[&str]) -> Option<String> {
+    let mut parts = Vec::new();
+    if failed > 0 {
+        parts.push(format!("{failed}/{requested} points failed; figures cover the surviving set"));
     }
+    if !unwritten.is_empty() {
+        parts.push(format!("could not write {}", unwritten.join(", ")));
+    }
+    (!parts.is_empty()).then(|| parts.join("; "))
 }
 
 /// The directory experiment JSON lands in: `ATR_RESULTS_DIR` if set,
@@ -178,9 +182,13 @@ mod tests {
 
     #[test]
     fn coverage_marker_is_silent_on_full_coverage() {
-        assert_eq!(coverage_marker(0, 832), None);
-        let m = coverage_marker(7, 832).unwrap();
+        assert_eq!(coverage_marker(0, 832, &[]), None);
+        let m = coverage_marker(7, 832, &[]).unwrap();
         assert!(m.contains("7/832"), "{m}");
+        let m = coverage_marker(0, 832, &["fig10", "table1"]).unwrap();
+        assert_eq!(m, "could not write fig10, table1");
+        let m = coverage_marker(7, 832, &["fig10"]).unwrap();
+        assert!(m.contains("7/832") && m.ends_with("could not write fig10"), "{m}");
     }
 
     #[test]

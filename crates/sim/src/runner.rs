@@ -69,7 +69,7 @@ pub fn run(base: &CoreConfig, program: Arc<Program>, spec: &RunSpec) -> RunResul
     // the forced log cannot perturb the timed result.
     cfg.rename.collect_events = spec.collect_events || spec.telemetry.stats_enabled();
     cfg.rename.audit = spec.audit;
-    cfg.telemetry = spec.telemetry;
+    cfg.telemetry = spec.telemetry.clone();
     let mut core = OooCore::new(cfg, Oracle::new(program));
     let s0 = if spec.warmup > 0 { core.run(spec.warmup) } else { core.snapshot_stats() };
     let s1 = core.run(spec.measure);

@@ -16,17 +16,10 @@
 use atr_telemetry::TelemetryConfig;
 use std::path::{Path, PathBuf};
 
-/// Bounded retry count for a panicking point before it becomes a
-/// structured [`crate::executor::PointFailure`]: the first attempt plus
-/// this many retries. Deterministic panics fail fast; transient ones
-/// (exhausted file descriptors during capture, say) get a second
-/// chance.
-pub const DEFAULT_RETRIES: u32 = 1;
-
 /// All runtime knobs of one execution pass, resolved up front.
 ///
 /// Nothing in here may change a simulated result: threads, progress,
-/// audit, telemetry, the run journal, retries and fault injection are
+/// audit, telemetry, the run journal and fault injection are
 /// all serving/observation concerns, which is why none of them is part of
 /// the [`crate::matrix::SimPoint`] memoization key and why fingerprints
 /// are bit-identical under every setting.
@@ -45,8 +38,6 @@ pub struct Session {
     /// Run-journal directory for fault-tolerant resume
     /// (`ATR_RUN_JOURNAL`; off by default).
     pub journal: Option<PathBuf>,
-    /// Retries (beyond the first attempt) for a panicking point.
-    pub retries: u32,
     /// Chaos hook (`ATR_FAULT_INJECT`): any point whose label contains
     /// this substring panics inside the worker. Exercises the panic
     /// isolation path in tests and CI; never set it in a real run.
@@ -63,7 +54,6 @@ impl Default for Session {
             audit: false,
             telemetry: TelemetryConfig::default(),
             journal: None,
-            retries: DEFAULT_RETRIES,
             fault_injection: None,
         }
     }
@@ -116,7 +106,6 @@ impl Session {
             audit: lookup("ATR_AUDIT").is_some_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             telemetry: TelemetryConfig::from_lookup(&lookup),
             journal,
-            retries: DEFAULT_RETRIES,
             fault_injection: lookup("ATR_FAULT_INJECT")
                 .map(|v| v.trim().to_owned())
                 .filter(|v| !v.is_empty()),
@@ -156,13 +145,6 @@ impl Session {
     #[must_use]
     pub fn with_journal(mut self, dir: impl AsRef<Path>) -> Self {
         self.journal = Some(dir.as_ref().to_owned());
-        self
-    }
-
-    /// Sets the bounded retry count for panicking points.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
         self
     }
 
@@ -213,7 +195,6 @@ mod tests {
         assert!(!s.audit);
         assert!(!s.telemetry.stats_enabled());
         assert_eq!(s.journal, None);
-        assert_eq!(s.retries, DEFAULT_RETRIES);
         assert_eq!(s.fault_injection, None);
     }
 
@@ -224,13 +205,11 @@ mod tests {
             .with_threads(0)
             .with_audit(true)
             .with_journal("/tmp/j")
-            .with_retries(3)
             .with_fault_injection("505.mcf_r");
         assert_eq!(s.threads, 1, "a zero thread request clamps to serial");
         assert!(!s.progress);
         assert!(s.audit);
         assert_eq!(s.journal.as_deref(), Some(Path::new("/tmp/j")));
-        assert_eq!(s.retries, 3);
         assert_eq!(s.fault_injection.as_deref(), Some("505.mcf_r"));
         let d = s.describe();
         assert!(d.contains("threads=1") && d.contains("journal=/tmp/j"), "{d}");

@@ -53,8 +53,8 @@ fn assert_bit_identical(context: &str, a: &RunResult, b: &RunResult) {
     );
 }
 
-/// A poisoned point fails with the panic payload after its bounded
-/// retries; its siblings' results survive the pass.
+/// A poisoned point fails with the panic payload; its siblings'
+/// results survive the pass.
 #[test]
 fn injected_panic_is_isolated_and_carries_its_payload() {
     let core = CoreConfig::default();
@@ -64,18 +64,22 @@ fn injected_panic_is_isolated_and_carries_its_payload() {
     for idx in [0usize, 1] {
         let failure = outcomes[idx].as_ref().expect_err("poisoned mcf point must fail");
         assert_eq!(failure.kind, FailureKind::Panic);
-        assert_eq!(failure.attempts, 2, "default session = 1 retry = 2 attempts");
         assert!(failure.payload.contains("injected fault"), "{}", failure.payload);
         assert!(failure.label.contains("505.mcf_r"), "{}", failure.label);
+        let shown = failure.to_string();
+        assert!(shown.contains("panicked: injected fault for 505.mcf_r"), "{shown}");
     }
     let survivor = outcomes[2].as_ref().expect("the healthy sibling must survive");
     assert!(survivor.ipc > 0.0);
 
-    // Retries are honored exactly: 0 retries = 1 attempt.
-    let once = Session::default().quiet().with_retries(0).with_fault_injection("548.exchange2_r");
-    let outcomes = execute_session(&once, &core, &points()).outcomes;
+    // Isolation is per point, not per profile position: poisoning the
+    // last point fails only it, and the payload names that point.
+    let last = Session::default().quiet().with_fault_injection("548.exchange2_r");
+    let outcomes = execute_session(&last, &core, &points()).outcomes;
     assert!(outcomes[0].is_ok() && outcomes[1].is_ok());
-    assert_eq!(outcomes[2].as_ref().unwrap_err().attempts, 1);
+    let failure = outcomes[2].as_ref().unwrap_err();
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert_eq!(failure.payload, format!("injected fault for {}", points()[2].label()));
 }
 
 /// The same isolation through the matrix: failures land in the failure
@@ -83,7 +87,7 @@ fn injected_panic_is_isolated_and_carries_its_payload() {
 #[test]
 fn matrix_survives_a_poisoned_point() {
     let core = CoreConfig::default();
-    let session = Session::default().quiet().with_retries(0).with_fault_injection("505.mcf_r");
+    let session = Session::default().quiet().with_fault_injection("505.mcf_r");
     let mut matrix = RunMatrix::new();
     matrix.ensure_with(&session, &core, &points());
     assert_eq!(matrix.failed(), 2, "both mcf points are poisoned");

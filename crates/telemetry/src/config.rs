@@ -32,18 +32,30 @@ impl TelemetryLevel {
     }
 }
 
+use std::path::PathBuf;
+
 /// Default ring capacity for the pipeline trace (events, not cycles).
-pub const DEFAULT_TRACE_CAP: usize = 65_536;
+pub const DEFAULT_TRACE_CAP: u32 = 65_536;
 
 /// Complete observer configuration, carried on `CoreConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TelemetryConfig {
     /// What to record.
     pub level: TelemetryLevel,
     /// Pipeline-trace ring capacity (only meaningful at `Trace`).
-    pub trace_cap: usize,
+    pub trace_cap: u32,
     /// Occupancy time-series sampling interval in cycles (0 = off).
     pub series_interval: u64,
+    /// Where an audit failure dumps the trace ring in Konata format
+    /// (only meaningful at `Trace`); `None` names the file after the
+    /// failing cycle in the working directory.
+    ///
+    /// Boxed (a thin pointer), with `trace_cap` a `u32`, so this config,
+    /// and every `CoreConfig` that carries it, stays 24 bytes: growing
+    /// it shifted perfbench's `deep_window` heap layout enough for glibc
+    /// to trim and re-fault the heap top on every core construction,
+    /// doubling its set-up time.
+    pub trace_dump: Option<Box<PathBuf>>,
 }
 
 impl Default for TelemetryConfig {
@@ -52,15 +64,17 @@ impl Default for TelemetryConfig {
             level: TelemetryLevel::Off,
             trace_cap: DEFAULT_TRACE_CAP,
             series_interval: 0,
+            trace_dump: None,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// Resolves `ATR_TELEMETRY` (off|stats|trace), `ATR_TRACE_CAP`, and
-    /// `ATR_TELEMETRY_SERIES` (sampling interval in cycles) through
-    /// `lookup` (variable name → value, `None` when unset). Malformed
-    /// values warn once and fall back to the defaults above.
+    /// Resolves `ATR_TELEMETRY` (off|stats|trace), `ATR_TRACE_CAP`,
+    /// `ATR_TELEMETRY_SERIES` (sampling interval in cycles) and
+    /// `ATR_TRACE_DUMP` (audit-failure dump path; blank is unset)
+    /// through `lookup` (variable name → value, `None` when unset).
+    /// Malformed values warn once and fall back to the defaults above.
     #[must_use]
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> TelemetryConfig {
         let mut cfg = TelemetryConfig::default();
@@ -76,7 +90,7 @@ impl TelemetryConfig {
             }
         }
         if let Some(raw) = lookup("ATR_TRACE_CAP") {
-            match raw.trim().parse::<usize>() {
+            match raw.trim().parse::<u32>() {
                 Ok(cap) => cfg.trace_cap = cap,
                 Err(_) => {
                     crate::warn!(
@@ -94,6 +108,9 @@ impl TelemetryConfig {
                 }
             }
         }
+        cfg.trace_dump = lookup("ATR_TRACE_DUMP")
+            .filter(|raw| !raw.trim().is_empty())
+            .map(|raw| Box::new(PathBuf::from(raw)));
         cfg
     }
 
@@ -131,9 +148,28 @@ mod tests {
         assert!(TelemetryLevel::Stats < TelemetryLevel::Trace);
         let off = TelemetryConfig::default();
         assert!(!off.stats_enabled() && !off.trace_enabled());
-        let stats = TelemetryConfig { level: TelemetryLevel::Stats, ..off };
+        let stats = TelemetryConfig { level: TelemetryLevel::Stats, ..off.clone() };
         assert!(stats.stats_enabled() && !stats.trace_enabled());
         let trace = TelemetryConfig { level: TelemetryLevel::Trace, ..off };
         assert!(trace.stats_enabled() && trace.trace_enabled());
+    }
+
+    #[test]
+    fn trace_dump_path_parses_and_blank_is_unset() {
+        let dump = |value: &'static str| {
+            TelemetryConfig::from_lookup(|name| {
+                (name == "ATR_TRACE_DUMP").then(|| value.to_owned())
+            })
+            .trace_dump
+        };
+        assert_eq!(dump("/tmp/fail.kanata").as_deref(), Some(&PathBuf::from("/tmp/fail.kanata")));
+        assert_eq!(dump("  "), None);
+        assert_eq!(TelemetryConfig::from_lookup(|_| None).trace_dump, None);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn config_stays_24_bytes() {
+        assert_eq!(std::mem::size_of::<TelemetryConfig>(), 24, "see `trace_dump`");
     }
 }

@@ -22,6 +22,18 @@ if grep -rnE '\b(set_var|remove_var)\b' crates src tests; then
     exit 1
 fi
 
+echo "== the model reads no environment"
+# Every knob is resolved once at process entry (Session, TelemetryConfig,
+# budget_from_env in atr-sim) and handed down as configuration; the
+# model crates themselves never consult the process environment.
+model_src="crates/isa/src crates/workload/src crates/frontend/src crates/mem/src"
+model_src="$model_src crates/core/src crates/pipeline/src crates/analysis/src"
+# shellcheck disable=SC2086
+if grep -rnE 'env::var|var_os' $model_src; then
+    echo "FAIL: an environment read in a model crate" >&2
+    exit 1
+fi
+
 echo "== cargo test (tiny budget)"
 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
     cargo test --workspace --offline -q
@@ -98,6 +110,31 @@ if [ "$audit_fp" != "$live_fp" ] || [ "$telemetry_fp" != "$live_fp" ]; then
     exit 1
 fi
 echo "observation gate OK: audit and telemetry+audit passes match the live fingerprint"
+
+echo "== all_experiments --only: one entry, the same bytes"
+# A pass over one registry entry ensures only that entry's points; its
+# JSON must equal the full pass's byte for byte (results are keyed by
+# point, not by what else the pass simulated).
+only_results="$(mktemp -d)"
+env $tiny ATR_RESULTS_DIR="$only_results" \
+    target/release/all_experiments --only fig13 >/dev/null
+if ! cmp "$only_results/fig13.json" "$live_results/fig13.json"; then
+    echo "FAIL: --only fig13 diverged from the full pass's fig13.json" >&2
+    exit 1
+fi
+if [ "$(ls "$only_results")" != "$(printf 'fig13.json\nfig13.txt')" ]; then
+    echo "FAIL: --only fig13 wrote more than fig13's files: $(ls "$only_results")" >&2
+    exit 1
+fi
+only_err="$(mktemp)"
+status=0
+target/release/all_experiments --only nope >/dev/null 2>"$only_err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q "valid names: .*fig13" "$only_err"; then
+    echo "FAIL: --only nope must exit 2 and list the valid names (exit $status)" >&2
+    cat "$only_err" >&2
+    exit 1
+fi
+echo "--only OK: fig13 identical, an unknown name exits 2"
 
 echo "== journal interrupt-resume gate + journal-off/on fingerprint identity"
 # A journaled all_experiments pass is SIGKILLed mid-matrix, then resumed
