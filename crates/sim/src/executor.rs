@@ -1,4 +1,5 @@
-//! Fault-tolerant parallel execution of simulation points.
+//! Parallel execution of simulation points with per-point panic
+//! isolation.
 //!
 //! Points are independent deterministic simulations, so they can run on
 //! any worker in any order; results are returned index-aligned with the
@@ -6,24 +7,20 @@
 //! Uses only `std::thread::scope` — no external dependencies.
 //!
 //! The one entry point is [`execute_session`]: every runtime knob
-//! comes from one resolved [`Session`] (see [`crate::session`]), and
-//! each point yields a [`PointOutcome`] instead of a bare result:
+//! comes from one resolved [`Session`] (see [`crate::session`]), every
+//! point is simulated, and each point yields a [`PointOutcome`] instead
+//! of a bare result:
 //!
 //! * a point that **panics** is surfaced as a structured
 //!   [`PointFailure`] carrying the panic payload — the other points'
 //!   results survive (points are deterministic, so a retry would only
 //!   panic again);
 //! * a point naming an **unknown profile** fails the same structured
-//!   way during prebuild instead of sinking the pass;
-//! * with a [`crate::journal::RunJournal`] configured, completed points
-//!   are appended as they finish and an interrupted pass **resumes**:
-//!   journaled points are served without re-simulation, bit-identical
-//!   to an uninterrupted run;
-//! * a **straggler supervisor** warns when a point exceeds a
-//!   budget-scaled soft deadline (it never kills the point — the
-//!   simulator is deterministic, slow points are just slow).
+//!   way during prebuild instead of sinking the pass.
+//!
+//! Each progress line and each telemetry record carries the point's
+//! wall time, so a slow point is visible in the pass's own output.
 
-use crate::journal::RunJournal;
 use crate::matrix::SimPoint;
 use crate::runner::{run, RunResult, RunSpec};
 use crate::session::Session;
@@ -33,19 +30,8 @@ use atr_workload::Program;
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Fixed part of the straggler soft deadline.
-const STRAGGLER_BASE: Duration = Duration::from_secs(10);
-
-/// Budget-scaled part of the straggler soft deadline: the tiny-budget
-/// CI pass simulates well under 1 µs/instruction, so 50 µs/instruction
-/// flags a point only when it is pathologically slower than its peers.
-const STRAGGLER_MICROS_PER_INST: u64 = 50;
-
-/// How often the straggler supervisor scans the in-flight set.
-const STRAGGLER_SCAN: Duration = Duration::from_millis(200);
 
 /// Why a point produced no result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,27 +66,20 @@ impl std::fmt::Display for PointFailure {
 /// One point's outcome under [`execute_session`].
 pub type PointOutcome = Result<RunResult, PointFailure>;
 
-/// What one [`execute_session`] call produced.
-#[derive(Debug)]
-pub struct Execution {
-    /// One outcome per input point, index-aligned with the input.
-    pub outcomes: Vec<PointOutcome>,
-    /// How many of those outcomes the run journal served without
-    /// simulating; the rest were simulated (or failed) in this call.
-    pub served: usize,
-}
-
 /// Executes every point, in parallel, against the base core config,
 /// with every runtime knob taken from `session` (the environment is
 /// *not* consulted — resolve a session first with
 /// [`Session::from_env`]). The outcomes are index-aligned with
 /// `points`; equal results are bit-identical no matter the thread
-/// count, journal state, or telemetry level.
+/// count or telemetry level.
 #[must_use]
-pub fn execute_session(session: &Session, core: &CoreConfig, points: &[SimPoint]) -> Execution {
-    let mut served = 0usize;
+pub fn execute_session(
+    session: &Session,
+    core: &CoreConfig,
+    points: &[SimPoint],
+) -> Vec<PointOutcome> {
     if points.is_empty() {
-        return Execution { outcomes: Vec::new(), served };
+        return Vec::new();
     }
     let mut outcomes: Vec<Option<PointOutcome>> = Vec::new();
     outcomes.resize_with(points.len(), || None);
@@ -136,165 +115,76 @@ pub fn execute_session(session: &Session, core: &CoreConfig, points: &[SimPoint]
         }
     }
 
-    // Resume: serve everything the journal already holds for this core
-    // configuration. The "[journal] N of M" line is load-bearing — the
-    // CI interrupt-resume gate greps it to prove journaled points were
-    // not re-simulated.
-    let mut journal: Option<RunJournal> = None;
-    if let Some(dir) = &session.journal {
-        match RunJournal::open(dir, core) {
-            Ok(j) => journal = Some(j),
-            Err(e) => atr_telemetry::warn!(
-                "run journal at {} is unusable ({e}); continuing without resume",
-                dir.display()
-            ),
-        }
-    }
-    if let Some(j) = &journal {
-        for (idx, point) in points.iter().enumerate() {
-            if outcomes[idx].is_none() {
-                if let Some(result) = j.lookup(point) {
-                    outcomes[idx] = Some(Ok(result.clone()));
-                    served += 1;
-                }
-            }
-        }
-        atr_telemetry::info!(
-            "[journal] {served} of {} points served from {}",
-            points.len(),
-            j.path().display()
-        );
-    }
-
     let todo: Vec<usize> = (0..points.len()).filter(|&i| outcomes[i].is_none()).collect();
 
-    let mut walls: HashMap<usize, Duration> = HashMap::new();
+    // Per-point wall time, index-aligned with `points` (zero for a point
+    // that failed at prebuild and never ran).
+    let mut walls = vec![Duration::ZERO; points.len()];
     if !todo.is_empty() {
         let workers = session.threads.clamp(1, todo.len());
         let t0 = Instant::now();
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let journal_cell: Option<Mutex<RunJournal>> = journal.map(Mutex::new);
-        // Straggler bookkeeping: point index → (start, soft deadline).
-        let inflight: Mutex<HashMap<usize, (Instant, Duration)>> = Mutex::new(HashMap::new());
-        let stop = (Mutex::new(false), Condvar::new());
-
-        std::thread::scope(|scope| {
-            // Supervisor: scans the in-flight set on a condvar timeout
-            // (not a naked sleep loop — shutdown is immediate once the
-            // workers drain, so short passes pay no scan latency).
-            let supervisor = {
-                let inflight = &inflight;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let (lock, cvar) = stop;
-                    let mut warned: HashSet<usize> = HashSet::new();
-                    let mut stopped = lock.lock().unwrap();
-                    while !*stopped {
-                        stopped = cvar.wait_timeout(stopped, STRAGGLER_SCAN).unwrap().0;
-                        if *stopped {
-                            return;
-                        }
-                        let now = Instant::now();
-                        for (&idx, &(start, deadline)) in inflight.lock().unwrap().iter() {
-                            let running = now.duration_since(start);
-                            if running > deadline && warned.insert(idx) {
-                                atr_telemetry::warn!(
-                                    "[straggler] {} running {running:.1?}, past its soft deadline {deadline:.1?}",
-                                    points[idx].label()
-                                );
-                            }
-                        }
-                    }
-                })
-            };
-
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                let done = &done;
-                let todo = &todo;
-                let programs = &programs;
-                let inflight = &inflight;
-                let journal_cell = &journal_cell;
-                handles.push(scope.spawn(move || {
-                    let mut produced: Vec<(usize, PointOutcome, Duration)> = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&idx) = todo.get(slot) else {
-                            return produced;
-                        };
-                        let point = &points[idx];
-                        let started = Instant::now();
-                        inflight.lock().unwrap().insert(idx, (started, straggler_deadline(point)));
-                        let outcome = run_point_guarded(
-                            session,
-                            core,
-                            programs[point.profile].clone(),
-                            point,
-                        );
-                        inflight.lock().unwrap().remove(&idx);
-                        let wall = started.elapsed();
-                        if let (Some(cell), Ok(result)) = (journal_cell, &outcome) {
-                            cell.lock().unwrap().append(point, result);
-                        }
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        match &outcome {
-                            Ok(_) if session.progress => atr_telemetry::info!(
-                                "[matrix {:>4}/{:<4} {:>7.1?}] {} ({:.0?})",
-                                finished,
-                                todo.len(),
-                                t0.elapsed(),
-                                point.label(),
-                                wall,
-                            ),
-                            Ok(_) => {}
-                            Err(failure) => atr_telemetry::warn!(
-                                "[matrix {:>4}/{:<4}] FAILED {failure}",
-                                finished,
-                                todo.len(),
-                            ),
-                        }
-                        produced.push((idx, outcome, wall));
-                    }
-                }));
+        let worker = || {
+            let mut produced: Vec<(usize, PointOutcome, Duration)> = Vec::new();
+            while let Some(&idx) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let point = &points[idx];
+                let started = Instant::now();
+                let outcome =
+                    run_point_guarded(session, core, programs[point.profile].clone(), point);
+                let wall = started.elapsed();
+                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                match &outcome {
+                    Ok(_) if session.progress => atr_telemetry::info!(
+                        "[matrix {:>4}/{:<4} {:>7.1?}] {} ({:.0?})",
+                        finished,
+                        todo.len(),
+                        t0.elapsed(),
+                        point.label(),
+                        wall,
+                    ),
+                    Ok(_) => {}
+                    Err(failure) => atr_telemetry::warn!(
+                        "[matrix {:>4}/{:<4}] FAILED {failure}",
+                        finished,
+                        todo.len(),
+                    ),
+                }
+                produced.push((idx, outcome, wall));
             }
+            produced
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
             for handle in handles {
                 // Workers cannot panic — run_point_guarded catches — so
                 // a join failure here is a harness bug, not a bad point.
                 for (idx, outcome, wall) in handle.join().expect("executor worker died") {
-                    walls.insert(idx, wall);
+                    walls[idx] = wall;
                     outcomes[idx] = Some(outcome);
                 }
             }
-            *stop.0.lock().unwrap() = true;
-            stop.1.notify_all();
-            supervisor.join().expect("straggler supervisor died");
         });
     }
 
     let outcomes: Vec<PointOutcome> = outcomes
         .into_iter()
-        .map(|o| o.expect("every point resolved by prebuild, journal, or a worker"))
+        .map(|o| o.expect("every point resolved by prebuild or a worker"))
         .collect();
 
-    // One JSONL record per *freshly simulated* point, in input order —
-    // stable no matter which worker ran what. Journal-served points
-    // emit nothing: their observer state was not recorded (telemetry is
-    // excluded from the journal by design), and an empty record would
-    // be indistinguishable from a telemetry-off run.
+    // One JSONL record per simulated point, in input order — stable no
+    // matter which worker ran what.
     if session.telemetry.stats_enabled() {
-        let lines: Vec<String> = outcomes
+        let lines: Vec<String> = points
             .iter()
-            .enumerate()
-            .filter_map(|(idx, outcome)| match (outcome, walls.get(&idx)) {
-                (Ok(result), Some(wall)) => {
-                    Some(crate::telemetry::record(&points[idx], result, *wall).compact())
-                }
-                _ => None,
+            .zip(&outcomes)
+            .zip(&walls)
+            .filter_map(|((point, outcome), wall)| {
+                let result = outcome.as_ref().ok()?;
+                Some(crate::telemetry::record(point, result, *wall).compact())
             })
             .collect();
-        crate::telemetry::emit_lines(&lines);
+        crate::telemetry::emit_lines(&lines, session.telemetry_out.as_deref());
     }
 
     let failed = outcomes.iter().filter(|o| o.is_err()).count();
@@ -304,18 +194,7 @@ pub fn execute_session(session: &Session, core: &CoreConfig, points: &[SimPoint]
             points.len()
         );
     }
-    Execution { outcomes, served }
-}
-
-/// The soft deadline after which a running point is flagged as a
-/// straggler: a fixed base plus a budget-scaled term, so a 10M-inst
-/// full-budget point gets proportionally more headroom than a tiny CI
-/// point.
-fn straggler_deadline(point: &SimPoint) -> Duration {
-    STRAGGLER_BASE
-        + Duration::from_micros(
-            (point.warmup + point.measure).saturating_mul(STRAGGLER_MICROS_PER_INST),
-        )
+    outcomes
 }
 
 /// Runs one point with panic isolation. The closure is unwind-safe in
@@ -381,8 +260,10 @@ mod tests {
     /// failed point.
     fn results(points: &[SimPoint]) -> Vec<RunResult> {
         let session = Session::default().quiet().with_threads(1);
-        let run = execute_session(&session, &CoreConfig::default(), points);
-        run.outcomes.into_iter().map(|o| o.unwrap_or_else(|f| panic!("{f}"))).collect()
+        execute_session(&session, &CoreConfig::default(), points)
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|f| panic!("{f}")))
+            .collect()
     }
 
     #[test]
@@ -407,11 +288,48 @@ mod tests {
             SimPoint::new("999.not_a_profile", ReleaseScheme::Baseline, 64, 50, 200),
         ];
         let session = Session::default().quiet().with_threads(1);
-        let outcomes = execute_session(&session, &CoreConfig::default(), &points).outcomes;
+        let outcomes = execute_session(&session, &CoreConfig::default(), &points);
         assert!(outcomes[0].is_ok(), "the healthy sibling must survive");
         let failure = outcomes[1].as_ref().expect_err("unknown profile must fail");
         assert_eq!(failure.kind, FailureKind::UnknownProfile);
         assert!(failure.payload.contains("999.not_a_profile"), "{}", failure.payload);
+    }
+
+    /// With `telemetry_out` set, a stats-level pass appends exactly one
+    /// schema-valid record per simulated point to that file, in input
+    /// order; a point that failed emits nothing.
+    #[test]
+    fn telemetry_records_go_to_the_session_file() {
+        use atr_telemetry::{TelemetryConfig, TelemetryLevel};
+        let out =
+            std::env::temp_dir().join(format!("atr_telemetry_out_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&out);
+        let points = vec![
+            SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 50, 200),
+            SimPoint::new("999.not_a_profile", ReleaseScheme::Baseline, 64, 50, 200),
+            SimPoint::new("548.exchange2_r", ReleaseScheme::Baseline, 64, 50, 200),
+        ];
+        let telemetry =
+            TelemetryConfig { level: TelemetryLevel::Stats, ..TelemetryConfig::default() };
+        let session = Session {
+            telemetry_out: Some(out.clone()),
+            ..Session::default().quiet().with_threads(2).with_telemetry(telemetry)
+        };
+        let outcomes = execute_session(&session, &CoreConfig::default(), &points);
+        assert!(outcomes[0].is_ok() && outcomes[1].is_err() && outcomes[2].is_ok());
+
+        let body = std::fs::read_to_string(&out).expect("records written to the session file");
+        let _ = std::fs::remove_file(&out);
+        let lines: Vec<&str> = body.lines().collect();
+        assert_eq!(lines.len(), 2, "one record per simulated point:\n{body}");
+        for (line, point) in lines.iter().zip([&points[0], &points[2]]) {
+            crate::telemetry::validate_record(line).unwrap();
+            let record = atr_json::Json::parse(line).unwrap();
+            assert_eq!(
+                record.get("label").and_then(atr_json::Json::as_str),
+                Some(point.label().as_str())
+            );
+        }
     }
 
     /// Event collection is observation-only: the lifetime log records

@@ -939,7 +939,7 @@ impl FiguresRun {
     pub fn coverage_marker(&self) -> Option<String> {
         let unwritten: Vec<&str> = self.unwritten.iter().map(|(name, _)| *name).collect();
         let m = &self.matrix;
-        coverage_marker(m.failed(), m.executed() + m.served(), &unwritten)
+        coverage_marker(m.failed(), m.executed(), &unwritten)
     }
 }
 
@@ -981,8 +981,8 @@ pub fn run_figures(
     }
     let run = FiguresRun { matrix, unwritten };
     if let Some(marker) = run.coverage_marker() {
-        for (point, failure) in run.matrix.failures() {
-            atr_telemetry::warn!("failed point {}: {failure}", point.label());
+        for (_, failure) in run.matrix.failures() {
+            atr_telemetry::warn!("failed point {failure}");
         }
         atr_telemetry::warn!("{marker}");
     }

@@ -5,7 +5,9 @@
 //! it needs (`figNN_points`), a [`matrix::RunMatrix`] memoizes results by
 //! point key and executes the unique subset in parallel
 //! ([`executor`], `ATR_SIM_THREADS` workers), and `figNN_assemble` folds
-//! the cached results into rows. Each evaluation artifact of the paper —
+//! the cached results into rows. Every pass simulates every point it
+//! reports — no result is served from disk — and a point that panics
+//! fails alone as a [`PointFailure`]. Each evaluation artifact of the paper —
 //! Tables 1–2, Figs 1/4/6/10–15, the §4.4 hardware analysis and the
 //! §5.4/§6 ablations — is one entry of [`experiments::FIGURES`] (DESIGN.md's
 //! experiment index maps them to the paper), and [`experiments::run_figures`]
@@ -19,7 +21,6 @@ pub mod config;
 pub mod differential;
 pub mod executor;
 pub mod experiments;
-pub mod journal;
 pub mod matrix;
 pub mod report;
 pub mod runner;
@@ -29,7 +30,6 @@ pub mod telemetry;
 pub use config::{table1, SimConfig};
 pub use differential::{run_differential, DifferentialReport, SchemeStream};
 pub use executor::{execute_session, FailureKind, PointFailure, PointOutcome};
-pub use journal::RunJournal;
 pub use matrix::{CoreTweak, RunMatrix, SimPoint};
 pub use runner::{run, RunResult, RunSpec};
 pub use session::Session;

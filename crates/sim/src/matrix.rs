@@ -124,16 +124,6 @@ impl SimPoint {
         p
     }
 
-    /// The memoization key as a string: the `Debug` rendering of the
-    /// complete point. The run journal stores results under this key,
-    /// so a future field added to `SimPoint` (which must change the
-    /// rendering) safely misses old journal records instead of serving
-    /// stale ones.
-    #[must_use]
-    pub fn memo_key(&self) -> String {
-        format!("{self:?}")
-    }
-
     /// One-line human label for progress output.
     #[must_use]
     pub fn label(&self) -> String {
@@ -169,8 +159,6 @@ pub struct RunMatrix {
     failures: HashMap<SimPoint, PointFailure>,
     requested: usize,
     executed: usize,
-    /// Unique points the run journal served without simulating.
-    served: usize,
 }
 
 impl RunMatrix {
@@ -229,10 +217,9 @@ impl RunMatrix {
         if missing.is_empty() {
             return;
         }
-        let run = executor::execute_session(session, core, &missing);
-        self.served += run.served;
-        self.executed += missing.len() - run.served;
-        for (point, outcome) in missing.into_iter().zip(run.outcomes) {
+        let outcomes = executor::execute_session(session, core, &missing);
+        self.executed += missing.len();
+        for (point, outcome) in missing.into_iter().zip(outcomes) {
             match outcome {
                 Ok(result) => {
                     self.cache.insert(point, result);
@@ -309,32 +296,23 @@ impl RunMatrix {
         self.requested
     }
 
-    /// Points actually simulated (unique, after memoization, not served
-    /// by the run journal). Failed points count: they were attempted.
+    /// Unique points attempted, after memoization. Failed points count:
+    /// they were attempted.
     #[must_use]
     pub fn executed(&self) -> usize {
         self.executed
     }
 
-    /// Unique points the run journal served without simulating.
-    #[must_use]
-    pub fn served(&self) -> usize {
-        self.served
-    }
-
     /// One-line dedup summary for pass-level logging.
     #[must_use]
     pub fn summary(&self) -> String {
-        let unique = self.executed + self.served;
-        let mut s = format!("{} points requested, {} simulated", self.requested, self.executed);
-        if self.served > 0 {
-            s.push_str(&format!(", {} served from the journal", self.served));
-        }
-        s.push_str(&format!(
-            " ({} deduplicated, {:.2}x)",
-            self.requested - unique,
-            self.requested as f64 / unique.max(1) as f64
-        ));
+        let mut s = format!(
+            "{} points requested, {} simulated ({} deduplicated, {:.2}x)",
+            self.requested,
+            self.executed,
+            self.requested - self.executed,
+            self.requested as f64 / self.executed.max(1) as f64
+        );
         if !self.failures.is_empty() {
             s.push_str(&format!(", {} FAILED", self.failures.len()));
         }
@@ -404,20 +382,6 @@ mod tests {
     fn get_of_unensured_point_panics() {
         let m = RunMatrix::new();
         let _ = m.get(&SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 10, 20));
-    }
-
-    #[test]
-    fn memo_key_covers_every_field() {
-        let base = SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 100, 400);
-        assert_eq!(base.memo_key(), base.clone().memo_key());
-        assert_ne!(base.memo_key(), base.clone().with_events().memo_key());
-        assert_ne!(base.memo_key(), SimPoint { rf_size: 96, ..base.clone() }.memo_key());
-        assert_ne!(
-            base.memo_key(),
-            base.clone()
-                .with_tweak(CoreTweak { counter_width: Some(3), ..CoreTweak::default() })
-                .memo_key()
-        );
     }
 
     #[test]

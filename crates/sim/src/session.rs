@@ -5,8 +5,9 @@
 //! test passes a map), [`Session::from_env`] is that parser over the
 //! process environment, and the resolved struct is threaded explicitly
 //! through [`crate::executor::execute_session`] and
-//! [`crate::matrix::RunMatrix::ensure_with`]. No environment read
-//! remains inside the per-point worker path.
+//! [`crate::matrix::RunMatrix::ensure_with`]. Execution itself reads no
+//! environment: not in the worker path, and not when telemetry records
+//! are written (their destination is [`Session::telemetry_out`]).
 //!
 //! Every field is also settable in code (builder style), so tests and
 //! library users get deterministic sessions with no env coupling at
@@ -14,15 +15,15 @@
 //! README's environment-variable reference table.
 
 use atr_telemetry::TelemetryConfig;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// All runtime knobs of one execution pass, resolved up front.
 ///
 /// Nothing in here may change a simulated result: threads, progress,
-/// audit, telemetry, the run journal and fault injection are
-/// all serving/observation concerns, which is why none of them is part of
-/// the [`crate::matrix::SimPoint`] memoization key and why fingerprints
-/// are bit-identical under every setting.
+/// audit, telemetry (and where its records go) and fault injection are
+/// all execution/observation concerns, which is why none of them is part
+/// of the [`crate::matrix::SimPoint`] memoization key and why
+/// fingerprints are bit-identical under every setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Session {
     /// Worker threads for the point pool (`ATR_SIM_THREADS`; default:
@@ -35,9 +36,9 @@ pub struct Session {
     pub audit: bool,
     /// Observer configuration (`ATR_TELEMETRY` plus its satellites).
     pub telemetry: TelemetryConfig,
-    /// Run-journal directory for fault-tolerant resume
-    /// (`ATR_RUN_JOURNAL`; off by default).
-    pub journal: Option<PathBuf>,
+    /// File the per-point telemetry JSONL records are appended to
+    /// (`ATR_TELEMETRY_OUT`; stdout when unset).
+    pub telemetry_out: Option<PathBuf>,
     /// Chaos hook (`ATR_FAULT_INJECT`): any point whose label contains
     /// this substring panics inside the worker. Exercises the panic
     /// isolation path in tests and CI; never set it in a real run.
@@ -53,7 +54,7 @@ impl Default for Session {
             progress: true,
             audit: false,
             telemetry: TelemetryConfig::default(),
-            journal: None,
+            telemetry_out: None,
             fault_injection: None,
         }
     }
@@ -73,11 +74,13 @@ impl Session {
     /// * `ATR_SIM_THREADS` — positive worker count;
     /// * `ATR_SIM_PROGRESS` — progress lines unless `0`;
     /// * `ATR_AUDIT` — on unless unset, empty or `0`;
-    /// * `ATR_TELEMETRY` (+ `ATR_TRACE_CAP`, `ATR_TELEMETRY_SERIES`);
-    /// * `ATR_RUN_JOURNAL` — unset, empty or `0` is off, `1` is
-    ///   `run-journal/` under the results dir (`ATR_RESULTS_DIR`),
-    ///   anything else a directory;
+    /// * `ATR_TELEMETRY` (+ `ATR_TRACE_CAP`, `ATR_TELEMETRY_SERIES`,
+    ///   `ATR_TRACE_DUMP`);
+    /// * `ATR_TELEMETRY_OUT` — non-blank path for the telemetry records;
     /// * `ATR_FAULT_INJECT` — non-blank label needle.
+    ///
+    /// The retired `ATR_RUN_JOURNAL` (resume from a run journal) changes
+    /// nothing; when it is set, a warning says so.
     #[must_use]
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let threads = match lookup("ATR_SIM_THREADS") {
@@ -92,23 +95,21 @@ impl Session {
                 }
             },
         };
-        let journal = lookup("ATR_RUN_JOURNAL").and_then(|raw| match raw.trim() {
-            "" | "0" => None,
-            "1" => Some(
-                crate::report::results_dir_for(lookup("ATR_RESULTS_DIR").map(PathBuf::from))
-                    .join("run-journal"),
-            ),
-            dir => Some(PathBuf::from(dir)),
-        });
+        if lookup("ATR_RUN_JOURNAL").is_some_and(|v| !matches!(v.trim(), "" | "0")) {
+            atr_telemetry::warn!(
+                "ignoring ATR_RUN_JOURNAL: resume from a run journal was removed, \
+                 and every pass simulates its points"
+            );
+        }
+        let non_blank =
+            |name: &str| lookup(name).map(|v| v.trim().to_owned()).filter(|v| !v.is_empty());
         Session {
             threads,
             progress: lookup("ATR_SIM_PROGRESS").is_none_or(|v| v != "0"),
             audit: lookup("ATR_AUDIT").is_some_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             telemetry: TelemetryConfig::from_lookup(&lookup),
-            journal,
-            fault_injection: lookup("ATR_FAULT_INJECT")
-                .map(|v| v.trim().to_owned())
-                .filter(|v| !v.is_empty()),
+            telemetry_out: non_blank("ATR_TELEMETRY_OUT").map(PathBuf::from),
+            fault_injection: non_blank("ATR_FAULT_INJECT"),
         }
     }
 
@@ -140,14 +141,6 @@ impl Session {
         self
     }
 
-    /// Journals completed points under `dir` and serves journaled
-    /// points on the next pass (fault-tolerant resume).
-    #[must_use]
-    pub fn with_journal(mut self, dir: impl AsRef<Path>) -> Self {
-        self.journal = Some(dir.as_ref().to_owned());
-        self
-    }
-
     /// Injects a panic into every point whose label contains `needle`
     /// (test/CI chaos hook).
     #[must_use]
@@ -160,12 +153,11 @@ impl Session {
     #[must_use]
     pub fn describe(&self) -> String {
         format!(
-            "threads={} progress={} audit={} telemetry={:?} journal={}",
+            "threads={} progress={} audit={} telemetry={:?}",
             self.threads,
             if self.progress { "on" } else { "off" },
             if self.audit { "on" } else { "off" },
             self.telemetry.level,
-            self.journal.as_ref().map_or_else(|| "off".to_owned(), |p| p.display().to_string()),
         )
     }
 }
@@ -194,7 +186,7 @@ mod tests {
         assert!(s.progress);
         assert!(!s.audit);
         assert!(!s.telemetry.stats_enabled());
-        assert_eq!(s.journal, None);
+        assert_eq!(s.telemetry_out, None);
         assert_eq!(s.fault_injection, None);
     }
 
@@ -204,15 +196,13 @@ mod tests {
             .quiet()
             .with_threads(0)
             .with_audit(true)
-            .with_journal("/tmp/j")
             .with_fault_injection("505.mcf_r");
         assert_eq!(s.threads, 1, "a zero thread request clamps to serial");
         assert!(!s.progress);
         assert!(s.audit);
-        assert_eq!(s.journal.as_deref(), Some(Path::new("/tmp/j")));
         assert_eq!(s.fault_injection.as_deref(), Some("505.mcf_r"));
         let d = s.describe();
-        assert!(d.contains("threads=1") && d.contains("journal=/tmp/j"), "{d}");
+        assert!(d.contains("threads=1") && d.contains("audit=on"), "{d}");
     }
 
     #[test]
@@ -238,25 +228,28 @@ mod tests {
     }
 
     #[test]
-    fn journal_and_fault_env_knobs_parse() {
-        assert_eq!(parse(&[("ATR_RUN_JOURNAL", "0")]).journal, None);
-        assert_eq!(parse(&[("ATR_RUN_JOURNAL", "")]).journal, None);
-        let default_dir = parse(&[("ATR_RUN_JOURNAL", "1")]).journal.expect("1 selects a dir");
-        assert!(default_dir.ends_with("results/run-journal"), "{}", default_dir.display());
-        assert_eq!(
-            parse(&[("ATR_RUN_JOURNAL", "1"), ("ATR_RESULTS_DIR", "/tmp/r")]).journal,
-            Some(PathBuf::from("/tmp/r/run-journal")),
-            "the default journal follows the results dir"
-        );
-        assert_eq!(
-            parse(&[("ATR_RUN_JOURNAL", "/tmp/custom-journal")]).journal,
-            Some(PathBuf::from("/tmp/custom-journal"))
-        );
-
+    fn fault_env_knob_parses() {
         assert_eq!(parse(&[("ATR_FAULT_INJECT", "  ")]).fault_injection, None, "blank is off");
         assert_eq!(
             parse(&[("ATR_FAULT_INJECT", " 505.mcf_r ")]).fault_injection.as_deref(),
             Some("505.mcf_r")
         );
+    }
+
+    #[test]
+    fn telemetry_out_parses_and_blank_is_stdout() {
+        assert_eq!(
+            parse(&[("ATR_TELEMETRY_OUT", " /tmp/records.jsonl ")]).telemetry_out,
+            Some(PathBuf::from("/tmp/records.jsonl"))
+        );
+        assert_eq!(parse(&[("ATR_TELEMETRY_OUT", " ")]).telemetry_out, None, "blank is stdout");
+    }
+
+    /// The retired resume knob warns and changes nothing.
+    #[test]
+    fn retired_journal_variable_changes_nothing() {
+        for value in ["1", "/tmp/old-dir", "0", ""] {
+            assert_eq!(parse(&[("ATR_RUN_JOURNAL", value)]), Session::default(), "{value:?}");
+        }
     }
 }

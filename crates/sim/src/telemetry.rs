@@ -7,7 +7,7 @@
 //! default (one compact [`atr_json::Json`] line each — greppable,
 //! `jq`-able, safely interleaved with nothing because all human
 //! diagnostics go to stderr via `atr-telemetry`'s logger), or are
-//! appended to `ATR_TELEMETRY_OUT` when that points at a file.
+//! appended to the session's `ATR_TELEMETRY_OUT` file when one is set.
 //!
 //! [`validate_record`] is the other half of the contract: CI parses
 //! every emitted line back and checks the schema, so the record format
@@ -17,6 +17,7 @@ use crate::matrix::SimPoint;
 use crate::runner::RunResult;
 use atr_json::Json;
 use std::io::Write as _;
+use std::path::Path;
 use std::time::Duration;
 
 /// Schema tag carried by every record (bump on incompatible changes).
@@ -92,20 +93,21 @@ pub fn validate_record(line: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Where records go: the `ATR_TELEMETRY_OUT` file (append, created on
-/// demand) or stdout when unset.
+/// Where records go: appended to `out` (created on demand; the
+/// session's `ATR_TELEMETRY_OUT`, see [`crate::Session::telemetry_out`])
+/// or stdout when `None`.
 ///
-/// Appending keeps one experiment binary's multiple executor passes in
-/// a single file; a sweep script truncates it up front if it wants a
-/// per-run file.
-pub fn emit_lines(lines: &[String]) {
+/// Appending keeps one binary's multiple executor passes in a single
+/// file; a sweep script truncates it up front if it wants a per-run
+/// file.
+pub fn emit_lines(lines: &[String], out: Option<&Path>) {
     if lines.is_empty() {
         return;
     }
-    match std::env::var_os("ATR_TELEMETRY_OUT") {
+    match out {
         Some(path) => {
             let appended =
-                std::fs::OpenOptions::new().create(true).append(true).open(&path).and_then(
+                std::fs::OpenOptions::new().create(true).append(true).open(path).and_then(
                     |mut f| {
                         for line in lines {
                             writeln!(f, "{line}")?;
@@ -116,7 +118,7 @@ pub fn emit_lines(lines: &[String]) {
             if let Err(e) = appended {
                 atr_telemetry::warn!(
                     "could not append telemetry records to {}: {e}",
-                    path.to_string_lossy()
+                    path.display()
                 );
             }
         }

@@ -16,8 +16,8 @@ fn tiny() -> SimConfig {
 /// panicking on any failed point.
 fn execute(sim: &SimConfig, points: &[SimPoint], threads: usize) -> Vec<RunResult> {
     let session = Session::default().quiet().with_threads(threads);
-    let run = execute_session(&session, &sim.core, points);
-    run.outcomes.into_iter().map(|o| o.unwrap_or_else(|f| panic!("{f}"))).collect()
+    let outcomes = execute_session(&session, &sim.core, points);
+    outcomes.into_iter().map(|o| o.unwrap_or_else(|f| panic!("{f}"))).collect()
 }
 
 /// A small mixed batch: several profiles × schemes × RF sizes, one
