@@ -3,7 +3,7 @@
 //! memory hierarchy and a whole core.
 
 use atr_bench::timing::bench;
-use atr_frontend::{Bpu, BpuConfig, DirectionPredictor, GlobalHistory, PredictorKind, Tage};
+use atr_frontend::{Bpu, BpuConfig, DirectionPredictor, GlobalHistory, Tage};
 use atr_isa::{ArchReg, StaticInst};
 use atr_mem::{AccessKind, MemConfig, MemoryHierarchy};
 use atr_pipeline::{CoreConfig, OooCore};
@@ -14,26 +14,19 @@ const SAMPLES: usize = 10;
 fn main() {
     println!("substrate microbenchmarks\n");
 
-    for kind in [PredictorKind::Bimodal, PredictorKind::Gshare, PredictorKind::Tage] {
-        let config = BpuConfig { kind, ..BpuConfig::default() };
-        let mut bpu = Bpu::new(&config);
-        let br = StaticInst::cond_branch(0x400, 0x800, &[ArchReg::int(0)]);
-        bench(&format!("predict_update/{kind:?}"), SAMPLES, 10_000, move || {
-            for i in 0..10_000u64 {
-                let p = bpu.predict(&br);
-                let taken = i % 3 != 0;
-                bpu.train(&br, &p.snapshot, taken, if taken { 0x800 } else { br.fallthrough });
-                if p.taken != taken {
-                    bpu.recover(
-                        &br,
-                        &p.snapshot,
-                        taken,
-                        if taken { 0x800 } else { br.fallthrough },
-                    );
-                }
+    let mut bpu = Bpu::new(&BpuConfig::default());
+    let br = StaticInst::cond_branch(0x400, 0x800, &[ArchReg::int(0)]);
+    bench("bpu/predict_update", SAMPLES, 10_000, move || {
+        for i in 0..10_000u64 {
+            let p = bpu.predict(&br);
+            let taken = i % 3 != 0;
+            let target = if taken { 0x800 } else { br.fallthrough };
+            bpu.train(&br, &p.snapshot, taken, target);
+            if p.taken != taken {
+                bpu.recover(&br, &p.snapshot, taken, target);
             }
-        });
-    }
+        }
+    });
 
     let mut tage = Tage::default_config();
     let mut hist = GlobalHistory::new();

@@ -13,8 +13,7 @@
 use atr_core::ReleaseScheme;
 use atr_sim::config::budget_from_env;
 use atr_sim::report::cpi_table;
-use atr_sim::runner::{run_profile, RunSpec};
-use atr_sim::SimConfig;
+use atr_sim::{run, SimConfig};
 use atr_telemetry::{RunTelemetry, TelemetryConfig, TelemetryLevel};
 use atr_workload::spec::all_profiles;
 
@@ -49,21 +48,19 @@ fn main() {
                 let sim = &sim;
                 let profiles = &profiles;
                 scope.spawn(move || {
-                    let spec = RunSpec {
-                        scheme,
-                        rf_size: RF_SIZE,
-                        warmup: sim.warmup,
-                        measure: sim.measure,
-                        collect_events: false,
-                        audit: false,
-                        telemetry: TelemetryConfig {
-                            level: TelemetryLevel::Stats,
-                            ..TelemetryConfig::default()
-                        },
+                    let stats = TelemetryConfig {
+                        level: TelemetryLevel::Stats,
+                        ..TelemetryConfig::default()
                     };
+                    let cfg = sim
+                        .core
+                        .clone()
+                        .with_rf_size(RF_SIZE)
+                        .with_scheme(scheme)
+                        .with_telemetry(stats);
                     let mut total = RunTelemetry::default();
                     for profile in profiles {
-                        let result = run_profile(&sim.core, profile, &spec);
+                        let result = run(cfg.clone(), profile.build(), sim.warmup, sim.measure);
                         total.merge(&result.telemetry);
                         atr_telemetry::debug!("{} {} done", profile.name, scheme.label());
                     }

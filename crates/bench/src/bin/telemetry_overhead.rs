@@ -17,7 +17,7 @@
 //! is long enough to be stable no matter how tiny CI's test budget is.
 
 use atr_core::ReleaseScheme;
-use atr_sim::runner::{run_profile, RunSpec};
+use atr_sim::run;
 use atr_telemetry::{TelemetryConfig, TelemetryLevel};
 use atr_workload::spec::all_profiles;
 use std::process::ExitCode;
@@ -27,17 +27,13 @@ const REPS: usize = 3;
 const TOLERANCE: f64 = 1.02;
 
 fn main() -> ExitCode {
-    let core = atr_pipeline::CoreConfig::default();
     let profiles = all_profiles();
     let profile = profiles.iter().find(|p| p.name == "505.mcf_r").expect("profile exists");
-    let spec_at = |level: TelemetryLevel| RunSpec {
-        scheme: ReleaseScheme::Atr { redefine_delay: 0 },
-        rf_size: 96,
-        warmup: 10_000,
-        measure: 100_000,
-        collect_events: false,
-        audit: false,
-        telemetry: TelemetryConfig { level, ..TelemetryConfig::default() },
+    let core_at = |level: TelemetryLevel| {
+        atr_pipeline::CoreConfig::default()
+            .with_rf_size(96)
+            .with_scheme(ReleaseScheme::Atr { redefine_delay: 0 })
+            .with_telemetry(TelemetryConfig { level, ..TelemetryConfig::default() })
     };
 
     let mut off_min = Duration::MAX;
@@ -49,7 +45,7 @@ fn main() -> ExitCode {
             [(TelemetryLevel::Stats, &mut stats_min), (TelemetryLevel::Off, &mut off_min)]
         {
             let t0 = Instant::now();
-            let r = run_profile(&core, profile, &spec_at(level));
+            let r = run(core_at(level), profile.build(), 10_000, 100_000);
             *min = (*min).min(t0.elapsed());
             fingerprints.push((r.stats.cycles, r.stats.retired, r.stats.flushes));
             if level == TelemetryLevel::Off && !r.telemetry.is_empty() {

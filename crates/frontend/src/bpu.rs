@@ -12,7 +12,7 @@
 use crate::btb::Btb;
 use crate::history::{GlobalHistory, PathHistory};
 use crate::indirect::IndirectPredictor;
-use crate::predictor::{Bimodal, DirectionPredictor, Gshare, PredictorKind};
+use crate::predictor::DirectionPredictor;
 use crate::ras::Ras;
 use crate::tage::{Tage, TageConfig};
 use atr_isa::{OpClass, StaticInst};
@@ -20,12 +20,8 @@ use atr_isa::{OpClass, StaticInst};
 /// Branch prediction unit configuration (Table 1 defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BpuConfig {
-    /// Which direction predictor to use.
-    pub kind: PredictorKind,
-    /// TAGE geometry when `kind` is [`PredictorKind::Tage`].
+    /// Geometry of the TAGE-L direction predictor.
     pub tage: TageConfig,
-    /// log2 entries for bimodal/gshare baselines.
-    pub simple_bits: usize,
     /// Total BTB entries (Table 1: 12K).
     pub btb_entries: usize,
     /// BTB associativity.
@@ -42,9 +38,7 @@ pub struct BpuConfig {
 impl Default for BpuConfig {
     fn default() -> Self {
         BpuConfig {
-            kind: PredictorKind::Tage,
             tage: TageConfig::default(),
-            simple_bits: 14,
             btb_entries: 12 * 1024,
             btb_ways: 6,
             indirect_bits: 12,
@@ -76,33 +70,9 @@ pub struct Prediction {
     pub snapshot: BpuSnapshot,
 }
 
-enum Dir {
-    Bimodal(Bimodal),
-    Gshare(Gshare),
-    Tage(Box<Tage>),
-}
-
-impl Dir {
-    fn predict(&mut self, pc: u64, h: &GlobalHistory) -> bool {
-        match self {
-            Dir::Bimodal(p) => p.predict(pc, h),
-            Dir::Gshare(p) => p.predict(pc, h),
-            Dir::Tage(p) => p.predict(pc, h),
-        }
-    }
-
-    fn update(&mut self, pc: u64, h: &GlobalHistory, taken: bool) {
-        match self {
-            Dir::Bimodal(p) => p.update(pc, h, taken),
-            Dir::Gshare(p) => p.update(pc, h, taken),
-            Dir::Tage(p) => p.update(pc, h, taken),
-        }
-    }
-}
-
 /// The branch prediction unit. See the [module docs](self).
 pub struct Bpu {
-    dir: Dir,
+    tage: Tage,
     btb: Btb,
     indirect: IndirectPredictor,
     ras: Ras,
@@ -121,13 +91,8 @@ impl Bpu {
     /// Creates a BPU from a configuration.
     #[must_use]
     pub fn new(cfg: &BpuConfig) -> Self {
-        let dir = match cfg.kind {
-            PredictorKind::Bimodal => Dir::Bimodal(Bimodal::new(1 << cfg.simple_bits)),
-            PredictorKind::Gshare => Dir::Gshare(Gshare::new(cfg.simple_bits, 16)),
-            PredictorKind::Tage => Dir::Tage(Box::new(Tage::new(cfg.tage.clone()))),
-        };
         Bpu {
-            dir,
+            tage: Tage::new(cfg.tage.clone()),
             btb: Btb::new(cfg.btb_entries, cfg.btb_ways),
             indirect: IndirectPredictor::new(cfg.indirect_bits, cfg.indirect_path_bits),
             ras: Ras::new(cfg.ras_depth),
@@ -173,7 +138,7 @@ impl Bpu {
             OpClass::CondBranch => {
                 let taken = match forced {
                     Some((t, _)) => t,
-                    None => self.dir.predict(inst.pc, &self.ghist),
+                    None => self.tage.predict(inst.pc, &self.ghist),
                 };
                 let next = if taken {
                     inst.taken_target.expect("conditional branch without target")
@@ -219,7 +184,7 @@ impl Bpu {
     /// the one returned by the corresponding `predict` call.
     pub fn train(&mut self, inst: &StaticInst, snapshot: &BpuSnapshot, taken: bool, target: u64) {
         match inst.class {
-            OpClass::CondBranch => self.dir.update(inst.pc, &snapshot.ghist, taken),
+            OpClass::CondBranch => self.tage.update(inst.pc, &snapshot.ghist, taken),
             OpClass::IndirectJump => self.indirect.update(inst.pc, &snapshot.path, target),
             _ => {}
         }

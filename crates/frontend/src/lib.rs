@@ -6,9 +6,12 @@
 //!
 //! * [`GlobalHistory`] / [`PathHistory`] — speculative branch history with
 //!   snapshot/restore for misprediction recovery;
-//! * [`DirectionPredictor`] implementations: [`Bimodal`], [`Gshare`], and
-//!   [`Tage`] (tagged geometric-history predictor with a loop predictor,
-//!   the workhorse of TAGE-SC-L);
+//! * [`Tage`] — the [`DirectionPredictor`] the BPU uses: a tagged
+//!   geometric-history predictor with an always-on loop predictor, the
+//!   workhorse of TAGE-SC-L;
+//! * [`Bimodal`] and [`Gshare`] — classic reference predictors that the
+//!   prediction-quality tests rank TAGE-L against (the BPU never uses
+//!   them);
 //! * [`Btb`] — set-associative branch target buffer;
 //! * [`Ras`] — return address stack;
 //! * [`IndirectPredictor`] — path-history-tagged indirect target predictor;
@@ -33,6 +36,6 @@ pub use bpu::{Bpu, BpuConfig, BpuSnapshot, Prediction};
 pub use btb::{Btb, BtbEntry};
 pub use history::{GlobalHistory, PathHistory};
 pub use indirect::IndirectPredictor;
-pub use predictor::{Bimodal, DirectionPredictor, Gshare, PredictorKind};
+pub use predictor::{Bimodal, DirectionPredictor, Gshare};
 pub use ras::Ras;
 pub use tage::{Tage, TageConfig};

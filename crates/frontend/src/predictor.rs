@@ -1,4 +1,6 @@
-//! Direction predictors: the common trait plus two classic baselines.
+//! Direction predictors: the common trait plus two classic reference
+//! predictors. The BPU always uses TAGE-L; [`Bimodal`] and [`Gshare`]
+//! stay as the baselines the prediction-quality tests rank it against.
 
 use crate::history::GlobalHistory;
 
@@ -15,17 +17,6 @@ pub trait DirectionPredictor {
     /// Trains the predictor with the resolved outcome. `hist` must be
     /// the history at prediction time.
     fn update(&mut self, pc: u64, hist: &GlobalHistory, taken: bool);
-}
-
-/// Which direction predictor a configuration selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// Per-PC 2-bit counters.
-    Bimodal,
-    /// Global-history-XOR-PC 2-bit counters.
-    Gshare,
-    /// TAGE with loop predictor (Table 1's TAGE-SC-L-class baseline).
-    Tage,
 }
 
 #[inline]

@@ -23,8 +23,6 @@ pub struct TageConfig {
     pub tag_bits: usize,
     /// History length per tagged table, ascending.
     pub history_lengths: Vec<usize>,
-    /// Enable the loop predictor.
-    pub loop_predictor: bool,
     /// log2 of loop-predictor entries.
     pub loop_bits: usize,
 }
@@ -36,7 +34,6 @@ impl Default for TageConfig {
             table_bits: 11,
             tag_bits: 9,
             history_lengths: vec![4, 8, 16, 32, 64, 128],
-            loop_predictor: true,
             loop_bits: 8,
         }
     }
@@ -161,9 +158,6 @@ impl Tage {
     }
 
     fn loop_predict(&self, pc: u64) -> Option<bool> {
-        if !self.cfg.loop_predictor {
-            return None;
-        }
         let e = &self.loops[self.loop_idx(pc)];
         if e.tag == Self::loop_tag(pc) && e.conf >= 3 && e.trip > 1 {
             Some(e.count + 1 < e.trip)
@@ -173,9 +167,6 @@ impl Tage {
     }
 
     fn loop_update(&mut self, pc: u64, taken: bool) {
-        if !self.cfg.loop_predictor {
-            return;
-        }
         let i = self.loop_idx(pc);
         let tag = Self::loop_tag(pc);
         let e = &mut self.loops[i];
@@ -339,21 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn loop_predictor_nails_fixed_trip_counts() {
+    fn loop_table_nails_fixed_trip_counts() {
         let mut t = Tage::default_config();
         // Trip count 7: T,T,T,T,T,T,F repeating.
         let mut pattern = vec![true; 6];
         pattern.push(false);
         let acc = run_pattern(&mut t, 0x3000, &pattern, 300);
         assert!(acc > 0.97, "loop accuracy {acc}");
-    }
-
-    #[test]
-    fn loop_predictor_disabled_still_works() {
-        let cfg = TageConfig { loop_predictor: false, ..TageConfig::default() };
-        let mut t = Tage::new(cfg);
-        let acc = run_pattern(&mut t, 0x3000, &[true, true, true, false], 400);
-        assert!(acc > 0.85, "no-loop accuracy {acc}");
     }
 
     #[test]

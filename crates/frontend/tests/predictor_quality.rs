@@ -3,9 +3,7 @@
 //! classes (bimodal < gshare < TAGE-L), and the BPU must stay consistent
 //! under speculative update + recovery storms.
 
-use atr_frontend::{
-    Bimodal, Bpu, BpuConfig, DirectionPredictor, GlobalHistory, Gshare, PredictorKind, Tage,
-};
+use atr_frontend::{Bimodal, Bpu, BpuConfig, DirectionPredictor, GlobalHistory, Gshare, Tage};
 use atr_isa::{ArchReg, OpClass, StaticInst};
 
 /// Drives a predictor over a deterministic direction stream and returns
@@ -62,8 +60,7 @@ fn bpu_survives_interleaved_speculation_and_recovery() {
     // Simulates the pipeline's usage: predict several branches ahead,
     // then resolve them oldest-first, recovering on mismatch. The BPU
     // must converge on a deterministic nested-loop pattern.
-    let cfg = BpuConfig { kind: PredictorKind::Tage, ..BpuConfig::default() };
-    let mut bpu = Bpu::new(&cfg);
+    let mut bpu = Bpu::new(&BpuConfig::default());
     let br = StaticInst::cond_branch(0x40, 0x140, &[ArchReg::int(1)]);
     let outcome = |i: u64| i % 9 != 8;
     let mut correct = 0usize;

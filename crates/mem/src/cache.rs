@@ -1,15 +1,4 @@
-//! Set-associative timestamped cache with MSHR accounting.
-
-/// Replacement policy for a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Least recently used.
-    Lru,
-    /// First in, first out (insertion order).
-    Fifo,
-    /// Pseudo-random (deterministic LFSR).
-    Random,
-}
+//! Set-associative timestamped LRU cache with MSHR accounting.
 
 /// Geometry and timing of one cache level.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,8 +14,6 @@ pub struct CacheConfig {
     pub latency: u64,
     /// Outstanding line-fill limit (MSHRs).
     pub mshrs: usize,
-    /// Replacement policy.
-    pub policy: ReplacementPolicy,
 }
 
 impl CacheConfig {
@@ -90,7 +77,7 @@ struct Line {
     prefetched: bool,
     /// Cycle the line's data arrives (hit-under-fill returns this).
     ready_at: u64,
-    /// Replacement stamp (LRU tick or FIFO insertion order).
+    /// LRU stamp: the tick of the line's last fill or demand hit.
     stamp: u64,
 }
 
@@ -107,7 +94,8 @@ pub enum Probe {
     Miss,
 }
 
-/// A set-associative cache with timestamped lines and MSHR bookkeeping.
+/// A set-associative LRU cache with timestamped lines and MSHR
+/// bookkeeping.
 ///
 /// Each set holds only its valid lines, in way order: a set starts empty
 /// and grows by one line per fill until it has `ways` lines. Nothing
@@ -119,7 +107,6 @@ pub struct Cache {
     sets: Vec<Vec<Line>>,
     stats: CacheStats,
     tick: u64,
-    lfsr: u32,
     /// Completion times of outstanding fills (pruned lazily).
     inflight: Vec<u64>,
 }
@@ -134,14 +121,7 @@ impl Cache {
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = vec![Vec::new(); cfg.num_sets()];
-        Cache {
-            sets,
-            stats: CacheStats::default(),
-            tick: 0,
-            lfsr: 0xbeef,
-            inflight: Vec::new(),
-            cfg,
-        }
+        Cache { sets, stats: CacheStats::default(), tick: 0, inflight: Vec::new(), cfg }
     }
 
     /// The configuration this cache was built with.
@@ -176,11 +156,8 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = (self.set_index(addr), self.tag_of(addr));
-        let lru = self.cfg.policy == ReplacementPolicy::Lru;
         if let Some(line) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
-            if lru {
-                line.stamp = tick;
-            }
+            line.stamp = tick;
             if is_write {
                 line.dirty = true;
             }
@@ -228,7 +205,8 @@ impl Cache {
         if is_prefetch {
             self.stats.prefetch_fills += 1;
         }
-        // Refill of a present (possibly in-flight) line: refresh timestamp.
+        // Refill of a present (possibly in-flight) line: keep the earlier
+        // arrival time; the LRU stamp is left as it was.
         if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.tag == tag) {
             line.ready_at = line.ready_at.min(ready_at);
             return None;
@@ -241,19 +219,12 @@ impl Cache {
             set.push(line);
             return None;
         }
-        let victim_idx = match self.cfg.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.stamp)
-                .map(|(i, _)| i)
-                .expect("non-empty set"),
-            ReplacementPolicy::Random => {
-                let bit = (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
-                self.lfsr = (self.lfsr >> 1) | (bit << 15);
-                (self.lfsr as usize) % self.cfg.ways
-            }
-        };
+        let victim_idx = set
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.stamp)
+            .map(|(i, _)| i)
+            .expect("non-empty set");
         let victim = std::mem::replace(&mut set[victim_idx], line);
         if victim.dirty {
             self.stats.writebacks += 1;
@@ -298,20 +269,19 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn small(policy: ReplacementPolicy) -> Cache {
+    fn small() -> Cache {
         Cache::new(CacheConfig {
             size_bytes: 1024, // 4 sets x 4 ways x 64B
             ways: 4,
             line_bytes: 64,
             latency: 3,
             mshrs: 4,
-            policy,
         })
     }
 
     #[test]
     fn miss_then_hit() {
-        let mut c = small(ReplacementPolicy::Lru);
+        let mut c = small();
         assert_eq!(c.probe(0x1000, 10, false), Probe::Miss);
         c.fill(0x1000, 50, false);
         assert_eq!(c.probe(0x1000, 60, false), Probe::Hit { ready_at: 60 });
@@ -321,7 +291,7 @@ mod tests {
 
     #[test]
     fn hit_under_fill_returns_ready_time() {
-        let mut c = small(ReplacementPolicy::Lru);
+        let mut c = small();
         c.fill(0x1000, 200, false);
         // Probing before the data arrives: hit, but data at 200.
         assert_eq!(c.probe(0x1000, 100, false), Probe::Hit { ready_at: 200 });
@@ -330,7 +300,7 @@ mod tests {
 
     #[test]
     fn same_line_offsets_share_a_line() {
-        let mut c = small(ReplacementPolicy::Lru);
+        let mut c = small();
         c.fill(0x1000, 1, false);
         assert!(matches!(c.probe(0x103f, 10, false), Probe::Hit { .. }));
         assert!(matches!(c.probe(0x1040, 10, false), Probe::Miss));
@@ -338,7 +308,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = small(ReplacementPolicy::Lru);
+        let mut c = small();
         // 4 ways in set 0: lines at stride 4*64 = 256 bytes.
         let lines: Vec<u64> = (0..5).map(|i| i * 256).collect();
         for &a in &lines[..4] {
@@ -353,7 +323,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_reports_writeback_address() {
-        let mut c = small(ReplacementPolicy::Lru);
+        let mut c = small();
         let lines: Vec<u64> = (0..5).map(|i| i * 256).collect();
         c.fill(lines[0], 1, false);
         let _ = c.probe(lines[0], 2, true); // dirty it
@@ -366,18 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_recency() {
-        let mut c = small(ReplacementPolicy::Fifo);
-        let lines: Vec<u64> = (0..5).map(|i| i * 256).collect();
-        for &a in &lines[..4] {
-            c.fill(a, 1, false);
-        }
-        let _ = c.probe(lines[0], 2, false); // touch does not protect in FIFO
-        c.fill(lines[4], 3, false);
-        assert!(!c.peek(lines[0]), "FIFO must evict the first-inserted line");
-    }
-
-    #[test]
     fn mshr_merge_via_inflight_hit_and_admission_delay() {
         let mut c = Cache::new(CacheConfig {
             size_bytes: 1024,
@@ -385,7 +343,6 @@ mod tests {
             line_bytes: 64,
             latency: 3,
             mshrs: 2,
-            policy: ReplacementPolicy::Lru,
         });
         // Two outstanding fills exhaust the MSHRs.
         assert_eq!(c.mshr_admit(10), 10);
@@ -399,7 +356,7 @@ mod tests {
 
     #[test]
     fn prefetch_usefulness_is_tracked() {
-        let mut c = small(ReplacementPolicy::Lru);
+        let mut c = small();
         c.fill(0x2000, 5, true);
         assert_eq!(c.stats().prefetch_fills, 1);
         let _ = c.probe(0x2000, 10, false);
@@ -418,13 +375,12 @@ mod tests {
             line_bytes: 64,
             latency: 1,
             mshrs: 1,
-            policy: ReplacementPolicy::Lru,
         });
     }
 
     #[test]
     fn miss_ratio_computation() {
-        let mut c = small(ReplacementPolicy::Lru);
+        let mut c = small();
         let _ = c.probe(0, 1, false);
         c.fill(0, 2, false);
         let _ = c.probe(0, 3, false);

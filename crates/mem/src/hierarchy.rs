@@ -1,6 +1,6 @@
 //! The assembled memory hierarchy: L1I + L1D → L2 → LLC → DRAM.
 
-use crate::cache::{Cache, CacheConfig, CacheStats, Probe, ReplacementPolicy};
+use crate::cache::{Cache, CacheConfig, CacheStats, Probe};
 use crate::dram::{Dram, DramConfig};
 use crate::prefetch::{PrefetchConfig, Prefetcher};
 
@@ -78,7 +78,6 @@ impl MemConfig {
                 line_bytes: line,
                 latency: 3,
                 mshrs: 8,
-                policy: ReplacementPolicy::Lru,
             },
             l1d: CacheConfig {
                 size_bytes: 48 << 10,
@@ -86,7 +85,6 @@ impl MemConfig {
                 line_bytes: line,
                 latency: 3,
                 mshrs: 16,
-                policy: ReplacementPolicy::Lru,
             },
             l2: CacheConfig {
                 size_bytes: 1280 << 10,
@@ -94,7 +92,6 @@ impl MemConfig {
                 line_bytes: line,
                 latency: 14,
                 mshrs: 32,
-                policy: ReplacementPolicy::Lru,
             },
             llc: CacheConfig {
                 size_bytes: 3 << 20,
@@ -102,7 +99,6 @@ impl MemConfig {
                 line_bytes: line,
                 latency: 40,
                 mshrs: 64,
-                policy: ReplacementPolicy::Lru,
             },
             dram: DramConfig::default(),
             prefetch: PrefetchConfig::default(),
@@ -307,7 +303,7 @@ mod tests {
 
     fn no_prefetch() -> MemoryHierarchy {
         let mut cfg = MemConfig::golden_cove();
-        cfg.prefetch.kind = crate::prefetch::PrefetcherKind::None;
+        cfg.prefetch.enabled = false;
         MemoryHierarchy::new(&cfg)
     }
 

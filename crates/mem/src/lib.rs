@@ -30,7 +30,7 @@ pub mod dram;
 pub mod hierarchy;
 pub mod prefetch;
 
-pub use cache::{Cache, CacheConfig, CacheStats, ReplacementPolicy};
+pub use cache::{Cache, CacheConfig, CacheStats};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{AccessKind, MemConfig, MemoryHierarchy, ServiceLevel};
-pub use prefetch::{PrefetchConfig, Prefetcher, PrefetcherKind};
+pub use prefetch::{PrefetchConfig, Prefetcher};

@@ -1,23 +1,13 @@
-//! Hardware data prefetchers (Table 1: stream + spatial).
-
-/// Which prefetchers a configuration enables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetcherKind {
-    /// No prefetching.
-    None,
-    /// Next-line only.
-    NextLine,
-    /// Stream detector (direction-trained, multi-degree).
-    Stream,
-    /// Stream plus spatial-footprint (SMS-lite) — the paper's config.
-    StreamSpatial,
-}
+//! The hardware data prefetcher of Table 1: a stream detector
+//! (direction-trained, multi-degree) plus a spatial-footprint predictor
+//! (SMS-lite), both trained by every demand load and store.
 
 /// Prefetcher tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefetchConfig {
-    /// Which prefetchers run.
-    pub kind: PrefetcherKind,
+    /// Runs the stream and spatial prefetchers. Off serves the
+    /// hierarchy tests that need prefetch-free latencies.
+    pub enabled: bool,
     /// Lines fetched ahead per trained stream trigger.
     pub degree: usize,
     /// Lines of lookahead distance.
@@ -33,7 +23,7 @@ pub struct PrefetchConfig {
 impl Default for PrefetchConfig {
     fn default() -> Self {
         PrefetchConfig {
-            kind: PrefetcherKind::StreamSpatial,
+            enabled: true,
             degree: 4,
             distance: 4,
             streams: 16,
@@ -105,14 +95,9 @@ impl Prefetcher {
     pub fn observe(&mut self, addr: u64) -> Vec<u64> {
         self.tick += 1;
         let mut out = Vec::new();
-        match self.cfg.kind {
-            PrefetcherKind::None => {}
-            PrefetcherKind::NextLine => out.push((addr & !(self.line_bytes - 1)) + self.line_bytes),
-            PrefetcherKind::Stream => self.observe_stream(addr, &mut out),
-            PrefetcherKind::StreamSpatial => {
-                self.observe_stream(addr, &mut out);
-                self.observe_spatial(addr, &mut out);
-            }
+        if self.cfg.enabled {
+            self.observe_stream(addr, &mut out);
+            self.observe_spatial(addr, &mut out);
         }
         self.issued += out.len() as u64;
         out
@@ -235,39 +220,30 @@ impl Prefetcher {
 mod tests {
     use super::*;
 
-    fn stream_pf() -> Prefetcher {
-        Prefetcher::new(
-            PrefetchConfig { kind: PrefetcherKind::Stream, ..PrefetchConfig::default() },
-            64,
-        )
+    /// Feeds one access to the stream detector alone, as `observe`
+    /// does before the spatial predictor runs.
+    fn stream(p: &mut Prefetcher, addr: u64) -> Vec<u64> {
+        p.tick += 1;
+        let mut out = Vec::new();
+        p.observe_stream(addr, &mut out);
+        out
     }
 
     #[test]
-    fn none_kind_is_silent() {
-        let mut p = Prefetcher::new(
-            PrefetchConfig { kind: PrefetcherKind::None, ..PrefetchConfig::default() },
-            64,
-        );
+    fn disabled_prefetcher_is_silent() {
+        let mut p =
+            Prefetcher::new(PrefetchConfig { enabled: false, ..PrefetchConfig::default() }, 64);
         for i in 0..100 {
             assert!(p.observe(i * 64).is_empty());
         }
     }
 
     #[test]
-    fn next_line_prefetches_sequential_neighbor() {
-        let mut p = Prefetcher::new(
-            PrefetchConfig { kind: PrefetcherKind::NextLine, ..PrefetchConfig::default() },
-            64,
-        );
-        assert_eq!(p.observe(0x1010), vec![0x1040]);
-    }
-
-    #[test]
     fn stream_trains_on_ascending_accesses() {
-        let mut p = stream_pf();
+        let mut p = Prefetcher::new(PrefetchConfig::default(), 64);
         let mut fired = Vec::new();
         for i in 0..10u64 {
-            fired = p.observe(0x10000 + i * 64);
+            fired = stream(&mut p, 0x10000 + i * 64);
         }
         assert!(!fired.is_empty(), "trained stream should prefetch");
         // All candidates must be ahead of the last access.
@@ -276,10 +252,10 @@ mod tests {
 
     #[test]
     fn stream_trains_descending() {
-        let mut p = stream_pf();
+        let mut p = Prefetcher::new(PrefetchConfig::default(), 64);
         let mut fired = Vec::new();
         for i in 0..10u64 {
-            fired = p.observe(0x20000 - i * 64);
+            fired = stream(&mut p, 0x20000 - i * 64);
         }
         assert!(!fired.is_empty());
         assert!(fired.iter().all(|&a| a < 0x20000 - 9 * 64));
@@ -287,12 +263,12 @@ mod tests {
 
     #[test]
     fn random_accesses_do_not_train_streams() {
-        let mut p = stream_pf();
+        let mut p = Prefetcher::new(PrefetchConfig::default(), 64);
         let mut total = 0usize;
         let mut x = 123456789u64;
         for _ in 0..200 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            total += p.observe(x % (1 << 30)).len();
+            total += stream(&mut p, x % (1 << 30)).len();
         }
         assert!(total < 20, "random stream should rarely fire, got {total}");
     }

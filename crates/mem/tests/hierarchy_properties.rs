@@ -4,14 +4,14 @@
 //! registry access for proptest); each case is seeded deterministically
 //! so a failing seed reproduces the exact address stream.
 
-use atr_mem::{AccessKind, MemConfig, MemoryHierarchy, PrefetcherKind};
+use atr_mem::{AccessKind, MemConfig, MemoryHierarchy};
 use atr_rng::{RngExt, SeedableRng, SmallRng};
 
 const CASES: u64 = 64;
 
 fn no_prefetch() -> MemConfig {
     let mut cfg = MemConfig::golden_cove();
-    cfg.prefetch.kind = PrefetcherKind::None;
+    cfg.prefetch.enabled = false;
     cfg
 }
 

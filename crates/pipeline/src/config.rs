@@ -50,11 +50,6 @@ pub struct CoreConfig {
     /// §6): tracking which registers become releasable at precommit
     /// requires per-branch metadata whose capacity bounds the lead.
     pub precommit_lead: usize,
-    /// Loads wait for all older store addresses (conservative
-    /// disambiguation) when `false`; `true` lets loads bypass unknown
-    /// store addresses (the workload model has no value mismatches, so
-    /// this is a pure-performance knob).
-    pub perfect_disambiguation: bool,
     /// Rename (register scheme) configuration.
     pub rename: RenameConfig,
     /// Branch prediction configuration.
@@ -90,7 +85,6 @@ impl Default for CoreConfig {
             exception_penalty: 200,
             forward_latency: 6,
             precommit_lead: 48,
-            perfect_disambiguation: false,
             rename: RenameConfig::default(),
             bpu: BpuConfig::default(),
             mem: MemConfig::golden_cove(),

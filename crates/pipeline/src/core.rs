@@ -770,7 +770,7 @@ impl OooCore {
         let complete_at = match class {
             OpClass::Load => {
                 let addr = mem_addr.expect("load without an address");
-                match self.lsq.check_load(seq, addr, !self.cfg.perfect_disambiguation) {
+                match self.lsq.check_load(seq, addr) {
                     LoadCheck::Wait => return false,
                     LoadCheck::Forward { data_ready } => {
                         ports.load -= 1;

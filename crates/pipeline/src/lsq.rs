@@ -92,23 +92,16 @@ impl Lsq {
     }
 
     /// Scans older stores for a load at `addr` (word granularity).
-    /// `conservative` makes unknown older-store addresses block the load.
+    /// Disambiguation is conservative: an older store whose address is
+    /// still unknown blocks the load.
     #[must_use]
-    pub fn check_load(&self, seq: InstSeq, addr: u64, conservative: bool) -> LoadCheck {
+    pub fn check_load(&self, seq: InstSeq, addr: u64) -> LoadCheck {
         let word = addr & !7;
         let mut best: Option<&StoreEntry> = None;
         for st in self.stores.iter().filter(|s| s.seq < seq) {
-            match st.addr {
-                None => {
-                    if conservative {
-                        return LoadCheck::Wait;
-                    }
-                }
-                Some(a) => {
-                    if a & !7 == word && best.is_none_or(|b| st.seq > b.seq) {
-                        best = Some(st);
-                    }
-                }
+            let Some(a) = st.addr else { return LoadCheck::Wait };
+            if a & !7 == word && best.is_none_or(|b| st.seq > b.seq) {
+                best = Some(st);
             }
         }
         match best {
@@ -157,7 +150,7 @@ mod tests {
         lsq.push_store(3);
         lsq.store_address_ready(1, 0x1000, 10);
         lsq.store_address_ready(3, 0x1000, 20);
-        match lsq.check_load(5, 0x1004, true) {
+        match lsq.check_load(5, 0x1004) {
             LoadCheck::Forward { data_ready } => assert_eq!(data_ready, 20),
             other => panic!("expected forward, got {other:?}"),
         }
@@ -168,19 +161,14 @@ mod tests {
         let mut lsq = Lsq::new(8, 8);
         lsq.push_store(9);
         lsq.store_address_ready(9, 0x1000, 10);
-        assert_eq!(lsq.check_load(5, 0x1000, true), LoadCheck::GoToMemory);
+        assert_eq!(lsq.check_load(5, 0x1000), LoadCheck::GoToMemory);
     }
 
     #[test]
     fn unknown_older_address_blocks_conservative_loads() {
         let mut lsq = Lsq::new(8, 8);
         lsq.push_store(1);
-        assert_eq!(lsq.check_load(5, 0x2000, true), LoadCheck::Wait);
-        assert_eq!(
-            lsq.check_load(5, 0x2000, false),
-            LoadCheck::GoToMemory,
-            "perfect disambiguation bypasses unknown stores"
-        );
+        assert_eq!(lsq.check_load(5, 0x2000), LoadCheck::Wait);
     }
 
     #[test]
@@ -188,7 +176,7 @@ mod tests {
         let mut lsq = Lsq::new(8, 8);
         lsq.push_store(1);
         lsq.store_address_ready(1, 0x1000, 10);
-        assert_eq!(lsq.check_load(5, 0x1008, true), LoadCheck::GoToMemory);
+        assert_eq!(lsq.check_load(5, 0x1008), LoadCheck::GoToMemory);
     }
 
     #[test]

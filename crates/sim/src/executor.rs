@@ -22,7 +22,7 @@
 //! wall time, so a slow point is visible in the pass's own output.
 
 use crate::matrix::SimPoint;
-use crate::runner::{run, RunResult, RunSpec};
+use crate::runner::{run, RunResult};
 use crate::session::Session;
 use atr_pipeline::CoreConfig;
 use atr_workload::spec::all_profiles;
@@ -237,18 +237,15 @@ fn run_point(
     program: Arc<Program>,
     point: &SimPoint,
 ) -> RunResult {
-    let mut cfg = core.clone();
+    let mut cfg = core
+        .clone()
+        .with_rf_size(point.rf_size)
+        .with_scheme(point.scheme)
+        .with_audit(session.audit)
+        .with_telemetry(session.telemetry.clone());
+    cfg.rename.collect_events = point.collect_events;
     point.tweak.apply(&mut cfg);
-    let spec = RunSpec {
-        scheme: point.scheme,
-        rf_size: point.rf_size,
-        warmup: point.warmup,
-        measure: point.measure,
-        collect_events: point.collect_events,
-        audit: session.audit,
-        telemetry: session.telemetry.clone(),
-    };
-    run(&cfg, program, &spec)
+    run(cfg, program, point.warmup, point.measure)
 }
 
 #[cfg(test)]

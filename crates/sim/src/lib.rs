@@ -31,5 +31,5 @@ pub use config::{table1, SimConfig};
 pub use differential::{run_differential, DifferentialReport, SchemeStream};
 pub use executor::{execute_session, FailureKind, PointFailure, PointOutcome};
 pub use matrix::{CoreTweak, RunMatrix, SimPoint};
-pub use runner::{run, RunResult, RunSpec};
+pub use runner::{run, RunResult};
 pub use session::Session;

@@ -1,44 +1,11 @@
 //! The measurement runner: warmup + measured window over one workload.
 
-use atr_core::{RegLifetime, ReleaseKind, ReleaseScheme};
+use atr_core::{RegLifetime, ReleaseKind};
 use atr_pipeline::telemetry::hist_names;
 use atr_pipeline::{CoreConfig, CoreStats, OooCore};
-use atr_telemetry::{Log2Hist, RunTelemetry, TelemetryConfig};
-use atr_workload::{Oracle, Program, SpecProfile};
+use atr_telemetry::{Log2Hist, RunTelemetry};
+use atr_workload::{Oracle, Program};
 use std::sync::Arc;
-
-/// One run's parameters.
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Release scheme under test.
-    pub scheme: ReleaseScheme,
-    /// Physical register file size (applied to both classes, like the
-    /// paper's sweeps).
-    pub rf_size: usize,
-    /// Warmup instructions (not measured).
-    pub warmup: u64,
-    /// Measured instructions.
-    pub measure: u64,
-    /// Collect the per-allocation lifetime log (analysis figures).
-    pub collect_events: bool,
-    /// Attach the cycle-level invariant auditor ([`atr_core::audit`]).
-    /// Purely a checking knob: audited runs produce bit-identical
-    /// results, they just panic on the first broken release invariant.
-    pub audit: bool,
-    /// Observer configuration (CPI stack, histograms, trace). Like
-    /// `audit`, pure observation: results are bit-identical at every
-    /// level, so this is excluded from memoization keys.
-    pub telemetry: TelemetryConfig,
-}
-
-impl RunSpec {
-    /// Enables lifetime-event collection.
-    #[must_use]
-    pub fn with_events(mut self) -> Self {
-        self.collect_events = true;
-        self
-    }
-}
 
 /// Result of one measured run.
 #[derive(Debug, Clone)]
@@ -51,28 +18,28 @@ pub struct RunResult {
     pub avg_fp_occupancy: f64,
     /// Cumulative whole-run statistics.
     pub stats: CoreStats,
-    /// Lifetime records (empty unless requested).
+    /// Lifetime records (empty unless `rename.collect_events` was set).
     pub lifetimes: Vec<RegLifetime>,
     /// What the observer recorded (empty when `ATR_TELEMETRY=off`).
     pub telemetry: RunTelemetry,
 }
 
-/// Runs `program` under `spec` on top of `base` (everything except
-/// scheme/RF size/event collection is taken from `base`).
+/// Runs `program` on the core `cfg` describes: `warmup` unmeasured
+/// instructions, then `measure` measured ones. `cfg` is the whole run
+/// description, scheme, RF size, event collection, auditing and
+/// telemetry included.
 #[must_use]
-pub fn run(base: &CoreConfig, program: Arc<Program>, spec: &RunSpec) -> RunResult {
-    let mut cfg = base.clone().with_rf_size(spec.rf_size).with_scheme(spec.scheme);
+pub fn run(mut cfg: CoreConfig, program: Arc<Program>, warmup: u64, measure: u64) -> RunResult {
+    let requested_events = cfg.rename.collect_events;
     // Stats-level telemetry derives the lifetime/claim histograms from
     // the lifetime log, so it forces collection on. Collection is
     // observation-only (pinned by
     // `executor::tests::event_collection_does_not_change_timing`), so
     // the forced log cannot perturb the timed result.
-    cfg.rename.collect_events = spec.collect_events || spec.telemetry.stats_enabled();
-    cfg.rename.audit = spec.audit;
-    cfg.telemetry = spec.telemetry.clone();
+    cfg.rename.collect_events |= cfg.telemetry.stats_enabled();
     let mut core = OooCore::new(cfg, Oracle::new(program));
-    let s0 = if spec.warmup > 0 { core.run(spec.warmup) } else { core.snapshot_stats() };
-    let s1 = core.run(spec.measure);
+    let s0 = if warmup > 0 { core.run(warmup) } else { core.snapshot_stats() };
+    let s1 = core.run(measure);
     let cycles = (s1.cycles - s0.cycles).max(1);
     let ipc = (s1.retired - s0.retired) as f64 / cycles as f64;
     let avg_int = (s1.int_prf_occupancy_sum - s0.int_prf_occupancy_sum) as f64 / cycles as f64;
@@ -85,7 +52,7 @@ pub fn run(base: &CoreConfig, program: Arc<Program>, spec: &RunSpec) -> RunResul
         stats: s1,
         // Only the *requested* log is surfaced: a telemetry-forced log
         // stays private so results stay bit-identical to an off run.
-        lifetimes: if spec.collect_events { core.lifetime_log().to_vec() } else { Vec::new() },
+        lifetimes: if requested_events { core.lifetime_log().to_vec() } else { Vec::new() },
         telemetry,
     }
 }
@@ -127,12 +94,6 @@ fn collect_telemetry(core: &mut OooCore) -> RunTelemetry {
     out
 }
 
-/// Convenience: run a named SPEC profile.
-#[must_use]
-pub fn run_profile(base: &CoreConfig, profile: &SpecProfile, spec: &RunSpec) -> RunResult {
-    run(base, profile.build(), spec)
-}
-
 /// Geometric mean of positive values (the paper's average speedups).
 ///
 /// An empty input yields `1.0` — the neutral speedup — rather than the
@@ -157,31 +118,27 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atr_core::ReleaseScheme;
     use atr_workload::ProfileParams;
 
-    fn quick_spec(scheme: ReleaseScheme, rf: usize) -> RunSpec {
-        RunSpec {
-            scheme,
-            rf_size: rf,
-            warmup: 2_000,
-            measure: 10_000,
-            collect_events: false,
-            audit: false,
-            telemetry: TelemetryConfig::default(),
-        }
+    const WARMUP: u64 = 2_000;
+    const MEASURE: u64 = 10_000;
+
+    fn quick(scheme: ReleaseScheme, rf: usize) -> CoreConfig {
+        CoreConfig::default().with_rf_size(rf).with_scheme(scheme)
     }
 
     #[test]
     fn stats_telemetry_fills_cpi_and_derived_histograms() {
-        use atr_telemetry::{CpiBucket, TelemetryLevel};
+        use atr_telemetry::{CpiBucket, TelemetryConfig, TelemetryLevel};
         let program = ProfileParams::default().build();
-        let mut spec = quick_spec(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
-        spec.telemetry = TelemetryConfig {
+        let cfg = quick(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
+        let stats = TelemetryConfig {
             level: TelemetryLevel::Stats,
             series_interval: 100,
             ..TelemetryConfig::default()
         };
-        let r = run(&CoreConfig::default(), program.clone(), &spec);
+        let r = run(cfg.clone().with_telemetry(stats), program.clone(), WARMUP, MEASURE);
         let cpi = r.telemetry.cpi.as_ref().expect("stats level records a CPI stack");
         cpi.check().unwrap();
         // The core's cycle counter has origin 1, so the observer sees
@@ -197,8 +154,7 @@ mod tests {
         assert!(r.lifetimes.is_empty(), "telemetry-forced log must stay private");
 
         // The observer never perturbs the simulated result.
-        spec.telemetry = TelemetryConfig::default();
-        let off = run(&CoreConfig::default(), program, &spec);
+        let off = run(cfg, program, WARMUP, MEASURE);
         assert_eq!(off.ipc.to_bits(), r.ipc.to_bits());
         assert_eq!(off.stats.cycles, r.stats.cycles);
         assert!(off.telemetry.is_empty());
@@ -207,7 +163,7 @@ mod tests {
     #[test]
     fn measured_window_excludes_warmup() {
         let program = ProfileParams::default().build();
-        let r = run(&CoreConfig::default(), program, &quick_spec(ReleaseScheme::Baseline, 128));
+        let r = run(quick(ReleaseScheme::Baseline, 128), program, WARMUP, MEASURE);
         assert!(r.ipc > 0.05, "ipc {}", r.ipc);
         assert!(r.stats.retired >= 12_000);
         assert!(r.avg_int_occupancy > 16.0, "occupancy {}", r.avg_int_occupancy);
@@ -216,9 +172,9 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let program = ProfileParams::default().build();
-        let spec = quick_spec(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
-        let a = run(&CoreConfig::default(), program.clone(), &spec);
-        let b = run(&CoreConfig::default(), program, &spec);
+        let cfg = quick(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
+        let a = run(cfg.clone(), program.clone(), WARMUP, MEASURE);
+        let b = run(cfg, program, WARMUP, MEASURE);
         assert_eq!(a.ipc, b.ipc);
         assert_eq!(a.stats.flushes, b.stats.flushes);
     }
@@ -226,10 +182,9 @@ mod tests {
     #[test]
     fn events_are_collected_on_request() {
         let program = ProfileParams::default().build();
-        let spec = quick_spec(ReleaseScheme::Baseline, 128).with_events();
-        let mut spec = spec;
-        spec.measure = 5_000;
-        let r = run(&CoreConfig::default(), program, &spec);
+        let mut cfg = quick(ReleaseScheme::Baseline, 128);
+        cfg.rename.collect_events = true;
+        let r = run(cfg, program, WARMUP, 5_000);
         assert!(!r.lifetimes.is_empty());
     }
 

@@ -105,7 +105,7 @@ impl Session {
             |name: &str| lookup(name).map(|v| v.trim().to_owned()).filter(|v| !v.is_empty());
         Session {
             threads,
-            progress: lookup("ATR_SIM_PROGRESS").is_none_or(|v| v != "0"),
+            progress: lookup("ATR_SIM_PROGRESS").is_none_or(|v| v.trim() != "0"),
             audit: lookup("ATR_AUDIT").is_some_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             telemetry: TelemetryConfig::from_lookup(&lookup),
             telemetry_out: non_blank("ATR_TELEMETRY_OUT").map(PathBuf::from),
@@ -216,6 +216,7 @@ mod tests {
         assert_eq!(s.threads, 3);
         assert!(!s.progress && s.audit);
         assert!(parse(&[("ATR_SIM_PROGRESS", "1")]).progress);
+        assert!(!parse(&[("ATR_SIM_PROGRESS", " 0 ")]).progress);
         assert!(!parse(&[("ATR_AUDIT", "0")]).audit);
         assert!(!parse(&[("ATR_AUDIT", " ")]).audit);
         // Malformed or zero counts warn and keep the machine default.

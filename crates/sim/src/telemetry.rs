@@ -135,26 +135,21 @@ pub fn emit_lines(lines: &[String], out: Option<&Path>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, RunSpec};
+    use crate::runner::run;
     use atr_core::ReleaseScheme;
     use atr_pipeline::CoreConfig;
     use atr_telemetry::{TelemetryConfig, TelemetryLevel};
     use atr_workload::ProfileParams;
 
     fn telemetry_result() -> RunResult {
-        let spec = RunSpec {
-            scheme: ReleaseScheme::Atr { redefine_delay: 0 },
-            rf_size: 96,
-            warmup: 1_000,
-            measure: 5_000,
-            collect_events: false,
-            audit: false,
-            telemetry: TelemetryConfig {
+        let cfg = CoreConfig::default()
+            .with_rf_size(96)
+            .with_scheme(ReleaseScheme::Atr { redefine_delay: 0 })
+            .with_telemetry(TelemetryConfig {
                 level: TelemetryLevel::Stats,
                 ..TelemetryConfig::default()
-            },
-        };
-        run(&CoreConfig::default(), ProfileParams::default().build(), &spec)
+            });
+        run(cfg, ProfileParams::default().build(), 1_000, 5_000)
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use atr_core::ReleaseScheme;
 use atr_pipeline::CoreConfig;
-use atr_sim::runner::{run_profile, RunSpec};
+use atr_sim::run;
 use atr_telemetry::{CpiBucket, TelemetryConfig, TelemetryLevel};
 use atr_workload::spec::all_profiles;
 
@@ -16,16 +16,12 @@ const SCHEMES: [ReleaseScheme; 4] = [
     ReleaseScheme::Combined { redefine_delay: 0 },
 ];
 
-fn spec(scheme: ReleaseScheme, rf: usize, warmup: u64, measure: u64) -> RunSpec {
-    RunSpec {
-        scheme,
-        rf_size: rf,
-        warmup,
-        measure,
-        collect_events: false,
-        audit: false,
-        telemetry: TelemetryConfig { level: TelemetryLevel::Stats, ..TelemetryConfig::default() },
-    }
+/// A stats-level core at `rf` registers under `scheme`.
+fn stats_core(scheme: ReleaseScheme, rf: usize) -> CoreConfig {
+    CoreConfig::default().with_rf_size(rf).with_scheme(scheme).with_telemetry(TelemetryConfig {
+        level: TelemetryLevel::Stats,
+        ..TelemetryConfig::default()
+    })
 }
 
 /// The `Σ slots == width × cycles` invariant must hold for every scheme
@@ -33,10 +29,9 @@ fn spec(scheme: ReleaseScheme, rf: usize, warmup: u64, measure: u64) -> RunSpec 
 /// seconds-scale sweep while still crossing every attribution path.
 #[test]
 fn cpi_invariant_holds_for_all_schemes_and_profiles() {
-    let base = CoreConfig::default();
     for profile in &all_profiles() {
         for scheme in SCHEMES {
-            let r = run_profile(&base, profile, &spec(scheme, 64, 500, 2_000));
+            let r = run(stats_core(scheme, 64), profile.build(), 500, 2_000);
             let cpi = r
                 .telemetry
                 .cpi
@@ -60,11 +55,10 @@ fn cpi_invariant_holds_for_all_schemes_and_profiles() {
 /// strictly shrink the freelist-stall bucket relative to the baseline.
 #[test]
 fn freelist_stall_bucket_shrinks_under_atr() {
-    let base = CoreConfig::default();
     let profiles = all_profiles();
     let pressured = profiles.iter().find(|p| p.name == "548.exchange2_r").expect("profile exists");
     let stalls = |scheme: ReleaseScheme| {
-        let r = run_profile(&base, pressured, &spec(scheme, 64, 2_000, 20_000));
+        let r = run(stats_core(scheme, 64), pressured.build(), 2_000, 20_000);
         r.telemetry.cpi.as_ref().expect("stats level").get(CpiBucket::FreelistStall)
     };
     let baseline = stalls(ReleaseScheme::Baseline);
@@ -81,13 +75,12 @@ fn freelist_stall_bucket_shrinks_under_atr() {
 /// IPC — must be bit-identical across off, stats, and trace levels.
 #[test]
 fn telemetry_levels_never_perturb_core_stats() {
-    let base = CoreConfig::default();
     let profiles = all_profiles();
     let profile = profiles.iter().find(|p| p.name == "505.mcf_r").expect("profile exists");
     let run_at = |level: TelemetryLevel| {
-        let mut s = spec(ReleaseScheme::Combined { redefine_delay: 0 }, 96, 500, 4_000);
-        s.telemetry.level = level;
-        run_profile(&base, profile, &s)
+        let mut cfg = stats_core(ReleaseScheme::Combined { redefine_delay: 0 }, 96);
+        cfg.telemetry.level = level;
+        run(cfg, profile.build(), 500, 4_000)
     };
     let off = run_at(TelemetryLevel::Off);
     let stats = run_at(TelemetryLevel::Stats);

@@ -13,6 +13,10 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings"
+# Broken intra-doc links are what a deletion leaves behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== no process-environment mutation in the workspace"
 # Knobs are parsed from an explicit lookup (Session::from_lookup), so no
 # code or test needs to write the process environment; a test that did

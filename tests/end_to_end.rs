@@ -4,25 +4,27 @@
 use atr::core::ReleaseScheme;
 use atr::isa::RegClass;
 use atr::pipeline::{CoreConfig, OooCore};
-use atr::sim::{run, RunSpec};
+use atr::sim::run;
 use atr::workload::{spec, Oracle, ProfileParams};
 
-fn quick(scheme: ReleaseScheme, rf: usize) -> RunSpec {
-    RunSpec {
-        scheme,
-        rf_size: rf,
-        warmup: 3_000,
-        measure: 15_000,
-        collect_events: false,
-        audit: false,
-        telemetry: atr::telemetry::TelemetryConfig::default(),
-    }
+const WARMUP: u64 = 3_000;
+const MEASURE: u64 = 15_000;
+
+fn quick(scheme: ReleaseScheme, rf: usize) -> CoreConfig {
+    CoreConfig::default().with_rf_size(rf).with_scheme(scheme)
+}
+
+/// A baseline core at 280 registers that records the lifetime log.
+fn with_events() -> CoreConfig {
+    let mut cfg = quick(ReleaseScheme::Baseline, 280);
+    cfg.rename.collect_events = true;
+    cfg
 }
 
 #[test]
 fn umbrella_crate_exposes_the_full_stack() {
     let program = spec::spec2017_int()[0].build();
-    let result = run(&CoreConfig::default(), program, &quick(ReleaseScheme::Baseline, 128));
+    let result = run(quick(ReleaseScheme::Baseline, 128), program, WARMUP, MEASURE);
     assert!(result.ipc > 0.05);
     assert!(result.stats.retired >= 15_000);
 }
@@ -35,8 +37,7 @@ fn fig6_pipeline_agrees_with_paper_band() {
     let mut int_sum = 0.0;
     let mut n = 0.0;
     for p in spec::spec2017_int().iter().take(4) {
-        let spec = RunSpec { collect_events: true, ..quick(ReleaseScheme::Baseline, 280) };
-        let r = run(&CoreConfig::default(), p.build(), &spec);
+        let r = run(with_events(), p.build(), WARMUP, MEASURE);
         let ratios = atr::analysis::region_ratios(&r.lifetimes, RegClass::Int, true);
         int_sum += ratios.atomic;
         n += 1.0;
@@ -49,14 +50,10 @@ fn fig6_pipeline_agrees_with_paper_band() {
 fn scheme_ordering_holds_under_pressure_across_profiles() {
     for name in ["perlbench", "cactu"] {
         let program = spec::find_profile(name).unwrap().build();
-        let base =
-            run(&CoreConfig::default(), program.clone(), &quick(ReleaseScheme::Baseline, 64)).ipc;
-        let combined = run(
-            &CoreConfig::default(),
-            program,
-            &quick(ReleaseScheme::Combined { redefine_delay: 0 }, 64),
-        )
-        .ipc;
+        let base = run(quick(ReleaseScheme::Baseline, 64), program.clone(), WARMUP, MEASURE).ipc;
+        let combined =
+            run(quick(ReleaseScheme::Combined { redefine_delay: 0 }, 64), program, WARMUP, MEASURE)
+                .ipc;
         assert!(
             combined >= base * 0.995,
             "{name}: combined {combined} must not lose to baseline {base}"
@@ -67,8 +64,7 @@ fn scheme_ordering_holds_under_pressure_across_profiles() {
 #[test]
 fn lifetime_analysis_composes_with_simulation() {
     let program = ProfileParams { seed: 77, ..ProfileParams::default() }.build();
-    let spec = RunSpec { collect_events: true, ..quick(ReleaseScheme::Baseline, 280) };
-    let r = run(&CoreConfig::default(), program, &spec);
+    let r = run(with_events(), program, WARMUP, MEASURE);
     let life = atr::analysis::lifecycle_breakdown(&r.lifetimes, RegClass::Int);
     assert!(life.samples > 500);
     let total = life.in_use + life.unused + life.verified_unused;

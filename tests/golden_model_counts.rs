@@ -16,7 +16,7 @@
 
 use atr::core::ReleaseScheme;
 use atr::pipeline::CoreConfig;
-use atr::sim::{run, RunSpec};
+use atr::sim::run;
 use atr::telemetry::{TelemetryConfig, TelemetryLevel};
 use atr::workload::spec;
 
@@ -45,16 +45,12 @@ fn render_all() -> String {
                     } else {
                         TelemetryConfig { level: TelemetryLevel::Stats, ..Default::default() }
                     };
-                    let spec = RunSpec {
-                        scheme,
-                        rf_size,
-                        warmup: WARMUP,
-                        measure: MEASURE,
-                        collect_events: false,
-                        audit,
-                        telemetry,
-                    };
-                    let r = run(&CoreConfig::default(), program.clone(), &spec);
+                    let cfg = CoreConfig::default()
+                        .with_rf_size(rf_size)
+                        .with_scheme(scheme)
+                        .with_audit(audit)
+                        .with_telemetry(telemetry);
+                    let r = run(cfg, program.clone(), WARMUP, MEASURE);
                     let mode = if audit { "audit" } else { "stats" };
                     let cpi = r.telemetry.cpi.map(|c| format!("{:?}", c.slots));
                     out.push_str(&format!(
