@@ -7,7 +7,7 @@
 //! workers.
 //!
 //! Budget: `ATR_SIM_WARMUP` / `ATR_SIM_INSTS` per point. A full pass at
-//! the default 40k + 160k takes about 125 s on two workers of a 2-vCPU
+//! the default 40k + 160k takes about 95 s on two workers of a 2-vCPU
 //! VM. Narrative goes to stderr (`ATR_LOG`), so with `ATR_TELEMETRY=stats`
 //! stdout is pure JSONL, one run-telemetry record per simulated point.
 //!

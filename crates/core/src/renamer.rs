@@ -556,7 +556,7 @@ impl Renamer {
 
     fn mark_all_live(&mut self, is_branch: bool) {
         self.markings += 1;
-        for (a, p) in self.srt.live().collect::<Vec<_>>() {
+        for (a, p) in self.srt.live() {
             let prf = self.prf.get_mut(a.class());
             prf.mark_no_early_release(p, is_branch);
             let ev = prf.get(p).event;

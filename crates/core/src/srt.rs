@@ -1,17 +1,24 @@
 //! The speculative rename table (SRT / RAT).
 
 use crate::ptag::{PTag, PerClass};
-use atr_isa::{ArchReg, RegClass};
+use atr_isa::{ArchReg, RegClass, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};
+
+/// Architectural registers per class: both classes have the same count,
+/// so one fixed array type holds either class's mappings.
+const CLASS_REGS: usize = NUM_INT_ARCH_REGS;
+const _: () = assert!(NUM_FP_ARCH_REGS == CLASS_REGS);
 
 /// The speculative renaming table: the current architectural →
 /// physical mapping for both register classes (§4.2.1).
 ///
 /// The table is checkpointed on branches (policy-dependent) and restored
 /// on flushes; walk-based recovery instead rebuilds it from the
-/// committed RAT plus the surviving ROB mappings.
+/// committed RAT plus the surviving ROB mappings. Each class is a fixed
+/// array of physical register indices, so a checkpoint is a plain
+/// 64-byte copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RenameTable {
-    map: PerClass<Vec<PTag>>,
+    map: PerClass<[u16; CLASS_REGS]>,
 }
 
 impl RenameTable {
@@ -19,24 +26,25 @@ impl RenameTable {
     /// class maps to physical register `i` of that class.
     #[must_use]
     pub fn identity() -> Self {
-        RenameTable {
-            map: PerClass::from_fn(|class| {
-                (0..class.arch_reg_count() as u32).map(|i| PTag::new(class, i)).collect()
-            }),
-        }
+        RenameTable { map: PerClass::from_fn(|_| std::array::from_fn(|i| i as u16)) }
     }
 
     /// Current mapping of `reg`.
     #[must_use]
     pub fn get(&self, reg: ArchReg) -> PTag {
-        self.map.get(reg.class())[reg.index() as usize]
+        PTag::new(reg.class(), self.map.get(reg.class())[reg.index() as usize].into())
     }
 
     /// Remaps `reg` to `tag`, returning the previous mapping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag`'s index does not fit in 16 bits.
     pub fn set(&mut self, reg: ArchReg, tag: PTag) -> PTag {
         debug_assert_eq!(reg.class(), tag.class(), "cross-class rename");
+        let index = u16::try_from(tag.index()).expect("physical register index above 65535");
         let slot = &mut self.map.get_mut(reg.class())[reg.index() as usize];
-        std::mem::replace(slot, tag)
+        PTag::new(reg.class(), std::mem::replace(slot, index).into())
     }
 
     /// Every live mapping, both classes: `(arch, ptag)` pairs. This is
@@ -47,13 +55,13 @@ impl RenameTable {
                 .get(class)
                 .iter()
                 .enumerate()
-                .map(move |(i, &t)| (ArchReg::new(class, i as u8), t))
+                .map(move |(i, &t)| (ArchReg::new(class, i as u8), PTag::new(class, t.into())))
         })
     }
 
     /// The live mappings of one class only.
     pub fn live_class(&self, class: RegClass) -> impl Iterator<Item = PTag> + '_ {
-        self.map.get(class).iter().copied()
+        self.map.get(class).iter().map(move |&t| PTag::new(class, t.into()))
     }
 }
 

@@ -36,13 +36,7 @@ impl GlobalHistory {
     #[must_use]
     pub fn low(&self, n: usize) -> u64 {
         assert!(n <= 64, "low() supports at most 64 bits");
-        if n == 0 {
-            0
-        } else if n == 64 {
-            self.bits[0]
-        } else {
-            self.bits[0] & ((1u64 << n) - 1)
-        }
+        self.bits[0] & low_mask(n)
     }
 
     /// Raw bit `i` (0 = youngest).
@@ -52,7 +46,20 @@ impl GlobalHistory {
         (self.bits[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// XOR-folds the youngest `len` history bits into `width` bits.
+    /// Bits `[i, i + n)` (`n <= 64`, `i + n <= MAX_HISTORY_BITS`) as an
+    /// integer, youngest at bit 0.
+    fn window(&self, i: usize, n: usize) -> u64 {
+        let (word, off) = (i / 64, i % 64);
+        let mut v = self.bits[word] >> off;
+        if off > 0 && word + 1 < self.bits.len() {
+            v |= self.bits[word + 1] << (64 - off);
+        }
+        v & low_mask(n)
+    }
+
+    /// XOR-folds the youngest `len` history bits into `width` bits:
+    /// the XOR of the consecutive `width`-bit chunks, youngest first
+    /// (the last chunk may be short).
     ///
     /// # Panics
     ///
@@ -65,16 +72,20 @@ impl GlobalHistory {
         let mut acc = 0u64;
         let mut i = 0;
         while i < len {
-            let take = (len - i).min(width).min(64);
-            // Extract bits [i, i+take).
-            let mut chunk = 0u64;
-            for b in 0..take {
-                chunk |= u64::from(self.bit(i + b)) << b;
-            }
-            acc ^= chunk;
+            let take = (len - i).min(width);
+            acc ^= self.window(i, take);
             i += take;
         }
-        acc & if width == 64 { u64::MAX } else { (1u64 << width) - 1 }
+        acc
+    }
+}
+
+/// The low `n` bits set (`n <= 64`).
+fn low_mask(n: usize) -> u64 {
+    if n == 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -168,6 +179,48 @@ mod tests {
             hi |= u64::from(h.bit(8 + b)) << b;
         }
         assert_eq!(h.fold(16, 8), lo ^ hi);
+    }
+
+    /// The bit-by-bit fold the word-wise [`GlobalHistory::fold`]
+    /// replaced: the reference it must equal.
+    fn fold_bitwise(h: &GlobalHistory, len: usize, width: usize) -> u64 {
+        let mut acc = 0u64;
+        let mut i = 0;
+        while i < len {
+            let take = (len - i).min(width);
+            let mut chunk = 0u64;
+            for b in 0..take {
+                chunk |= u64::from(h.bit(i + b)) << b;
+            }
+            acc ^= chunk;
+            i += take;
+        }
+        acc
+    }
+
+    #[test]
+    fn wordwise_fold_equals_the_bit_loop_for_every_length_and_width() {
+        // Every (len, width) pair, so TAGE's (4..=128, 11/9/8) and
+        // gshare's (12, 12) and (16, 14) are all covered.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..24 {
+            let mut h = GlobalHistory::new();
+            for _ in 0..MAX_HISTORY_BITS {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                h.push(state & 1 == 1);
+            }
+            for len in 0..=MAX_HISTORY_BITS {
+                for width in 1..=64 {
+                    assert_eq!(
+                        h.fold(len, width),
+                        fold_bitwise(&h, len, width),
+                        "len {len} width {width} history {h:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

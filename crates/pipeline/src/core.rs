@@ -15,10 +15,12 @@
 use crate::config::CoreConfig;
 use crate::iq::IssueQueue;
 use crate::lsq::{LoadCheck, Lsq};
-use crate::rob::{CompletionQueue, Rob, RobEntry, RobState};
+use crate::rob::{CompletionQueue, Rob, RobEntry, RobId, RobState};
 use crate::stats::CoreStats;
 use crate::telemetry::{CoreTelemetry, CycleView};
-use atr_core::{CheckpointPolicy, PTag, RegLifetime, RenameAuditor, Renamer};
+use atr_core::{
+    CheckpointPolicy, FlushRecord, PTag, RegLifetime, RenameAuditor, Renamer, SrtCheckpoint,
+};
 use atr_frontend::{Bpu, Prediction};
 use atr_isa::{ArchReg, DynInst, FuKind, InstSeq, OpClass, RegClass};
 use atr_mem::{AccessKind, MemoryHierarchy, ServiceLevel};
@@ -96,7 +98,11 @@ pub struct OooCore {
     /// Issued entries by completion cycle (writeback's event source).
     completions: CompletionQueue,
     /// Writeback's reused buffer of this cycle's due completions.
-    due: Vec<InstSeq>,
+    due: Vec<RobId>,
+    /// The flush walk's reused buffer of squashed entries' records.
+    flush_records: Vec<FlushRecord>,
+    /// The flush recovery's reused buffer of surviving mappings.
+    survivors: Vec<(ArchReg, PTag)>,
     lsq: Lsq,
     frontend: VecDeque<Fetched>,
     // Fetch state.
@@ -149,9 +155,11 @@ impl OooCore {
             mem: MemoryHierarchy::new(&cfg.mem),
             renamer: Renamer::new(&cfg.rename),
             rob: Rob::new(cfg.rob_size),
-            iq: IssueQueue::new(cfg.rs_size),
+            iq: IssueQueue::new(cfg.rs_size, cfg.rob_size),
             completions: CompletionQueue::new(),
             due: Vec::new(),
+            flush_records: Vec::new(),
+            survivors: Vec::new(),
             lsq: Lsq::new(cfg.load_buffer, cfg.store_buffer),
             frontend: VecDeque::new(),
             fetch_pc: program.entry(),
@@ -517,17 +525,6 @@ impl OooCore {
         }
     }
 
-    /// Records one flush's squash set: histogram plus trace events.
-    fn observe_flush(&mut self, squashed: &[RobEntry], cause: &str) {
-        let Some(t) = self.telemetry.as_mut() else { return };
-        t.flush_walk_len.record(squashed.len() as u64);
-        if t.tracing() {
-            for e in squashed {
-                t.trace.push(e.inst.seq, self.cycle, TraceStage::Flush, cause);
-            }
-        }
-    }
-
     // ----------------------------------------------------------- fetch
 
     /// Returns whether fetch touched the I-cache (any fetch activity).
@@ -700,14 +697,8 @@ impl OooCore {
             // queue; its result register is the (already tracked)
             // source.
             let eliminated = uop.pdst.is_none() && uop.alias.is_some();
-            if !eliminated {
-                let renamer = &self.renamer;
-                self.iq.insert(
-                    seq,
-                    uop.psrcs.iter().flatten().copied().filter(|&p| !renamer.is_ready(p)),
-                );
-            }
-            self.rob.push(RobEntry {
+            let psrcs = uop.psrcs;
+            let id = self.rob.push(RobEntry {
                 inst: f.inst,
                 uop,
                 state: if eliminated { RobState::Completed } else { RobState::Dispatched },
@@ -715,10 +706,17 @@ impl OooCore {
                 prediction: f.prediction,
                 mispredicted: f.mispredicted,
                 checkpoint,
-                precommitted: false,
                 renamed_at: self.cycle,
                 mem_level: None,
             });
+            if !eliminated {
+                let renamer = &self.renamer;
+                self.iq.insert(
+                    id,
+                    seq,
+                    psrcs.iter().flatten().copied().filter(|&p| !renamer.is_ready(p)),
+                );
+            }
             self.trace_event(seq, TraceStage::Rename, "");
         }
         active
@@ -734,11 +732,11 @@ impl OooCore {
             FuPorts { alu: self.cfg.num_alu, load: self.cfg.num_load, store: self.cfg.num_store };
         let mut active = false;
         let mut idx = 0;
-        while let Some(&seq) = self.iq.ready().get(idx) {
+        while let Some(&id) = self.iq.ready().get(idx) {
             if ports.alu == 0 && ports.load == 0 && ports.store == 0 {
                 break;
             }
-            if self.try_issue(seq, &mut ports) {
+            if self.try_issue(id, &mut ports) {
                 self.iq.issue(idx);
                 active = true;
             } else {
@@ -748,11 +746,12 @@ impl OooCore {
         active
     }
 
-    /// Issues the ready entry `seq` if a port of its kind is free, the
+    /// Issues the ready entry `id` if a port of its kind is free, the
     /// divider is idle (for divides) and no older store blocks it (for
     /// loads). Returns whether it issued.
-    fn try_issue(&mut self, seq: InstSeq, ports: &mut FuPorts) -> bool {
-        let entry = self.rob.get(seq).expect("ready entry is in the ROB");
+    fn try_issue(&mut self, id: RobId, ports: &mut FuPorts) -> bool {
+        let entry = self.rob.get(id).expect("ready entry is in the ROB");
+        let seq = entry.inst.seq;
         let class = entry.inst.sinst.class;
         let psrcs = entry.uop.psrcs;
         let mem_addr = entry.inst.outcome.mem_addr;
@@ -801,11 +800,11 @@ impl OooCore {
             }
         };
 
-        let entry = self.rob.get_mut(seq).expect("entry exists");
+        let entry = self.rob.get_mut(id).expect("entry exists");
         entry.state = RobState::Issued;
         entry.complete_at = complete_at;
         entry.mem_level = mem_level;
-        self.completions.push(complete_at, seq);
+        self.completions.push(complete_at, id);
         self.renamer.on_issue(&psrcs, self.cycle);
         self.trace_event(seq, TraceStage::Issue, "");
         true
@@ -818,78 +817,120 @@ impl OooCore {
     fn writeback(&mut self) -> bool {
         let mut due = std::mem::take(&mut self.due);
         self.completions.pop_due(self.cycle, &mut due);
-        let mut resolved_mispredict: Option<InstSeq> = None;
-        for &seq in &due {
-            let (pdst, is_cf, on_wp, mispredicted, renamed_at) = {
-                let e = self.rob.get_mut(seq).expect("completing entry");
-                e.state = RobState::Completed;
-                (
-                    e.uop.pdst,
-                    e.inst.sinst.class.is_control_flow(),
-                    e.inst.on_wrong_path,
-                    e.mispredicted,
-                    e.renamed_at,
-                )
-            };
+        let mut resolved_mispredict: Option<RobId> = None;
+        for &id in &due {
+            let e = self.rob.get_mut(id).expect("completing entry");
+            e.state = RobState::Completed;
+            let (seq, pdst) = (e.inst.seq, e.uop.pdst);
             if let Some(p) = pdst {
                 self.renamer.set_ready(p);
                 self.iq.wake(p);
             }
             self.trace_event(seq, TraceStage::Exec, "");
-            if is_cf && !on_wp {
+            let e = self.rob.get(id).expect("completing entry");
+            if e.inst.sinst.class.is_control_flow() && !e.inst.on_wrong_path {
                 if let Some(t) = self.telemetry.as_mut() {
-                    t.branch_resolution.record(self.cycle.saturating_sub(renamed_at));
+                    t.branch_resolution.record(self.cycle.saturating_sub(e.renamed_at));
                 }
                 // Train at resolve with the architectural outcome.
-                let e = self.rob.get(seq).expect("entry");
-                let (sinst, taken, target) = (e.inst.sinst, e.inst.taken(), e.inst.next_pc());
-                if let Some(pred) = e.prediction.clone() {
-                    self.bpu.train(&sinst, &pred.snapshot, taken, target);
+                if let Some(pred) = &e.prediction {
+                    self.bpu.train(&e.inst.sinst, &pred.snapshot, e.inst.taken(), e.inst.next_pc());
                 }
-                if mispredicted {
+                if e.mispredicted {
                     debug_assert!(resolved_mispredict.is_none(), "two live on-path mispredicts");
-                    resolved_mispredict = Some(seq);
+                    resolved_mispredict = Some(id);
                 }
             }
         }
         let active = !due.is_empty();
         self.due = due;
-        if let Some(seq) = resolved_mispredict {
-            self.handle_mispredict(seq);
+        if let Some(id) = resolved_mispredict {
+            self.handle_mispredict(id);
         }
         active
     }
 
-    /// The architectural mappings still live after a squash: every
-    /// surviving ROB entry's destination, oldest first. Eliminated
-    /// moves map their destination to the *alias* (they allocated
-    /// nothing), hence `result_ptag`, not `pdst`.
-    fn surviving_mappings(&self) -> Vec<(ArchReg, PTag)> {
-        self.rob.iter().filter_map(|e| Some((e.uop.dst_arch?, e.uop.result_ptag()?))).collect()
+    /// Squashes everything in flight younger than the ROB entry `keep`
+    /// (everything when `None`): the ROB entries, youngest first,
+    /// through the reused flush-record buffer, the flush telemetry and
+    /// the renamer's flush walk; then the issue queue, the completion
+    /// queue, the load/store queues and the frontend pipe.
+    fn squash(&mut self, keep: Option<RobId>, cause: &str) {
+        let mut records = std::mem::take(&mut self.flush_records);
+        records.clear();
+        let cycle = self.cycle;
+        let mut trace = self.telemetry.as_deref_mut().filter(|t| t.tracing()).map(|t| &mut t.trace);
+        let visit = |e: &RobEntry| {
+            records.push(e.uop.flush_record(&e.inst.sinst, e.issued()));
+            if let Some(trace) = trace.as_mut() {
+                trace.push(e.inst.seq, cycle, TraceStage::Flush, cause);
+            }
+        };
+        let squashed = match keep {
+            Some(id) => self.rob.squash_younger(id, visit),
+            None => self.rob.squash_all(visit),
+        };
+        if let Some(t) = self.telemetry.as_mut() {
+            t.flush_walk_len.record(squashed as u64);
+        }
+        self.renamer.flush_walk(&records, cycle);
+        self.flush_records = records;
+        match keep {
+            Some(id) => {
+                let seq = self.rob.get(id).expect("the flush point survives").inst.seq;
+                self.iq.squash_younger(id);
+                self.completions.squash_younger(id);
+                self.lsq.squash_younger(seq);
+            }
+            None => {
+                self.iq.clear();
+                self.completions.clear();
+                self.lsq.clear();
+            }
+        }
+        self.frontend.clear();
     }
 
-    /// Cross-validates a finished SRT recovery against the walk
-    /// reconstruction when the auditor is attached.
-    fn audit_flush_restore(&mut self, survivors: &[(ArchReg, PTag)]) {
+    /// Rebuilds the SRT after a flush walk: from the flush point's
+    /// checkpoint when there is one, else from the committed RAT plus
+    /// the surviving ROB entries' mappings (the §4.2.1 walk). When the
+    /// auditor is attached it cross-validates the result against the
+    /// walk reconstruction. Eliminated moves map their destination to
+    /// the *alias* (they allocated nothing), hence `result_ptag`, not
+    /// `pdst`.
+    fn restore_srt(&mut self, checkpoint: Option<&SrtCheckpoint>) {
+        let mut survivors = std::mem::take(&mut self.survivors);
+        survivors.clear();
+        survivors
+            .extend(self.rob.iter().filter_map(|e| Some((e.uop.dst_arch?, e.uop.result_ptag()?))));
+        match checkpoint {
+            Some(cp) => self.renamer.restore_checkpoint(cp),
+            None => self.renamer.restore_from_committed(survivors.iter().copied()),
+        }
         if let Some(auditor) = self.auditor.as_mut() {
             auditor.enforce_flush_restore(&self.renamer, survivors.iter().copied(), self.cycle);
         }
+        self.survivors = survivors;
     }
 
-    fn handle_mispredict(&mut self, seq: InstSeq) {
+    /// Rewinds the frontend's speculative state to before the oldest
+    /// prediction among the ROB entries from position `from` on (the
+    /// ones a flush is about to squash). If none was made, the
+    /// histories contain only committed outcomes and are already
+    /// consistent.
+    fn restore_bpu_before(&mut self, from: usize) {
+        let oldest = self.rob.iter().skip(from).find_map(|e| e.prediction.as_ref());
+        if let Some(p) = oldest {
+            self.bpu.restore(&p.snapshot);
+        }
+    }
+
+    fn handle_mispredict(&mut self, id: RobId) {
         self.stats.flushes += 1;
-        let (sinst, prediction, checkpoint, taken, target, oracle_idx) = {
-            let e = self.rob.get_mut(seq).expect("mispredicted entry");
-            e.mispredicted = false;
-            (
-                e.inst.sinst,
-                e.prediction.clone().expect("control flow has a prediction"),
-                e.checkpoint.clone(),
-                e.inst.taken(),
-                e.inst.next_pc(),
-                e.inst.oracle_idx,
-            )
-        };
+        let e = self.rob.get_mut(id).expect("mispredicted entry");
+        e.mispredicted = false;
+        let (sinst, taken, target) = (e.inst.sinst, e.inst.taken(), e.inst.next_pc());
+        let (oracle_idx, checkpoint) = (e.inst.oracle_idx, e.checkpoint.clone());
         if sinst.class.is_conditional() {
             self.stats.cond_mispredicts += 1;
         } else {
@@ -898,24 +939,12 @@ impl OooCore {
 
         // Frontend recovery: restore speculative state, re-apply the
         // corrected outcome.
+        let prediction = e.prediction.as_ref().expect("control flow has a prediction");
         self.bpu.recover(&sinst, &prediction.snapshot, taken, target);
 
         // Backend recovery: squash, walk, restore the SRT.
-        let squashed = self.rob.squash_younger(seq);
-        self.observe_flush(&squashed, "mispredict");
-        let records: Vec<atr_core::FlushRecord> =
-            squashed.iter().map(|e| e.uop.flush_record(&e.inst.sinst, e.issued())).collect();
-        self.renamer.flush_walk(&records, self.cycle);
-        let survivors = self.surviving_mappings();
-        match checkpoint {
-            Some(cp) => self.renamer.restore_checkpoint(&cp),
-            None => self.renamer.restore_from_committed(survivors.iter().copied()),
-        }
-        self.audit_flush_restore(&survivors);
-        self.iq.squash_younger(seq);
-        self.completions.squash_younger(seq);
-        self.lsq.squash_younger(seq);
-        self.frontend.clear();
+        self.squash(Some(id), "mispredict");
+        self.restore_srt(checkpoint.as_ref());
 
         // Redirect fetch to the architectural path.
         self.on_wrong_path = false;
@@ -942,8 +971,7 @@ impl OooCore {
             None => return false,
         };
         let start = self.rob.precommitted_len();
-        let mut idx = start;
-        while let Some(e) = self.rob.at(idx) {
+        while let Some(e) = self.rob.at(self.rob.precommitted_len()) {
             // Bounded confirmation-tracking hardware: the pointer can
             // only run `precommit_lead` instructions past the head.
             if e.inst.seq.saturating_sub(head_seq) > self.cfg.precommit_lead as u64 {
@@ -972,14 +1000,12 @@ impl OooCore {
                 "wrong-path instruction precommitting: seq {} class {:?}",
                 e.inst.seq, e.inst.sinst.class
             );
-            let e = self.rob.at_mut(idx).expect("walked entry");
-            e.precommitted = true;
+            let e = self.rob.precommit();
             let seq = e.inst.seq;
             self.renamer.on_precommit(&mut e.uop, self.cycle);
             self.trace_event(seq, TraceStage::Precommit, "");
-            idx += 1;
         }
-        idx > start
+        self.rob.precommitted_len() > start
     }
 
     // ---------------------------------------------------------- commit
@@ -996,54 +1022,55 @@ impl OooCore {
                 }
                 break;
             }
-            if !head.completed() || !head.precommitted {
+            if !head.completed() || self.rob.precommitted_len() == 0 {
                 break;
             }
             assert!(
                 !head.inst.on_wrong_path,
-                "committing a wrong-path instruction: seq {} pc {:#x} class {:?} oracle_idx {} precommitted {}",
-                head.inst.seq, head.inst.sinst.pc, head.inst.sinst.class, head.inst.oracle_idx, head.precommitted
+                "committing a wrong-path instruction: seq {} pc {:#x} class {:?} oracle_idx {}",
+                head.inst.seq, head.inst.sinst.pc, head.inst.sinst.class, head.inst.oracle_idx
             );
 
             let head = self.rob.pop_head().expect("head exists");
+            let (inst, uop) = (head.inst, head.uop);
             active = true;
-            let seq = head.inst.seq;
-            match head.inst.sinst.class {
+            let seq = inst.seq;
+            match inst.sinst.class {
                 OpClass::Load => self.lsq.retire_load(seq),
                 OpClass::Store => {
                     // Stores write the cache after commit (drain from the
                     // store buffer); bandwidth is charged, commit is not
                     // stalled.
-                    let addr = head.inst.outcome.mem_addr.expect("store address");
+                    let addr = inst.outcome.mem_addr.expect("store address");
                     let _ = self.mem.access(AccessKind::Store, addr, self.cycle);
                     self.lsq.retire_store(seq);
                 }
                 OpClass::CondBranch => self.stats.cond_branches += 1,
                 _ => {}
             }
-            self.renamer.on_commit(&head.uop, self.cycle);
+            self.renamer.on_commit(&uop, self.cycle);
             if self.tracing() {
                 self.trace_event(seq, TraceStage::Commit, "");
                 // The conventional commit-path release of the previous
                 // mapping (ATR-claimed previous mappings were released
                 // back at the redefine, inside the renamer).
-                if head.uop.prev_ptag.is_some() && !head.uop.atr_freed_prev {
+                if uop.prev_ptag.is_some() && !uop.atr_freed_prev {
                     self.trace_event(seq, TraceStage::Release, "");
                 }
             }
             if let Some(log) = self.retire_log.as_mut() {
                 log.push(RetiredInst {
-                    oracle_idx: head.inst.oracle_idx,
-                    pc: head.inst.sinst.pc,
-                    next_pc: head.inst.next_pc(),
-                    taken: head.inst.taken(),
-                    mem_addr: head.inst.outcome.mem_addr,
+                    oracle_idx: inst.oracle_idx,
+                    pc: inst.sinst.pc,
+                    next_pc: inst.next_pc(),
+                    taken: inst.taken(),
+                    mem_addr: inst.outcome.mem_addr,
                 });
             }
             self.stats.retired += 1;
             self.last_commit_cycle = self.cycle;
             if self.stats.retired.is_multiple_of(4096) {
-                self.oracle.release_before(head.inst.oracle_idx);
+                self.oracle.release_before(inst.oracle_idx);
             }
         }
         active
@@ -1079,13 +1106,8 @@ impl OooCore {
                     self.stats.interrupt_wait_cycles += 1;
                     return false;
                 }
-                let newest_precommitted =
-                    self.rob.iter().take_while(|e| e.precommitted).last().map(|e| e.inst.seq);
-                let squashed = match newest_precommitted {
-                    Some(seq) => self.rob.squash_younger(seq),
-                    None => self.rob.squash_all(),
-                };
-                if squashed.is_empty() && !self.rob.is_empty() {
+                let precommitted = self.rob.precommitted_len();
+                if precommitted > 0 && precommitted == self.rob.len() {
                     // Everything in flight is precommitted: let commit
                     // drain it and retry.
                     self.stats.interrupt_wait_cycles += 1;
@@ -1097,9 +1119,10 @@ impl OooCore {
                 // mispredicted branch that never renamed); with nothing
                 // architectural discarded anywhere, the fetch cursor's
                 // oracle index is the continuation.
-                let resume_idx = squashed
+                let resume_idx = self
+                    .rob
                     .iter()
-                    .rev()
+                    .skip(precommitted)
                     .find(|e| !e.inst.on_wrong_path)
                     .map(|e| e.inst.oracle_idx)
                     .or_else(|| {
@@ -1111,32 +1134,11 @@ impl OooCore {
                     .unwrap_or(self.next_oracle_idx);
                 self.pending_interrupt = None;
                 self.stats.interrupts += 1;
-                self.observe_flush(&squashed, "interrupt");
-
-                let records: Vec<atr_core::FlushRecord> = squashed
-                    .iter()
-                    .map(|e| e.uop.flush_record(&e.inst.sinst, e.issued()))
-                    .collect();
-                self.renamer.flush_walk(&records, self.cycle);
-                let survivors = self.surviving_mappings();
-                self.renamer.restore_from_committed(survivors.iter().copied());
-                self.audit_flush_restore(&survivors);
-                if let Some(p) = squashed.iter().rev().find_map(|e| e.prediction.as_ref()) {
-                    self.bpu.restore(&p.snapshot);
-                }
-                match newest_precommitted {
-                    Some(seq) => {
-                        self.iq.squash_younger(seq);
-                        self.completions.squash_younger(seq);
-                        self.lsq.squash_younger(seq);
-                    }
-                    None => {
-                        self.iq.clear();
-                        self.completions.clear();
-                        self.lsq.clear();
-                    }
-                }
-                self.frontend.clear();
+                self.restore_bpu_before(precommitted);
+                // The flush point: the newest precommitted entry.
+                let flush_point = precommitted.checked_sub(1).map(|i| self.rob.id_at(i));
+                self.squash(flush_point, "interrupt");
+                self.restore_srt(None);
                 self.on_wrong_path = false;
                 self.wrong_path_dead = false;
                 self.next_oracle_idx = resume_idx;
@@ -1151,27 +1153,11 @@ impl OooCore {
 
     fn handle_exception(&mut self) {
         self.stats.exceptions += 1;
-        let squashed = self.rob.squash_all();
-        self.observe_flush(&squashed, "exception");
-        let oldest = squashed.last().expect("exception implies a head entry");
+        let oldest = self.rob.head().expect("exception implies a head entry");
         let (resume_idx, resume_pc) = (oldest.inst.oracle_idx, oldest.inst.sinst.pc);
-
-        let records: Vec<atr_core::FlushRecord> =
-            squashed.iter().map(|e| e.uop.flush_record(&e.inst.sinst, e.issued())).collect();
-        self.renamer.flush_walk(&records, self.cycle);
-        self.renamer.restore_from_committed(std::iter::empty());
-        self.audit_flush_restore(&[]);
-
-        // Rewind the frontend's speculative state to before the oldest
-        // squashed prediction; if none was made, the histories contain
-        // only committed outcomes and are already consistent.
-        if let Some(e) = squashed.iter().rev().find_map(|e| e.prediction.as_ref()) {
-            self.bpu.restore(&e.snapshot);
-        }
-        self.iq.clear();
-        self.completions.clear();
-        self.lsq.clear();
-        self.frontend.clear();
+        self.restore_bpu_before(0);
+        self.squash(None, "exception");
+        self.restore_srt(None);
 
         // Service the fault, then re-execute from the faulting
         // instruction (its injected exception is now resolved).
@@ -1203,11 +1189,15 @@ fn audit_schedule(
     completions: &CompletionQueue,
     cycle: u64,
 ) {
-    let mut ready = 0;
-    for (seq, outstanding) in iq.entries() {
-        let e = rob
-            .get(seq)
-            .unwrap_or_else(|| panic!("cycle {cycle}: issue-queue entry {seq} is not in the ROB"));
+    let (mut filed, mut ready) = (0, 0);
+    for (id, e) in rob.iter_ids() {
+        let Some((seq, outstanding)) = iq.filed(id) else { continue };
+        filed += 1;
+        assert_eq!(
+            seq, e.inst.seq,
+            "cycle {cycle}: issue-queue slot of ROB entry {id} holds {seq}, the ROB {}",
+            e.inst.seq
+        );
         let unproduced = e.uop.psrcs.iter().flatten().filter(|&&p| !renamer.is_ready(p)).count();
         assert_eq!(
             outstanding as usize, unproduced,
@@ -1217,23 +1207,24 @@ fn audit_schedule(
         if unproduced == 0 {
             ready += 1;
             assert!(
-                iq.ready().binary_search(&seq).is_ok(),
+                iq.ready().binary_search(&id).is_ok(),
                 "cycle {cycle}: entry {seq} has every source but is missing from the ready set"
             );
         }
     }
+    assert_eq!(iq.len(), filed, "cycle {cycle}: the issue queue holds entries not in the ROB");
     assert_eq!(
         iq.ready().len(),
         ready,
         "cycle {cycle}: the ready set holds entries that still wait on sources"
     );
-    let mut queued: Vec<InstSeq> = completions.seqs().collect();
+    let mut queued: Vec<RobId> = completions.ids().collect();
     queued.sort_unstable();
     let mut issued = 0;
-    for e in rob.iter().filter(|e| e.state == RobState::Issued) {
+    for (id, e) in rob.iter_ids().filter(|(_, e)| e.state == RobState::Issued) {
         issued += 1;
         assert!(
-            queued.binary_search(&e.inst.seq).is_ok(),
+            queued.binary_search(&id).is_ok(),
             "cycle {cycle}: issued entry {} is missing from the completion queue",
             e.inst.seq
         );

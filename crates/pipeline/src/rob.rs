@@ -2,10 +2,10 @@
 
 use atr_core::{RenamedUop, SrtCheckpoint};
 use atr_frontend::Prediction;
-use atr_isa::{DynInst, InstSeq};
+use atr_isa::DynInst;
 use atr_mem::ServiceLevel;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Execution state of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +36,6 @@ pub struct RobEntry {
     pub mispredicted: bool,
     /// SRT checkpoint (branches under `CheckpointPolicy::EveryBranch`).
     pub checkpoint: Option<SrtCheckpoint>,
-    /// Passed by the precommit pointer (§2.3).
-    pub precommitted: bool,
     /// Cycle this entry was renamed (analysis).
     pub renamed_at: u64,
     /// For loads that went to memory: the hierarchy level servicing
@@ -59,12 +57,29 @@ impl RobEntry {
     }
 }
 
-/// The reorder buffer: a bounded age-ordered queue indexed by sequence
-/// number.
+/// A ROB entry's dense identity: the value of the ROB's dispatch counter
+/// when the entry was pushed. A squash rewinds the counter, so the live
+/// entries always hold consecutive ids, ids order them as their sequence
+/// numbers do, and `id % capacity` is an entry's slot.
+pub type RobId = u64;
+
+/// The reorder buffer: a ring of `capacity` slots addressed by
+/// [`RobId`], so every lookup is one index.
 #[derive(Debug, Default)]
 pub struct Rob {
-    entries: VecDeque<RobEntry>,
+    /// The ring, grown on first fill up to `capacity` (so construction
+    /// touches no entry memory). A slot outside `head..tail` keeps its
+    /// retired or squashed entry until the slot is reused.
+    slots: Vec<RobEntry>,
     capacity: usize,
+    /// Id of the oldest entry.
+    head: RobId,
+    /// Id the next pushed entry gets.
+    tail: RobId,
+    /// Length of the precommitted prefix. The precommit pointer passes
+    /// entries strictly in age order and flushes only remove the tail,
+    /// so the precommitted entries always form a prefix of the ROB.
+    precommitted: usize,
 }
 
 impl Rob {
@@ -76,118 +91,158 @@ impl Rob {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ROB capacity must be non-zero");
-        Rob { entries: VecDeque::with_capacity(capacity), capacity }
+        Rob { slots: Vec::with_capacity(capacity), capacity, ..Rob::default() }
     }
 
     /// Occupied entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        (self.tail - self.head) as usize
     }
 
     /// True when empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.head == self.tail
     }
 
     /// Free entries.
     #[must_use]
     pub fn free(&self) -> usize {
-        self.capacity - self.entries.len()
+        self.capacity - self.len()
     }
 
-    /// Appends a renamed instruction.
+    fn slot(&self, id: RobId) -> usize {
+        (id % self.capacity as u64) as usize
+    }
+
+    /// Appends a renamed instruction and returns its id.
     ///
     /// # Panics
     ///
     /// Panics when full or when `entry` is older than the tail.
-    pub fn push(&mut self, entry: RobEntry) {
-        assert!(self.entries.len() < self.capacity, "ROB overflow");
-        if let Some(tail) = self.entries.back() {
+    pub fn push(&mut self, entry: RobEntry) -> RobId {
+        assert!(self.free() > 0, "ROB overflow");
+        if let Some(tail) = self.youngest() {
             assert!(entry.inst.seq > tail.inst.seq, "ROB entries must be age-ordered");
         }
-        self.entries.push_back(entry);
+        let id = self.tail;
+        let slot = self.slot(id);
+        if slot == self.slots.len() {
+            self.slots.push(entry);
+        } else {
+            self.slots[slot] = entry;
+        }
+        self.tail += 1;
+        id
     }
 
     /// The oldest entry.
     #[must_use]
     pub fn head(&self) -> Option<&RobEntry> {
-        self.entries.front()
+        self.get(self.head)
     }
 
-    /// Pops the oldest entry (commit).
-    pub fn pop_head(&mut self) -> Option<RobEntry> {
-        self.entries.pop_front()
+    fn youngest(&self) -> Option<&RobEntry> {
+        self.get(self.tail.checked_sub(1)?)
     }
 
-    /// Entry by sequence number. Sequence numbers are age-ordered but
-    /// not contiguous (flushes leave gaps), so this is a binary search.
+    /// Retires the oldest entry (commit) and returns it; it stays in
+    /// its slot until the slot is reused.
+    pub fn pop_head(&mut self) -> Option<&RobEntry> {
+        if self.is_empty() {
+            return None;
+        }
+        let slot = self.slot(self.head);
+        self.head += 1;
+        self.precommitted = self.precommitted.saturating_sub(1);
+        Some(&self.slots[slot])
+    }
+
+    /// The live entry `id`, if any.
     #[must_use]
-    pub fn get(&self, seq: InstSeq) -> Option<&RobEntry> {
-        let idx = self.entries.partition_point(|e| e.inst.seq < seq);
-        self.entries.get(idx).filter(|e| e.inst.seq == seq)
+    pub fn get(&self, id: RobId) -> Option<&RobEntry> {
+        (self.head..self.tail).contains(&id).then(|| &self.slots[self.slot(id)])
     }
 
-    /// Mutable entry by sequence number.
-    pub fn get_mut(&mut self, seq: InstSeq) -> Option<&mut RobEntry> {
-        let idx = self.entries.partition_point(|e| e.inst.seq < seq);
-        self.entries.get_mut(idx).filter(|e| e.inst.seq == seq)
+    /// Mutable access to the live entry `id`, if any.
+    pub fn get_mut(&mut self, id: RobId) -> Option<&mut RobEntry> {
+        let slot = self.slot(id);
+        (self.head..self.tail).contains(&id).then(|| &mut self.slots[slot])
+    }
+
+    /// The id of the entry `idx` positions behind the head (which need
+    /// not exist yet).
+    #[must_use]
+    pub fn id_at(&self, idx: usize) -> RobId {
+        self.head + idx as u64
     }
 
     /// Entry `idx` positions behind the head.
     #[must_use]
     pub fn at(&self, idx: usize) -> Option<&RobEntry> {
-        self.entries.get(idx)
+        self.get(self.id_at(idx))
     }
 
-    /// Mutable entry `idx` positions behind the head.
-    pub fn at_mut(&mut self, idx: usize) -> Option<&mut RobEntry> {
-        self.entries.get_mut(idx)
-    }
-
-    /// Length of the precommitted prefix. The precommit pointer passes
-    /// entries strictly in age order and flushes only remove the tail,
-    /// so the precommitted entries always form a prefix of the ROB.
+    /// Length of the precommitted prefix.
     #[must_use]
     pub fn precommitted_len(&self) -> usize {
-        self.entries.partition_point(|e| e.precommitted)
+        self.precommitted
+    }
+
+    /// Moves the precommit pointer past the oldest entry not yet
+    /// precommitted and returns that entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics when every entry is already precommitted.
+    pub fn precommit(&mut self) -> &mut RobEntry {
+        let id = self.id_at(self.precommitted);
+        self.precommitted += 1;
+        self.get_mut(id).expect("precommit past the ROB tail")
     }
 
     /// Iterates oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
+        self.iter_ids().map(|(_, e)| e)
     }
 
-    /// Mutable iteration oldest → youngest.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        self.entries.iter_mut()
+    /// Iterates `(id, entry)` oldest → youngest.
+    pub fn iter_ids(&self) -> impl Iterator<Item = (RobId, &RobEntry)> {
+        (self.head..self.tail).map(|id| (id, &self.slots[self.slot(id)]))
     }
 
-    /// Removes and returns every entry younger than `seq`, youngest
-    /// first (the flush squash set).
-    pub fn squash_younger(&mut self, seq: InstSeq) -> Vec<RobEntry> {
-        let keep = self.entries.iter().take_while(|e| e.inst.seq <= seq).count();
-        let mut squashed: Vec<RobEntry> = self.entries.split_off(keep).into();
-        squashed.reverse();
+    /// Removes every entry younger than the live entry `id`, handing
+    /// each to `visit` youngest first (the flush walk order, in place),
+    /// and returns how many it removed.
+    pub fn squash_younger(&mut self, id: RobId, visit: impl FnMut(&RobEntry)) -> usize {
+        debug_assert!(self.get(id).is_some(), "squash at a dead ROB id {id}");
+        self.squash_to(id + 1, visit)
+    }
+
+    /// Removes every entry, youngest first (exception flush); see
+    /// [`Rob::squash_younger`].
+    pub fn squash_all(&mut self, visit: impl FnMut(&RobEntry)) -> usize {
+        self.squash_to(self.head, visit)
+    }
+
+    fn squash_to(&mut self, keep: RobId, mut visit: impl FnMut(&RobEntry)) -> usize {
+        let squashed = (self.tail - keep) as usize;
+        while self.tail > keep {
+            self.tail -= 1;
+            visit(&self.slots[self.slot(self.tail)]);
+        }
+        self.precommitted = self.precommitted.min(self.len());
         squashed
-    }
-
-    /// Removes and returns every entry, youngest first (exception
-    /// flush).
-    pub fn squash_all(&mut self) -> Vec<RobEntry> {
-        let mut all: Vec<RobEntry> = std::mem::take(&mut self.entries).into();
-        all.reverse();
-        all
     }
 }
 
 /// The issued, not yet completed ROB entries keyed by
-/// `(complete_at, seq)`, so writeback pops the due ones instead of
+/// `(complete_at, id)`, so writeback pops the due ones instead of
 /// scanning the ROB, and the core can see its next completion.
 #[derive(Debug, Default)]
 pub struct CompletionQueue {
-    heap: BinaryHeap<Reverse<(u64, InstSeq)>>,
+    heap: BinaryHeap<Reverse<(u64, RobId)>>,
 }
 
 impl CompletionQueue {
@@ -210,8 +265,8 @@ impl CompletionQueue {
     }
 
     /// Files an issued entry completing at `complete_at`.
-    pub fn push(&mut self, complete_at: u64, seq: InstSeq) {
-        self.heap.push(Reverse((complete_at, seq)));
+    pub fn push(&mut self, complete_at: u64, id: RobId) {
+        self.heap.push(Reverse((complete_at, id)));
     }
 
     /// The earliest pending completion cycle.
@@ -223,27 +278,26 @@ impl CompletionQueue {
     /// Moves every entry due at or before `cycle` into `due` (cleared
     /// first), oldest first: predictor training and mispredict handling
     /// depend on processing completions in age order.
-    pub fn pop_due(&mut self, cycle: u64, due: &mut Vec<InstSeq>) {
+    pub fn pop_due(&mut self, cycle: u64, due: &mut Vec<RobId>) {
         due.clear();
-        while let Some(&Reverse((at, seq))) = self.heap.peek() {
+        while let Some(&Reverse((at, id))) = self.heap.peek() {
             if at > cycle {
                 break;
             }
             self.heap.pop();
-            due.push(seq);
+            due.push(id);
         }
         due.sort_unstable();
     }
 
-    /// Every queued sequence number, in no particular order (auditor
-    /// cross-check).
-    pub fn seqs(&self) -> impl Iterator<Item = InstSeq> + '_ {
-        self.heap.iter().map(|Reverse((_, seq))| *seq)
+    /// Every queued id, in no particular order (auditor cross-check).
+    pub fn ids(&self) -> impl Iterator<Item = RobId> + '_ {
+        self.heap.iter().map(|Reverse((_, id))| *id)
     }
 
-    /// Drops every entry younger than `seq` (flush).
-    pub fn squash_younger(&mut self, seq: InstSeq) {
-        self.heap.retain(|Reverse((_, s))| *s <= seq);
+    /// Drops every entry younger than `id` (flush).
+    pub fn squash_younger(&mut self, id: RobId) {
+        self.heap.retain(|Reverse((_, i))| *i <= id);
     }
 
     /// Drops everything (exception flush).
@@ -283,7 +337,6 @@ mod tests {
             prediction: None,
             mispredicted: false,
             checkpoint: None,
-            precommitted: false,
             renamed_at: 0,
             mem_level: None,
         }
@@ -300,28 +353,51 @@ mod tests {
     }
 
     #[test]
-    fn get_by_seq_after_commits() {
+    fn get_by_id_after_commits() {
         let mut rob = Rob::new(8);
         for s in 0..5 {
-            rob.push(entry(s));
+            assert_eq!(rob.push(entry(s * 3)), s);
         }
         rob.pop_head();
         rob.pop_head();
-        assert_eq!(rob.get(3).unwrap().inst.seq, 3);
+        assert_eq!(rob.get(3).unwrap().inst.seq, 9);
         assert!(rob.get(1).is_none());
         assert!(rob.get(99).is_none());
     }
 
     #[test]
-    fn squash_younger_returns_youngest_first() {
+    fn ids_wrap_around_the_ring() {
+        let mut rob = Rob::new(3);
+        for s in 0..10 {
+            let id = rob.push(entry(s));
+            assert_eq!(id, s);
+            assert_eq!(rob.get(id).unwrap().inst.seq, s);
+            if rob.free() == 0 {
+                rob.pop_head();
+            }
+        }
+        assert_eq!(
+            rob.iter_ids().map(|(id, e)| (id, e.inst.seq)).collect::<Vec<_>>(),
+            [(8, 8), (9, 9)]
+        );
+    }
+
+    #[test]
+    fn squash_younger_visits_youngest_first_and_rewinds_the_ids() {
         let mut rob = Rob::new(8);
         for s in 0..6 {
             rob.push(entry(s));
         }
-        let squashed = rob.squash_younger(2);
-        let seqs: Vec<u64> = squashed.iter().map(|e| e.inst.seq).collect();
+        let mut seqs = Vec::new();
+        assert_eq!(rob.squash_younger(2, |e| seqs.push(e.inst.seq)), 3);
         assert_eq!(seqs, vec![5, 4, 3]);
         assert_eq!(rob.len(), 3);
+        assert_eq!(rob.push(entry(10)), 3, "the squash rewound the id counter");
+        assert!(rob.squash_younger(3, |_| panic!("nothing is younger")) == 0);
+        seqs.clear();
+        assert_eq!(rob.squash_all(|e| seqs.push(e.inst.seq)), 4);
+        assert_eq!(seqs, vec![10, 2, 1, 0]);
+        assert!(rob.is_empty() && rob.head().is_none());
     }
 
     #[test]
@@ -331,13 +407,17 @@ mod tests {
             rob.push(entry(s));
         }
         assert_eq!(rob.precommitted_len(), 0);
-        rob.at_mut(0).unwrap().precommitted = true;
-        rob.at_mut(1).unwrap().precommitted = true;
+        assert_eq!(rob.precommit().inst.seq, 0);
+        assert_eq!(rob.precommit().inst.seq, 1);
         assert_eq!(rob.precommitted_len(), 2);
         assert_eq!(rob.at(2).unwrap().inst.seq, 2);
         rob.pop_head();
         assert_eq!(rob.precommitted_len(), 1);
         assert!(rob.at(3).is_none());
+        rob.squash_younger(1, |_| {});
+        assert_eq!(rob.precommitted_len(), 1, "the squash kept the precommitted prefix");
+        rob.squash_all(|_| {});
+        assert_eq!(rob.precommitted_len(), 0);
     }
 
     #[test]
@@ -353,7 +433,7 @@ mod tests {
         assert!(due.is_empty());
         q.pop_due(11, &mut due);
         assert_eq!(due, vec![3, 4, 7], "due entries come out in age order");
-        assert_eq!(q.seqs().collect::<Vec<_>>(), vec![9]);
+        assert_eq!(q.ids().collect::<Vec<_>>(), vec![9]);
         q.push(20, 15);
         q.squash_younger(10);
         assert_eq!((q.len(), q.next_at()), (1, Some(12)));

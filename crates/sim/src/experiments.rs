@@ -1356,6 +1356,29 @@ mod tests {
     }
 
     #[test]
+    fn full_pass_labels_name_one_point_each() {
+        // Failure lines and progress output name points by label, so two
+        // points may share one only if they are the same point.
+        let sim = tiny(1, 2);
+        let mut by_label: std::collections::HashMap<String, SimPoint> =
+            std::collections::HashMap::new();
+        for p in full_pass_points(&sim) {
+            if let Some(seen) = by_label.insert(p.label(), p.clone()) {
+                assert_eq!(seen, p, "two points share the label `{}`", p.label());
+            }
+        }
+        let fig13: Vec<String> = (select("fig13").unwrap()[0].points)(&sim)
+            .iter()
+            .map(SimPoint::label)
+            .filter(|l| l.starts_with("505.mcf_r atomic@64"))
+            .collect();
+        assert_eq!(
+            fig13,
+            ["505.mcf_r atomic@64", "505.mcf_r atomic@64 delay=1", "505.mcf_r atomic@64 delay=2"]
+        );
+    }
+
+    #[test]
     fn select_takes_registry_order_and_rejects_unknown_names() {
         let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
         assert_eq!(select(&names.join(",")).unwrap().len(), 13, "every name selects once");

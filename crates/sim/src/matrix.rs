@@ -128,6 +128,10 @@ impl SimPoint {
     #[must_use]
     pub fn label(&self) -> String {
         let mut s = format!("{} {}@{}", self.profile, self.scheme.label(), self.rf_size);
+        let delay = self.scheme.redefine_delay();
+        if delay != 0 {
+            s.push_str(&format!(" delay={delay}"));
+        }
         if self.collect_events {
             s.push_str(" +events");
         }

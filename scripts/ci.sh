@@ -13,6 +13,21 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== perfbench builds against the pipeline API"
+# perfbench is a package of its own (not a workspace member), so the
+# gates above never compile it; a pipeline API change that breaks the
+# benchmark fails here instead of in the perf gate. Its committed
+# Cargo.lock is stale (any build rewrites it), so it is restored after.
+perfbench_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+perfbench_status=0
+cargo check --release --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+cp "$perfbench_lock" perfbench/Cargo.lock
+if [ "$perfbench_status" -ne 0 ]; then
+    echo "FAIL: perfbench does not build against the workspace crates" >&2
+    exit 1
+fi
+
 echo "== cargo doc -D warnings"
 # Broken intra-doc links are what a deletion leaves behind in the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
