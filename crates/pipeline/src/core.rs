@@ -829,6 +829,12 @@ impl OooCore {
             self.trace_event(seq, TraceStage::Exec, "");
             let e = self.rob.get(id).expect("completing entry");
             if e.inst.sinst.class.is_control_flow() && !e.inst.on_wrong_path {
+                // Counted where `handle_mispredict` counts its
+                // mispredicts, so a run that stops with a resolved
+                // branch still in flight counts both or neither.
+                if e.inst.sinst.class.is_conditional() {
+                    self.stats.cond_branches += 1;
+                }
                 if let Some(t) = self.telemetry.as_mut() {
                     t.branch_resolution.record(self.cycle.saturating_sub(e.renamed_at));
                 }
@@ -1045,7 +1051,6 @@ impl OooCore {
                     let _ = self.mem.access(AccessKind::Store, addr, self.cycle);
                     self.lsq.retire_store(seq);
                 }
-                OpClass::CondBranch => self.stats.cond_branches += 1,
                 _ => {}
             }
             self.renamer.on_commit(&uop, self.cycle);

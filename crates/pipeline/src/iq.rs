@@ -32,8 +32,12 @@ struct Waiter {
 /// Port, divider and memory-ordering checks stay with the core.
 #[derive(Debug, Default)]
 pub struct IssueQueue {
-    /// Per ROB slot (`id % rob_size`): the unissued entry filed there.
+    /// Per ROB slot (`id & mask`, a ring of
+    /// `rob_size.next_power_of_two()` slots, as the ROB's): the unissued
+    /// entry filed there.
     slots: Box<[Option<Filed>]>,
+    /// Ring size − 1.
+    mask: u64,
     /// Occupied entries.
     len: usize,
     /// One past the youngest filed id, rewound by squashes: where a
@@ -66,11 +70,17 @@ impl IssueQueue {
     pub fn new(capacity: usize, rob_size: usize) -> Self {
         assert!(capacity > 0, "issue queue capacity must be non-zero");
         assert!(rob_size > 0, "ROB capacity must be non-zero");
-        IssueQueue { capacity, slots: vec![None; rob_size].into(), ..IssueQueue::default() }
+        let ring = rob_size.next_power_of_two();
+        IssueQueue {
+            capacity,
+            slots: vec![None; ring].into(),
+            mask: ring as u64 - 1,
+            ..IssueQueue::default()
+        }
     }
 
     fn slot(&self, id: RobId) -> usize {
-        (id % self.slots.len() as u64) as usize
+        (id & self.mask) as usize
     }
 
     /// Occupied entries.
@@ -125,9 +135,8 @@ impl IssueQueue {
     /// ready set in age order.
     pub fn wake(&mut self, tag: PTag) {
         let Some(waiters) = self.consumers.get_mut(wakeup_slot(tag)) else { return };
-        let rob_size = self.slots.len() as u64;
         for w in waiters.drain(..) {
-            let Some(filed) = self.slots[(w.id % rob_size) as usize].as_mut() else { continue };
+            let Some(filed) = self.slots[(w.id & self.mask) as usize].as_mut() else { continue };
             if filed.seq != w.seq {
                 continue;
             }

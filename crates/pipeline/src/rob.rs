@@ -60,17 +60,22 @@ impl RobEntry {
 /// A ROB entry's dense identity: the value of the ROB's dispatch counter
 /// when the entry was pushed. A squash rewinds the counter, so the live
 /// entries always hold consecutive ids, ids order them as their sequence
-/// numbers do, and `id % capacity` is an entry's slot.
+/// numbers do, and the id's low bits (`id & (ring - 1)`, for a ring of
+/// `capacity.next_power_of_two()` slots) are an entry's slot.
 pub type RobId = u64;
 
-/// The reorder buffer: a ring of `capacity` slots addressed by
-/// [`RobId`], so every lookup is one index.
+/// The reorder buffer: a ring addressed by [`RobId`], so every lookup
+/// is one mask and one index.
 #[derive(Debug, Default)]
 pub struct Rob {
-    /// The ring, grown on first fill up to `capacity` (so construction
-    /// touches no entry memory). A slot outside `head..tail` keeps its
-    /// retired or squashed entry until the slot is reused.
+    /// The ring of `capacity.next_power_of_two()` slots, grown on first
+    /// fill (so construction touches no entry memory). A slot outside
+    /// `head..tail` keeps its retired or squashed entry until the slot
+    /// is reused.
     slots: Vec<RobEntry>,
+    /// Ring size − 1: masks an id to its slot.
+    mask: u64,
+    /// Occupancy limit.
     capacity: usize,
     /// Id of the oldest entry.
     head: RobId,
@@ -91,7 +96,8 @@ impl Rob {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ROB capacity must be non-zero");
-        Rob { slots: Vec::with_capacity(capacity), capacity, ..Rob::default() }
+        let ring = capacity.next_power_of_two();
+        Rob { slots: Vec::with_capacity(ring), mask: ring as u64 - 1, capacity, ..Rob::default() }
     }
 
     /// Occupied entries.
@@ -113,7 +119,7 @@ impl Rob {
     }
 
     fn slot(&self, id: RobId) -> usize {
-        (id % self.capacity as u64) as usize
+        (id & self.mask) as usize
     }
 
     /// Appends a renamed instruction and returns its id.

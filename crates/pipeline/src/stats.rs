@@ -16,7 +16,8 @@ pub struct CoreStats {
     pub wrong_path_fetched: u64,
     /// Wrong-path instructions renamed (these allocate registers).
     pub wrong_path_renamed: u64,
-    /// Conditional branches retired.
+    /// Conditional branches resolved on the correct path (counted at
+    /// writeback, like `cond_mispredicts`).
     pub cond_branches: u64,
     /// Conditional direction mispredictions (resolved, on-path).
     pub cond_mispredicts: u64,
@@ -61,7 +62,8 @@ impl CoreStats {
         }
     }
 
-    /// Conditional branch misprediction rate (per retired branch).
+    /// Conditional branch misprediction rate (per resolved on-path
+    /// branch).
     #[must_use]
     pub fn mispredict_rate(&self) -> f64 {
         if self.cond_branches == 0 {
@@ -105,8 +107,9 @@ impl CoreStats {
     ///
     /// * `fetched >= wrong_path_fetched` — wrong-path fetches are a
     ///   subset of all fetches;
-    /// * `cond_mispredicts <= cond_branches` — a resolved on-path
-    ///   conditional mispredict implies that branch retires;
+    /// * `cond_mispredicts <= cond_branches` — both count on-path
+    ///   conditional branches as they resolve, the mispredicted ones
+    ///   among all of them;
     /// * `cond_mispredicts + target_mispredicts == flushes` — every
     ///   mispredict flush is classified exactly once;
     /// * per-file release-kind breakdowns sum to the register file's

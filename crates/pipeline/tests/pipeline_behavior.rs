@@ -277,3 +277,44 @@ fn move_elimination_survives_flush_storms_under_all_schemes() {
         core.renamer().check_invariants();
     }
 }
+
+/// A run can stop with a resolved, mispredicted conditional branch still
+/// in flight. Branches and their mispredicts are both counted as they
+/// resolve on the correct path, so the audited relation
+/// `cond_mispredicts <= cond_branches` holds exactly at any stopping
+/// point, even 40 + 160 instructions in, where a cold predictor has
+/// mispredicted branches that have not retired yet.
+#[test]
+fn branch_counters_agree_at_any_stopping_point() {
+    let mut failures = Vec::new();
+    for profile in spec::all_profiles() {
+        let program = profile.build();
+        for scheme in [ReleaseScheme::Baseline, ReleaseScheme::Combined { redefine_delay: 0 }] {
+            for rf in [64, 280] {
+                let cfg = quick_cfg().with_rf_size(rf).with_scheme(scheme).with_audit(true);
+                let mut core = OooCore::new(cfg, Oracle::new(program.clone()));
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    core.run(40);
+                    core.run(160)
+                }));
+                match run {
+                    Ok(stats) => assert!(stats.cond_mispredicts <= stats.cond_branches),
+                    Err(e) => {
+                        let msg = e
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .or_else(|| e.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+                            .unwrap_or_default();
+                        failures.push(format!("{} {scheme:?} rf{rf}: {msg}", profile.name));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} audited runs failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}

@@ -6,13 +6,20 @@
 //!
 //! * a **static program** model ([`Program`]): decoded instructions
 //!   addressable by PC, so the frontend can fetch down *wrong paths*
-//!   after a misprediction exactly like a trace-based Scarab frontend;
+//!   after a misprediction exactly like a trace-based Scarab frontend.
+//!   [`ProgramBuilder`] lays it out once as boxed slices, and a PC
+//!   lookup is index arithmetic (`(pc - entry) / 4`, checked), not a
+//!   hash: fetch and the oracle do one on every instruction, and a pass
+//!   keeps every built program alive, so the layout is also the
+//!   smallest (no map buckets, no per-instruction `Option`);
 //! * deterministic **behaviours** attached to branches and memory
 //!   operations ([`BranchBehavior`], [`AddrPattern`]) that generate the
 //!   architecturally correct dynamic stream;
 //! * an **oracle stream** ([`Oracle`]) — the functional execution of the
 //!   program, which the pipeline consumes in order and re-enters after
-//!   flushes;
+//!   flushes. Its per-instruction behaviour state is indexed by the
+//!   program's behaviour slots and created on first execution, seeded
+//!   by PC, so the stream does not depend on when state is created;
 //! * a **program generator** ([`generator::generate`]) driven by
 //!   [`ProfileParams`] that control the microarchitectural character of
 //!   the workload (branch predictability, memory footprint, dependency

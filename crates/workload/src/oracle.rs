@@ -2,11 +2,14 @@
 //!
 //! The oracle is the architectural ground truth the pipeline replays —
 //! the equivalent of Scarab's trace frontend. It walks the program from
-//! its entry, instantiating per-PC branch/address behaviour state, and
-//! produces the *correct-path* dynamic instruction stream. The pipeline
-//! fetches oracle entries in order while its frontend is on-path, goes
-//! off into [wrong-path synthesis](crate::wrongpath) after a
-//! misprediction, and resumes from an oracle index after a flush.
+//! its entry, instantiating branch/address behaviour state the first
+//! time each instruction executes, and produces the *correct-path*
+//! dynamic instruction stream. That state lives in two `Vec`s indexed
+//! by the program's behaviour slots, so a step costs one PC lookup (an
+//! index computation) and no hashing. The pipeline fetches oracle
+//! entries in order while its frontend is on-path, goes off into
+//! [wrong-path synthesis](crate::wrongpath) after a misprediction, and
+//! resumes from an oracle index after a flush.
 //!
 //! Entries are cached in a sliding window so that flush recovery can
 //! re-read them; [`Oracle::release_before`] garbage-collects entries
@@ -15,7 +18,7 @@
 use crate::behavior::{mix64, AddrState, BranchState};
 use crate::program::Program;
 use atr_isa::{DynInst, DynOutcome, Exception, OpClass};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Maximum modeled call depth; deeper calls wrap (the generator emits
@@ -44,8 +47,10 @@ const MAX_CALL_DEPTH: usize = 256;
 pub struct Oracle {
     program: Arc<Program>,
     pc: u64,
-    branch_states: HashMap<u64, BranchState>,
-    addr_states: HashMap<u64, AddrState>,
+    /// Per branch-behaviour slot, created on first execution.
+    branch_states: Vec<Option<BranchState>>,
+    /// Per address-pattern slot, created on first execution.
+    addr_states: Vec<Option<AddrState>>,
     call_stack: Vec<u64>,
     window: VecDeque<DynInst>,
     base_idx: u64,
@@ -69,10 +74,10 @@ impl Oracle {
     pub fn with_exception_rate(program: Arc<Program>, rate: f64) -> Self {
         let pc = program.entry();
         Oracle {
-            program,
             pc,
-            branch_states: HashMap::new(),
-            addr_states: HashMap::new(),
+            branch_states: vec![None; program.branch_behaviors().len()],
+            addr_states: vec![None; program.addr_patterns().len()],
+            program,
             call_stack: Vec::new(),
             window: VecDeque::new(),
             base_idx: 0,
@@ -150,16 +155,16 @@ impl Oracle {
     fn step(&mut self) -> DynInst {
         let idx = self.next_idx;
         let pc = self.pc;
-        let inst = *self
+        let i = self
             .program
-            .at(pc)
+            .index_of(pc)
             .unwrap_or_else(|| panic!("oracle fell off the program at pc {pc:#x}"));
+        let inst = self.program.instructions()[i];
 
         let mut outcome = DynOutcome::fallthrough(&inst);
         match inst.class {
             OpClass::CondBranch => {
-                let state = self.branch_state(pc);
-                let taken = state.next_taken();
+                let taken = self.branch_state(i, pc).next_taken();
                 outcome.taken = taken;
                 outcome.next_pc = if taken {
                     inst.taken_target.expect("conditional branch without target")
@@ -183,13 +188,11 @@ impl Oracle {
                 outcome.next_pc = self.call_stack.pop().unwrap_or(self.program.entry());
             }
             OpClass::IndirectJump => {
-                let state = self.branch_state(pc);
                 outcome.taken = true;
-                outcome.next_pc = state.next_target();
+                outcome.next_pc = self.branch_state(i, pc).next_target();
             }
             OpClass::Load | OpClass::Store => {
-                let state = self.addr_state(pc);
-                outcome.mem_addr = Some(state.next_addr());
+                outcome.mem_addr = Some(self.addr_state(i, pc).next_addr());
             }
             _ => {}
         }
@@ -210,24 +213,25 @@ impl Oracle {
         DynInst { seq: idx, sinst: inst, outcome, on_wrong_path: false, oracle_idx: idx }
     }
 
-    fn branch_state(&mut self, pc: u64) -> &mut BranchState {
+    /// State of the branch at layout index `i` (PC `pc`), seeded from
+    /// the program seed and the PC, so it does not depend on when it is
+    /// first created.
+    fn branch_state(&mut self, i: usize, pc: u64) -> &mut BranchState {
         let program = &self.program;
-        self.branch_states.entry(pc).or_insert_with(|| {
-            let behavior = program
-                .branch_behavior(pc)
-                .unwrap_or_else(|| panic!("no branch behaviour at {pc:#x}"))
-                .clone();
+        let slot = program.slot(i);
+        self.branch_states[slot].get_or_insert_with(|| {
+            let behavior = program.branch_behaviors()[slot].clone();
             BranchState::new(behavior, program.seed() ^ mix64(pc))
         })
     }
 
-    fn addr_state(&mut self, pc: u64) -> &mut AddrState {
+    /// State of the memory op at layout index `i` (PC `pc`); seeded like
+    /// [`Oracle::branch_state`].
+    fn addr_state(&mut self, i: usize, pc: u64) -> &mut AddrState {
         let program = &self.program;
-        self.addr_states.entry(pc).or_insert_with(|| {
-            let pattern = program
-                .addr_pattern(pc)
-                .unwrap_or_else(|| panic!("no address pattern at {pc:#x}"))
-                .clone();
+        let slot = program.slot(i);
+        self.addr_states[slot].get_or_insert_with(|| {
+            let pattern = program.addr_patterns()[slot].clone();
             AddrState::new(pattern, program.seed() ^ mix64(pc ^ 0xabcd))
         })
     }

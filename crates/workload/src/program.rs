@@ -1,23 +1,57 @@
 //! The static program: decoded instructions addressable by PC.
+//!
+//! The builder lays a program out once, as three boxed slices: the
+//! instructions at ascending PCs, one behaviour slot per instruction,
+//! and the behaviours themselves, one slice per kind. A PC lookup is
+//! arithmetic (`(pc - entry) / 4`, checked against the instruction it
+//! finds, with a binary search for programs of other instruction
+//! sizes), and a behaviour is one index away from its instruction, so
+//! fetch and the oracle hash nothing. The same layout is also the
+//! smallest: no map buckets, no per-instruction `Option`, no `Vec`
+//! slack.
 
 use crate::behavior::{AddrPattern, BranchBehavior};
 use atr_isa::{OpClass, StaticInst};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// The slot of an instruction with no attached behaviour.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Does an instruction of `class` carry a [`BranchBehavior`]?
+fn has_branch_behavior(class: OpClass) -> bool {
+    class.is_conditional() || class == OpClass::IndirectJump
+}
+
+/// Index of the instruction at `pc` in `insts`, a layout starting at
+/// `entry` with strictly ascending PCs.
+fn index_of(insts: &[StaticInst], entry: u64, pc: u64) -> Option<usize> {
+    let guess = pc.wrapping_sub(entry) / u64::from(StaticInst::DEFAULT_SIZE);
+    if let Some(i) =
+        usize::try_from(guess).ok().filter(|&i| insts.get(i).is_some_and(|s| s.pc == pc))
+    {
+        return Some(i);
+    }
+    insts.binary_search_by_key(&pc, |s| s.pc).ok()
+}
+
 /// A static program: the analogue of a decoded text segment.
 ///
 /// Instructions are laid out at ascending PCs; [`Program::at`] performs
 /// the PC → instruction lookup that both on-path and wrong-path fetch
-/// use. Control-flow and memory instructions carry attached behaviours
-/// that the [oracle](crate::Oracle) instantiates.
+/// use. Conditional branches and indirect jumps carry a
+/// [`BranchBehavior`], loads and stores an [`AddrPattern`], which the
+/// [oracle](crate::Oracle) instantiates.
 #[derive(Debug, Clone)]
 pub struct Program {
-    insts: Vec<StaticInst>,
-    pc_index: HashMap<u64, usize>,
+    insts: Box<[StaticInst]>,
+    /// Per instruction: its index into `branch_behaviors` (conditional
+    /// branches and indirect jumps) or `addr_patterns` (loads and
+    /// stores); `NO_SLOT` for every other instruction.
+    slots: Box<[u32]>,
+    branch_behaviors: Box<[BranchBehavior]>,
+    addr_patterns: Box<[AddrPattern]>,
     entry: u64,
-    branch_behaviors: HashMap<u64, BranchBehavior>,
-    addr_patterns: HashMap<u64, AddrPattern>,
     seed: u64,
 }
 
@@ -39,7 +73,19 @@ impl Program {
     /// on a wild wrong path).
     #[must_use]
     pub fn at(&self, pc: u64) -> Option<&StaticInst> {
-        self.pc_index.get(&pc).map(|&i| &self.insts[i])
+        self.index_of(pc).map(|i| &self.insts[i])
+    }
+
+    /// Layout index of the instruction at `pc`.
+    pub(crate) fn index_of(&self, pc: u64) -> Option<usize> {
+        index_of(&self.insts, self.entry, pc)
+    }
+
+    /// Behaviour slot of the instruction at layout index `i`: its index
+    /// into [`Program::branch_behaviors`] or [`Program::addr_patterns`],
+    /// by its class.
+    pub(crate) fn slot(&self, i: usize) -> usize {
+        self.slots[i] as usize
     }
 
     /// Number of static instructions.
@@ -60,16 +106,28 @@ impl Program {
         &self.insts
     }
 
+    /// Every branch behaviour, in the layout order of its instruction.
+    pub(crate) fn branch_behaviors(&self) -> &[BranchBehavior] {
+        &self.branch_behaviors
+    }
+
+    /// Every address pattern, in the layout order of its instruction.
+    pub(crate) fn addr_patterns(&self) -> &[AddrPattern] {
+        &self.addr_patterns
+    }
+
     /// The branch behaviour attached to `pc`, if any.
     #[must_use]
     pub fn branch_behavior(&self, pc: u64) -> Option<&BranchBehavior> {
-        self.branch_behaviors.get(&pc)
+        let i = self.index_of(pc)?;
+        has_branch_behavior(self.insts[i].class).then(|| &self.branch_behaviors[self.slot(i)])
     }
 
     /// The address pattern attached to `pc`, if any.
     #[must_use]
     pub fn addr_pattern(&self, pc: u64) -> Option<&AddrPattern> {
-        self.addr_patterns.get(&pc)
+        let i = self.index_of(pc)?;
+        self.insts[i].class.is_memory().then(|| &self.addr_patterns[self.slot(i)])
     }
 
     /// Static instruction-mix histogram, used by tests and by the
@@ -107,10 +165,11 @@ impl Program {
 #[derive(Debug)]
 pub struct ProgramBuilder {
     insts: Vec<StaticInst>,
+    slots: Vec<u32>,
+    branch_behaviors: Vec<BranchBehavior>,
+    addr_patterns: Vec<AddrPattern>,
     next_pc: u64,
     entry: u64,
-    branch_behaviors: HashMap<u64, BranchBehavior>,
-    addr_patterns: HashMap<u64, AddrPattern>,
     seed: u64,
 }
 
@@ -120,10 +179,11 @@ impl ProgramBuilder {
     pub fn new(entry: u64, seed: u64) -> Self {
         ProgramBuilder {
             insts: Vec::new(),
+            slots: Vec::new(),
+            branch_behaviors: Vec::new(),
+            addr_patterns: Vec::new(),
             next_pc: entry,
             entry,
-            branch_behaviors: HashMap::new(),
-            addr_patterns: HashMap::new(),
             seed,
         }
     }
@@ -142,6 +202,23 @@ impl ProgramBuilder {
         inst.fallthrough = pc + u64::from(inst.size);
         self.next_pc = inst.fallthrough;
         self.insts.push(inst);
+        self.slots.push(NO_SLOT);
+        pc
+    }
+
+    /// Appends `inst` with `behavior` in its slot.
+    fn push_branch(&mut self, inst: StaticInst, behavior: BranchBehavior) -> u64 {
+        let pc = self.push(inst);
+        *self.slots.last_mut().expect("just pushed") = slot_number(self.branch_behaviors.len());
+        self.branch_behaviors.push(behavior);
+        pc
+    }
+
+    /// Appends `inst` with `pattern` in its slot.
+    fn push_memory(&mut self, inst: StaticInst, pattern: AddrPattern) -> u64 {
+        let pc = self.push(inst);
+        *self.slots.last_mut().expect("just pushed") = slot_number(self.addr_patterns.len());
+        self.addr_patterns.push(pattern);
         pc
     }
 
@@ -167,9 +244,7 @@ impl ProgramBuilder {
         base: atr_isa::ArchReg,
         pattern: AddrPattern,
     ) -> u64 {
-        let pc = self.push(StaticInst::load(0, dst, base));
-        self.addr_patterns.insert(pc, pattern);
-        pc
+        self.push_memory(StaticInst::load(0, dst, base), pattern)
     }
 
     /// Appends a store with an address pattern.
@@ -179,9 +254,7 @@ impl ProgramBuilder {
         data: atr_isa::ArchReg,
         pattern: AddrPattern,
     ) -> u64 {
-        let pc = self.push(StaticInst::store(0, base, data));
-        self.addr_patterns.insert(pc, pattern);
-        pc
+        self.push_memory(StaticInst::store(0, base, data), pattern)
     }
 
     /// Appends a conditional branch with a behaviour.
@@ -191,9 +264,7 @@ impl ProgramBuilder {
         srcs: &[atr_isa::ArchReg],
         behavior: BranchBehavior,
     ) -> u64 {
-        let pc = self.push(StaticInst::cond_branch(0, target, srcs));
-        self.branch_behaviors.insert(pc, behavior);
-        pc
+        self.push_branch(StaticInst::cond_branch(0, target, srcs), behavior)
     }
 
     /// Appends an unconditional direct jump.
@@ -215,9 +286,8 @@ impl ProgramBuilder {
 
     /// Appends an indirect jump choosing among `targets`.
     pub fn push_indirect(&mut self, targets: Vec<u64>, srcs: &[atr_isa::ArchReg]) -> u64 {
-        let pc = self.push(StaticInst::new(0, OpClass::IndirectJump, None, srcs));
-        self.branch_behaviors.insert(pc, BranchBehavior::IndirectUniform { targets });
-        pc
+        let inst = StaticInst::new(0, OpClass::IndirectJump, None, srcs);
+        self.push_branch(inst, BranchBehavior::IndirectUniform { targets })
     }
 
     /// Overrides the taken target of an already-pushed direct branch —
@@ -227,11 +297,9 @@ impl ProgramBuilder {
     ///
     /// Panics if `pc` is unknown or not direct control flow.
     pub fn patch_target(&mut self, pc: u64, target: u64) {
-        let inst = self
-            .insts
-            .iter_mut()
-            .find(|i| i.pc == pc)
+        let i = index_of(&self.insts, self.entry, pc)
             .unwrap_or_else(|| panic!("patch_target: no instruction at {pc:#x}"));
+        let inst = &mut self.insts[i];
         assert!(
             matches!(inst.class, OpClass::CondBranch | OpClass::DirectJump | OpClass::Call),
             "patch_target: {:#x} is not direct control flow",
@@ -244,17 +312,18 @@ impl ProgramBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the program is empty, if any direct control flow is
-    /// missing a target, if any conditional branch or indirect jump is
-    /// missing a behaviour, or if any memory op is missing an address
-    /// pattern — catching generator bugs early.
+    /// Panics if the program is empty, if two instructions share a PC,
+    /// if any direct control flow is missing a target, if any
+    /// conditional branch or indirect jump is missing a behaviour, or if
+    /// any memory op is missing an address pattern — catching generator
+    /// bugs early.
     #[must_use]
     pub fn build(self) -> Arc<Program> {
         assert!(!self.insts.is_empty(), "program must have at least one instruction");
-        let mut pc_index = HashMap::with_capacity(self.insts.len());
         for (i, inst) in self.insts.iter().enumerate() {
-            let prev = pc_index.insert(inst.pc, i);
-            assert!(prev.is_none(), "duplicate PC {:#x}", inst.pc);
+            // Lookups rely on strictly ascending PCs; only a zero-size
+            // instruction can break that.
+            assert!(i == 0 || self.insts[i - 1].pc < inst.pc, "duplicate PC {:#x}", inst.pc);
             match inst.class {
                 OpClass::CondBranch | OpClass::DirectJump | OpClass::Call => {
                     assert!(
@@ -265,30 +334,28 @@ impl ProgramBuilder {
                 }
                 _ => {}
             }
-            if inst.class.is_conditional() || matches!(inst.class, OpClass::IndirectJump) {
-                assert!(
-                    self.branch_behaviors.contains_key(&inst.pc),
-                    "branch at {:#x} lacks a behaviour",
-                    inst.pc
-                );
+            let has_slot = self.slots[i] != NO_SLOT;
+            if has_branch_behavior(inst.class) {
+                assert!(has_slot, "branch at {:#x} lacks a behaviour", inst.pc);
             }
             if inst.class.is_memory() {
-                assert!(
-                    self.addr_patterns.contains_key(&inst.pc),
-                    "memory op at {:#x} lacks an address pattern",
-                    inst.pc
-                );
+                assert!(has_slot, "memory op at {:#x} lacks an address pattern", inst.pc);
             }
         }
         Arc::new(Program {
-            insts: self.insts,
-            pc_index,
+            insts: self.insts.into_boxed_slice(),
+            slots: self.slots.into_boxed_slice(),
+            branch_behaviors: self.branch_behaviors.into_boxed_slice(),
+            addr_patterns: self.addr_patterns.into_boxed_slice(),
             entry: self.entry,
-            branch_behaviors: self.branch_behaviors,
-            addr_patterns: self.addr_patterns,
             seed: self.seed,
         })
     }
+}
+
+/// `len` as a behaviour slot.
+fn slot_number(len: usize) -> u32 {
+    u32::try_from(len).ok().filter(|&s| s != NO_SLOT).expect("too many behaviours for a u32 slot")
 }
 
 #[cfg(test)]
@@ -318,6 +385,26 @@ mod tests {
         let prog = b.build();
         assert!(prog.at(0x1000).is_some());
         assert!(prog.at(0x1002).is_none());
+    }
+
+    #[test]
+    fn lookup_finds_every_instruction_of_mixed_sizes() {
+        let mut b = ProgramBuilder::new(0x2000, 0);
+        let mut short = StaticInst::alu(0, r(0), &[]);
+        short.size = 2;
+        let a = b.push(short);
+        let br = b.push_cond_branch(0, &[r(0)], BranchBehavior::AlwaysTaken);
+        let pat = AddrPattern::Stride { base: 0, stride: 8, footprint: 64 };
+        let ld = b.push_load(r(1), r(0), pat.clone());
+        b.patch_target(br, ld);
+        let prog = b.build();
+        assert_eq!([a, br, ld], [0x2000, 0x2002, 0x2006]);
+        assert_eq!(prog.at(br).unwrap().taken_target, Some(ld));
+        assert_eq!(prog.at(ld).unwrap().class, OpClass::Load);
+        assert!(prog.at(0x2004).is_none());
+        assert_eq!(prog.branch_behavior(br), Some(&BranchBehavior::AlwaysTaken));
+        assert_eq!(prog.addr_pattern(ld), Some(&pat));
+        assert_eq!((prog.branch_behavior(ld), prog.addr_pattern(br)), (None, None));
     }
 
     #[test]

@@ -76,6 +76,24 @@ if grep -q "atr-run-telemetry" "$audit_out"; then
     exit 1
 fi
 
+echo "== all_experiments with rename auditor at the smallest budget (40 + 160)"
+# So few instructions stop many runs with a resolved, mispredicted
+# branch still in flight; the end-of-run CoreStats consistency audit
+# must hold there too. Any failed point makes the pass exit 1.
+small_err="$(mktemp)"
+small_results="$(mktemp -d)"
+ATR_AUDIT=1 ATR_SIM_WARMUP=40 ATR_SIM_INSTS=160 ATR_SIM_PROGRESS=0 \
+    ATR_RESULTS_DIR="$small_results" \
+    target/release/all_experiments >/dev/null 2>"$small_err" || {
+    echo "FAIL: the audited 40 + 160 pass failed" >&2
+    grep -E "failed|panicked" "$small_err" | head -20 >&2
+    exit 1
+}
+if grep -q "points failed" "$small_err"; then
+    echo "FAIL: the audited 40 + 160 pass reported failed points" >&2
+    exit 1
+fi
+
 echo "== all_experiments with telemetry + audit (tiny budget), JSONL schema check"
 # With ATR_TELEMETRY=stats the executor emits one JSONL record per
 # simulated point on stdout (all narrative goes to stderr); every line
