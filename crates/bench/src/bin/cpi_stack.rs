@@ -1,84 +1,82 @@
 //! Per-scheme CPI stacks: where do the retire slots go?
 //!
-//! Runs every SPEC profile under each release scheme at a
-//! freelist-pressured register file (64 regs, where the schemes differ
-//! most), merges the per-run CPI stacks per scheme, and prints the
-//! top-down comparison table. The freelist-stall column shrinking from
-//! Baseline to ATR/Combined is the paper's mechanism made visible.
+//! Runs Fig 10's points at a freelist-pressured register file (every
+//! SPEC profile under each release scheme at 64 regs, where the schemes
+//! differ most) on the shared run-matrix executor, merges the per-run
+//! CPI stacks per scheme, and prints the top-down comparison table. The
+//! freelist-stall row shrinking from Baseline to ATR/Combined is the
+//! paper's mechanism made visible.
 //!
-//! Telemetry is forced to `stats` level internally — no `ATR_TELEMETRY`
-//! needed — but budget (`ATR_SIM_WARMUP`/`ATR_SIM_INSTS`) and `ATR_LOG`
-//! behave as everywhere else.
+//! Every run accounts its CPI stack, whatever `ATR_TELEMETRY` says. A
+//! stack spans warmup plus the measured window (`cpi.cycles + 1 ==
+//! stats.cycles`), unlike the figures' IPC, which covers the measured
+//! window only.
+//!
+//! Budget (`ATR_SIM_WARMUP`/`ATR_SIM_INSTS`) and every runtime knob
+//! (`ATR_SIM_THREADS`, `ATR_AUDIT`, `ATR_TELEMETRY`, `ATR_LOG`, …)
+//! behave as in `all_experiments`, and none of the knobs changes the
+//! table. At `ATR_TELEMETRY=stats`, set `ATR_TELEMETRY_OUT` to keep the
+//! JSONL records off stdout. Exits 1 (after printing the table over the
+//! surviving points) if a point failed.
 
 use atr_core::ReleaseScheme;
 use atr_sim::config::budget_from_env;
-use atr_sim::report::cpi_table;
-use atr_sim::{run, SimConfig};
-use atr_telemetry::{RunTelemetry, TelemetryConfig, TelemetryLevel};
-use atr_workload::spec::all_profiles;
+use atr_sim::experiments::fig10_points;
+use atr_sim::report::{coverage_marker, cpi_table};
+use atr_sim::{RunMatrix, Session, SimConfig};
+use atr_telemetry::CpiStack;
+use std::process::ExitCode;
 
-/// The paper's four schemes at the pressured design point.
-const SCHEMES: [ReleaseScheme; 4] = [
-    ReleaseScheme::Baseline,
-    ReleaseScheme::NonSpecEr,
-    ReleaseScheme::Atr { redefine_delay: 0 },
-    ReleaseScheme::Combined { redefine_delay: 0 },
-];
+/// The pressured design point.
 const RF_SIZE: usize = 64;
 
-fn main() {
+fn main() -> ExitCode {
     let (warmup, measure) = budget_from_env();
     let sim = SimConfig { warmup, measure, ..SimConfig::golden_cove() };
-    let profiles = all_profiles();
+    let session = Session::from_env();
+    let points = fig10_points(&sim, &[RF_SIZE]);
     atr_telemetry::info!(
-        "cpi_stack: {} profiles x {} schemes @{} regs (warmup {}, measure {})",
-        profiles.len(),
-        SCHEMES.len(),
-        RF_SIZE,
-        sim.warmup,
-        sim.measure
+        "cpi_stack: {} points @{RF_SIZE} regs (warmup {warmup}, measure {measure}); session: {}",
+        points.len(),
+        session.describe()
     );
+    let mut matrix = RunMatrix::new();
+    matrix.ensure_with(&session, &sim.core, &points);
 
-    // One aggregate stack per scheme; schemes run on parallel threads,
-    // profiles serially within each (results are order-independent
-    // because merged CPI stacks commute).
-    let merged: Vec<(String, RunTelemetry)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = SCHEMES
-            .map(|scheme| {
-                let sim = &sim;
-                let profiles = &profiles;
-                scope.spawn(move || {
-                    let stats = TelemetryConfig {
-                        level: TelemetryLevel::Stats,
-                        ..TelemetryConfig::default()
-                    };
-                    let cfg = sim
-                        .core
-                        .clone()
-                        .with_rf_size(RF_SIZE)
-                        .with_scheme(scheme)
-                        .with_telemetry(stats);
-                    let mut total = RunTelemetry::default();
-                    for profile in profiles {
-                        let result = run(cfg.clone(), profile.build(), sim.warmup, sim.measure);
-                        total.merge(&result.telemetry);
-                        atr_telemetry::debug!("{} {} done", profile.name, scheme.label());
-                    }
-                    (format!("{}@{RF_SIZE}", scheme.label()), total)
-                })
-            })
-            .into_iter()
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("scheme worker panicked")).collect()
-    });
-
-    let columns: Vec<(String, &atr_telemetry::CpiStack)> = merged
+    // One aggregate stack per scheme, in the order the points list the
+    // schemes (baseline first).
+    let width = sim.core.retire_width as u64;
+    let mut merged: Vec<(ReleaseScheme, CpiStack)> = Vec::new();
+    for point in &points {
+        let column = match merged.iter().position(|(scheme, _)| *scheme == point.scheme) {
+            Some(i) => i,
+            None => {
+                merged.push((point.scheme, CpiStack::new(width)));
+                merged.len() - 1
+            }
+        };
+        if let Some(result) = matrix.try_get(point) {
+            merged[column].1.merge(&result.cpi);
+        }
+    }
+    let columns: Vec<(String, &CpiStack)> = merged
         .iter()
-        .map(|(name, t)| (name.clone(), t.cpi.as_ref().expect("stats level fills the stack")))
+        .map(|(scheme, stack)| (format!("{}@{RF_SIZE}", scheme.label()), stack))
         .collect();
     for (name, stack) in &columns {
         stack.check().unwrap_or_else(|e| panic!("CPI invariant broken for {name}: {e}"));
     }
     println!("CPI stacks, SPEC aggregate (fraction of retire slots)\n");
     print!("{}", cpi_table(&columns));
+
+    match coverage_marker(matrix.failed(), matrix.executed(), &[]) {
+        None => ExitCode::SUCCESS,
+        Some(marker) => {
+            for (_, failure) in matrix.failures() {
+                atr_telemetry::warn!("failed point {failure}");
+            }
+            atr_telemetry::warn!("{marker}");
+            ExitCode::FAILURE
+        }
+    }
 }

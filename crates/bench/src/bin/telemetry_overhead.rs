@@ -3,14 +3,15 @@
 //! Runs one fixed-budget simulation interleaved at `off` and `stats`
 //! levels (min of three walls each — min, not mean, because scheduler
 //! noise only ever adds time) and fails when the off path is more than
-//! 2% *slower* than the stats path. Stats does strictly more work
-//! (per-cycle histogram sampling plus the forced lifetime log), so an
-//! off path that fails this guard has lost its gating — e.g. the
-//! observer being constructed, or event collection being forced, with
-//! telemetry disabled.
+//! 2% *slower* than the stats path. Both levels account the CPI stack;
+//! stats does strictly more on top (per-cycle occupancy histograms, the
+//! flush-walk and branch-resolution histograms), so an off path that
+//! fails this guard has lost its gating — e.g. the histograms being
+//! recorded, or event collection being forced, with telemetry disabled.
 //!
-//! The timing gate is backed by functional zero-overhead checks: the
-//! off run must produce no telemetry at all, and both levels must yield
+//! The timing gate is backed by functional checks: the off run must
+//! produce nothing but the CPI stack (no histograms, no series), that
+//! stack must equal the stats run's, and both levels must yield
 //! bit-identical simulated results.
 //!
 //! The budget is fixed internally (not `ATR_SIM_*`) so the measurement
@@ -39,6 +40,7 @@ fn main() -> ExitCode {
     let mut off_min = Duration::MAX;
     let mut stats_min = Duration::MAX;
     let mut fingerprints: Vec<(u64, u64, u64)> = Vec::new();
+    let mut stats_cpi = None;
     for rep in 0..REPS {
         // Interleave so drift (thermal, noisy neighbors) hits both arms.
         for (level, min) in
@@ -48,12 +50,19 @@ fn main() -> ExitCode {
             let r = run(core_at(level), profile.build(), 10_000, 100_000);
             *min = (*min).min(t0.elapsed());
             fingerprints.push((r.stats.cycles, r.stats.retired, r.stats.flushes));
-            if level == TelemetryLevel::Off && !r.telemetry.is_empty() {
-                atr_telemetry::warn!("ATR_TELEMETRY=off still produced telemetry — gating broken");
+            if level == TelemetryLevel::Stats {
+                if r.telemetry.is_empty() {
+                    atr_telemetry::warn!("stats level produced no histograms");
+                    return ExitCode::FAILURE;
+                }
+                stats_cpi = Some(r.cpi);
+            } else if !r.telemetry.is_empty() {
+                atr_telemetry::warn!(
+                    "ATR_TELEMETRY=off produced more than the CPI stack — gating broken"
+                );
                 return ExitCode::FAILURE;
-            }
-            if level == TelemetryLevel::Stats && r.telemetry.cpi.is_none() {
-                atr_telemetry::warn!("stats level produced no CPI stack");
+            } else if stats_cpi.as_ref() != Some(&r.cpi) {
+                atr_telemetry::warn!("the off run's CPI stack differs from the stats run's");
                 return ExitCode::FAILURE;
             }
         }
@@ -72,7 +81,7 @@ fn main() -> ExitCode {
         atr_telemetry::warn!(
             "telemetry off path is {:.1}% slower than the stats path (tolerance 2%). \
              The disabled path must do strictly less work than stats — check that \
-             OooCore skips the observer and that collect_events is not forced when \
+             OooCore records no histograms and that collect_events is not forced when \
              ATR_TELEMETRY=off.",
             (ratio - 1.0) * 100.0
         );

@@ -2,8 +2,9 @@
 //!
 //! The binaries in `src/bin` are thin: `all_experiments` walks the
 //! figure registry ([`atr_sim::experiments::FIGURES`]), `cpi_stack`
-//! prints per-scheme CPI stacks, and `jsonl_check` and
-//! `telemetry_overhead` are CI checks. [`timing`] backs the `benches/`
+//! merges the CPI stack every run carries into one per scheme over Fig
+//! 10's @64 points (on the same run matrix and session), and
+//! `jsonl_check` and `telemetry_overhead` are CI checks. [`timing`] backs the `benches/`
 //! harnesses.
 
 pub mod timing {

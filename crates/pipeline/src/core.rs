@@ -125,13 +125,14 @@ pub struct OooCore {
     /// Retired-stream capture for differential validation; off unless
     /// [`OooCore::enable_retire_log`] was called.
     retire_log: Option<Vec<RetiredInst>>,
-    /// The observer ([`crate::telemetry`]); `None` when
-    /// `ATR_TELEMETRY=off`, so the hot loop pays one branch per hook.
-    telemetry: Option<Box<CoreTelemetry>>,
-    /// End of the current exception/interrupt serialization window
-    /// (telemetry attribution only — timing uses `fetch_stall_until`).
+    /// The observer ([`crate::telemetry`]): its CPI stack is accounted
+    /// on every run; its histograms, series and ring record only at the
+    /// levels that ask for them.
+    telemetry: CoreTelemetry,
+    /// End of the current exception/interrupt serialization window (CPI
+    /// attribution only — timing uses `fetch_stall_until`).
     serialize_until: u64,
-    /// End of the current misprediction redirect window (telemetry
+    /// End of the current misprediction redirect window (CPI
     /// attribution only).
     badspec_until: u64,
 }
@@ -175,9 +176,7 @@ impl OooCore {
             pending_interrupt: None,
             auditor: cfg.rename.audit.then(RenameAuditor::new),
             retire_log: None,
-            telemetry: cfg.telemetry.stats_enabled().then(|| {
-                Box::new(CoreTelemetry::new(cfg.telemetry.clone(), cfg.retire_width as u64))
-            }),
+            telemetry: CoreTelemetry::new(&cfg.telemetry, cfg.retire_width as u64),
             serialize_until: 0,
             badspec_until: 0,
             cycle: 1,
@@ -266,23 +265,26 @@ impl OooCore {
         self.auditor.as_ref()
     }
 
-    /// The attached observer, when telemetry is at `stats` or above.
+    /// The observer, when telemetry is at `stats` or above (below that
+    /// it accounts only the CPI stack, which [`OooCore::into_telemetry`]
+    /// hands over at every level).
     #[must_use]
     pub fn telemetry(&self) -> Option<&CoreTelemetry> {
-        self.telemetry.as_deref()
+        self.telemetry.stats_enabled().then_some(&self.telemetry)
     }
 
-    /// Detaches and returns the observer (runner aggregation after a
-    /// finished run).
-    pub fn take_telemetry(&mut self) -> Option<Box<CoreTelemetry>> {
-        self.telemetry.take()
+    /// Consumes the core and returns its observer (runner aggregation
+    /// after a finished run).
+    #[must_use]
+    pub fn into_telemetry(self) -> CoreTelemetry {
+        self.telemetry
     }
 
     /// The current pipeline-trace window in Konata text format, when
     /// tracing (`ATR_TELEMETRY=trace`) is on.
     #[must_use]
     pub fn dump_konata(&self) -> Option<String> {
-        self.telemetry.as_ref().filter(|t| t.tracing()).map(|t| t.trace.dump_konata())
+        self.telemetry.tracing().then(|| self.telemetry.trace.dump_konata())
     }
 
     /// Starts capturing every retired instruction for differential
@@ -338,13 +340,11 @@ impl OooCore {
     /// Simulates exactly one cycle. Returns whether it changed any
     /// state beyond the per-cycle counters (`false`: a quiet cycle).
     fn step(&mut self) -> bool {
-        if let Some(t) = self.telemetry.as_mut() {
-            t.begin_cycle(
-                self.stats.retired,
-                self.stats.rename_freelist_stalls,
-                self.stats.rename_backpressure_stalls,
-            );
-        }
+        self.telemetry.begin_cycle(
+            self.stats.retired,
+            self.stats.rename_freelist_stalls,
+            self.stats.rename_backpressure_stalls,
+        );
         let mut active = self.renamer.tick(self.cycle);
         active |= self.commit();
         active |= self.service_interrupt();
@@ -356,9 +356,7 @@ impl OooCore {
         self.enforce_audit_cycle();
         self.stats.int_prf_occupancy_sum += self.renamer.occupancy(RegClass::Int) as u128;
         self.stats.fp_prf_occupancy_sum += self.renamer.occupancy(RegClass::Fp) as u128;
-        if self.telemetry.is_some() {
-            self.telemetry_end_cycle();
-        }
+        self.telemetry_end_cycle();
         self.stats.cycles = self.cycle;
         self.cycle += 1;
         active
@@ -374,8 +372,8 @@ impl OooCore {
     /// The earliest cycle at or after `from` at which a timed condition
     /// of the cycle loop flips: a completion falls due, a redefine
     /// becomes effective, fetch's stall ends, the frontend head reaches
-    /// rename, the divider frees, or a telemetry serialization/redirect
-    /// window closes.
+    /// rename, the divider frees, or a serialization/redirect window
+    /// closes.
     fn next_event(&self, from: u64) -> u64 {
         [
             self.completions.next_at(),
@@ -416,12 +414,10 @@ impl OooCore {
         s.int_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Int) as u128;
         s.fp_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Fp) as u128;
         s.cycles = to - 1;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.repeat_last_cycle(from, n);
-            if self.auditor.is_some() {
-                if let Err(e) = t.cpi.check() {
-                    panic!("cycles {from}..{to}: {e}");
-                }
+        self.telemetry.repeat_last_cycle(from, n);
+        if self.auditor.is_some() {
+            if let Err(e) = self.telemetry.cpi.check() {
+                panic!("cycles {from}..{to}: {e}");
             }
         }
         if let Some(auditor) = self.auditor.as_mut() {
@@ -441,87 +437,82 @@ impl OooCore {
             auditor.enforce_cycle(renamer, rob.iter().map(|e| (&e.uop, e.issued())), cycle);
             audit_schedule(renamer, rob, iq, completions, cycle);
         };
-        let dump_on_failure = self.telemetry.as_ref().is_some_and(|t| t.tracing());
-        if !dump_on_failure {
+        if !self.telemetry.tracing() {
             audit();
             return;
         }
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(audit));
         if let Err(payload) = outcome {
-            if let Some(t) = self.telemetry.as_ref() {
-                let path = t
-                    .config()
-                    .trace_dump
-                    .as_deref()
-                    .cloned()
-                    .unwrap_or_else(|| format!("atr-audit-trace-cycle{cycle}.kanata").into());
-                let shown = path.display();
-                match std::fs::write(&path, t.trace.dump_konata()) {
-                    Ok(()) => atr_telemetry::info!(
-                        "audit failure at cycle {cycle}: wrote {} trace events to {shown}",
-                        t.trace.len()
-                    ),
-                    Err(e) => atr_telemetry::warn!("could not write audit trace to {shown}: {e}"),
-                }
+            let trace = &self.telemetry.trace;
+            let path = self
+                .cfg
+                .telemetry
+                .trace_dump
+                .as_deref()
+                .cloned()
+                .unwrap_or_else(|| format!("atr-audit-trace-cycle{cycle}.kanata").into());
+            let shown = path.display();
+            match std::fs::write(&path, trace.dump_konata()) {
+                Ok(()) => atr_telemetry::info!(
+                    "audit failure at cycle {cycle}: wrote {} trace events to {shown}",
+                    trace.len()
+                ),
+                Err(e) => atr_telemetry::warn!("could not write audit trace to {shown}: {e}"),
             }
             std::panic::resume_unwind(payload);
         }
     }
 
-    /// End-of-cycle telemetry: CPI slot attribution and occupancy
-    /// sampling. Only called when the observer is attached.
+    /// End-of-cycle telemetry: CPI slot attribution, and occupancy
+    /// sampling at `stats`.
     fn telemetry_end_cycle(&mut self) {
-        let head_mem_level = self.rob.head().and_then(|h| {
-            (h.inst.sinst.class.is_load() && h.state == RobState::Issued)
-                .then_some(h.mem_level)
-                .flatten()
-        });
+        let rob = &self.rob;
+        let head_mem_level = || {
+            rob.head().and_then(|h| {
+                (h.inst.sinst.class.is_load() && h.state == RobState::Issued)
+                    .then_some(h.mem_level)
+                    .flatten()
+            })
+        };
         let rob_nonempty = !self.rob.is_empty();
         let serializing = self.pending_interrupt.is_some() || self.cycle < self.serialize_until;
         let redirecting = self.cycle < self.badspec_until;
-        let (rob_len, int_occ, fp_occ) = (
-            self.rob.len() as u64,
-            self.renamer.occupancy(RegClass::Int) as u64,
-            self.renamer.occupancy(RegClass::Fp) as u64,
-        );
         let cycle = self.cycle;
-        let audit = self.auditor.is_some();
-        let t = self.telemetry.as_mut().expect("caller checked");
+        let t = &mut self.telemetry;
         let (retired, freelist_stalled, backpressure_stalled) = t.delta(
             self.stats.retired,
             self.stats.rename_freelist_stalls,
             self.stats.rename_backpressure_stalls,
         );
-        t.end_cycle(&CycleView {
+        let view = CycleView {
             retired,
             freelist_stalled,
             backpressure_stalled,
             rob_nonempty,
-            head_mem_level,
             serializing,
             redirecting,
-        });
-        t.sample_occupancy(cycle, rob_len, int_occ, fp_occ);
-        if audit {
+        };
+        t.end_cycle(&view, head_mem_level);
+        if t.stats_enabled() {
+            t.sample_occupancy(
+                cycle,
+                self.rob.len() as u64,
+                self.renamer.occupancy(RegClass::Int) as u64,
+                self.renamer.occupancy(RegClass::Fp) as u64,
+            );
+        }
+        if self.auditor.is_some() {
             if let Err(e) = t.cpi.check() {
                 panic!("cycle {cycle}: {e}");
             }
         }
     }
 
-    /// Is the per-uop pipeline trace recording?
-    #[inline]
-    fn tracing(&self) -> bool {
-        self.telemetry.as_ref().is_some_and(|t| t.tracing())
-    }
-
     /// Pushes a pipeline-trace event when tracing is on.
     #[inline]
     fn trace_event(&mut self, seq: InstSeq, stage: TraceStage, label: &str) {
-        if let Some(t) = self.telemetry.as_mut() {
-            if t.tracing() {
-                t.trace.push(seq, self.cycle, stage, label);
-            }
+        if self.telemetry.tracing() {
+            self.telemetry.trace.push(seq, self.cycle, stage, label);
         }
     }
 
@@ -613,7 +604,7 @@ impl OooCore {
             if fetched.inst.on_wrong_path {
                 self.stats.wrong_path_fetched += 1;
             }
-            if self.tracing() {
+            if self.telemetry.tracing() {
                 let label = format!("{:?} {:#x}", fetched.inst.sinst.class, fetched.inst.sinst.pc);
                 self.trace_event(fetched.inst.seq, TraceStage::Fetch, &label);
             }
@@ -835,8 +826,9 @@ impl OooCore {
                 if e.inst.sinst.class.is_conditional() {
                     self.stats.cond_branches += 1;
                 }
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.branch_resolution.record(self.cycle.saturating_sub(e.renamed_at));
+                if self.telemetry.stats_enabled() {
+                    let latency = self.cycle.saturating_sub(e.renamed_at);
+                    self.telemetry.branch_resolution.record(latency);
                 }
                 // Train at resolve with the architectural outcome.
                 if let Some(pred) = &e.prediction {
@@ -865,7 +857,7 @@ impl OooCore {
         let mut records = std::mem::take(&mut self.flush_records);
         records.clear();
         let cycle = self.cycle;
-        let mut trace = self.telemetry.as_deref_mut().filter(|t| t.tracing()).map(|t| &mut t.trace);
+        let mut trace = self.telemetry.tracing().then_some(&mut self.telemetry.trace);
         let visit = |e: &RobEntry| {
             records.push(e.uop.flush_record(&e.inst.sinst, e.issued()));
             if let Some(trace) = trace.as_mut() {
@@ -876,8 +868,8 @@ impl OooCore {
             Some(id) => self.rob.squash_younger(id, visit),
             None => self.rob.squash_all(visit),
         };
-        if let Some(t) = self.telemetry.as_mut() {
-            t.flush_walk_len.record(squashed as u64);
+        if self.telemetry.stats_enabled() {
+            self.telemetry.flush_walk_len.record(squashed as u64);
         }
         self.renamer.flush_walk(&records, cycle);
         self.flush_records = records;
@@ -1054,7 +1046,7 @@ impl OooCore {
                 _ => {}
             }
             self.renamer.on_commit(&uop, self.cycle);
-            if self.tracing() {
+            if self.telemetry.tracing() {
                 self.trace_event(seq, TraceStage::Commit, "");
                 // The conventional commit-path release of the previous
                 // mapping (ATR-claimed previous mappings were released

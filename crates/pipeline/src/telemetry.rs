@@ -4,8 +4,9 @@
 //! about one core: the CPI stack, the pipeline-level histograms, the
 //! optional occupancy time series, and (at `trace` level) the per-uop
 //! ring trace. It is a pure observer — nothing in here feeds back into
-//! timing — and the whole struct is skipped when `ATR_TELEMETRY=off`,
-//! so the hot loop takes its pre-telemetry branches.
+//! timing. Every core carries one and accounts its CPI stack on every
+//! cycle, whatever the telemetry level; the histograms and the series
+//! record only at `stats` and above, and the ring only at `trace`.
 //!
 //! Cycle attribution works on *deltas*: [`CoreTelemetry::begin_cycle`]
 //! snapshots the stall counters [`crate::CoreStats`] already maintains,
@@ -71,21 +72,20 @@ pub struct CycleView {
     pub backpressure_stalled: bool,
     /// The ROB holds at least one instruction.
     pub rob_nonempty: bool,
-    /// The ROB head is an issued, still-incomplete load, and this is
-    /// the level that serviced (is servicing) its access.
-    pub head_mem_level: Option<ServiceLevel>,
     /// An exception/interrupt serialization window is open.
     pub serializing: bool,
     /// A misprediction redirect window is open (recovery + refill).
     pub redirecting: bool,
 }
 
-/// Per-core observer state. Construct with [`CoreTelemetry::new`]; a
-/// `None` observer (telemetry off) costs the pipeline one branch per
-/// hook site.
+/// Per-core observer state. Construct with [`CoreTelemetry::new`]. The
+/// CPI stack is accounted at every level; below `stats` the histograms
+/// and the series stay empty, and each of their hook sites costs the
+/// pipeline one branch.
 #[derive(Debug)]
 pub struct CoreTelemetry {
-    cfg: TelemetryConfig,
+    /// Record the histograms and the series (`stats` and above).
+    stats: bool,
     /// The CPI stack under construction.
     pub cpi: CpiStack,
     /// ROB occupancy histogram.
@@ -98,7 +98,7 @@ pub struct CoreTelemetry {
     pub flush_walk_len: Log2Hist,
     /// Branch resolution latency histogram.
     pub branch_resolution: Log2Hist,
-    /// Integer PRF occupancy time series (when sampling is on).
+    /// Integer PRF occupancy time series (at `stats` with sampling on).
     pub int_occ_series: TimeSeries,
     /// The per-uop ring trace (empty below `trace` level).
     pub trace: PipeTrace,
@@ -109,8 +109,9 @@ pub struct CoreTelemetry {
 impl CoreTelemetry {
     /// Builds the observer for a `retire_width`-wide core.
     #[must_use]
-    pub fn new(cfg: TelemetryConfig, retire_width: u64) -> Self {
+    pub fn new(cfg: &TelemetryConfig, retire_width: u64) -> Self {
         CoreTelemetry {
+            stats: cfg.stats_enabled(),
             cpi: CpiStack::new(retire_width),
             rob_occupancy: Log2Hist::new(),
             int_prf_occupancy: Log2Hist::new(),
@@ -121,14 +122,13 @@ impl CoreTelemetry {
             trace: PipeTrace::new(if cfg.trace_enabled() { cfg.trace_cap as usize } else { 0 }),
             scratch: CycleScratch::default(),
             last: LastCycle::default(),
-            cfg,
         }
     }
 
-    /// The configuration the observer was built with.
+    /// Are the histograms and the series recording (`stats` and above)?
     #[must_use]
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
+    pub fn stats_enabled(&self) -> bool {
+        self.stats
     }
 
     /// Is the per-uop trace recording?
@@ -159,9 +159,16 @@ impl CoreTelemetry {
 
     /// Attributes one cycle's retire slots: the retired ones to
     /// `retiring`, the empty ones to the first cause that fires in the
-    /// precedence of DESIGN.md §Observability.
-    pub fn end_cycle(&mut self, view: &CycleView) {
-        let cause = self.classify(view);
+    /// precedence of DESIGN.md §Observability. `head_mem_level` yields
+    /// the level that serviced (is servicing) the ROB head's access when
+    /// the head is an issued, still-incomplete load; it is asked only
+    /// when the precedence reaches the memory buckets.
+    pub fn end_cycle(
+        &mut self,
+        view: &CycleView,
+        head_mem_level: impl FnOnce() -> Option<ServiceLevel>,
+    ) {
+        let cause = self.classify(view, head_mem_level);
         self.cpi.account_cycle(view.retired, cause);
         self.last.retired = view.retired;
         self.last.cause = cause;
@@ -171,7 +178,11 @@ impl CoreTelemetry {
     /// precedence here is the contract documented in DESIGN.md
     /// §Observability: every empty slot gets exactly one cause, chosen
     /// by the first test that fires.
-    fn classify(&self, view: &CycleView) -> CpiBucket {
+    fn classify(
+        &self,
+        view: &CycleView,
+        head_mem_level: impl FnOnce() -> Option<ServiceLevel>,
+    ) -> CpiBucket {
         debug_assert!(view.retired <= self.cpi.width);
         if view.retired == self.cpi.width {
             return CpiBucket::Retiring;
@@ -183,7 +194,7 @@ impl CoreTelemetry {
         } else if view.freelist_stalled {
             CpiBucket::FreelistStall
         } else if view.rob_nonempty {
-            match view.head_mem_level {
+            match head_mem_level() {
                 Some(ServiceLevel::L1) => CpiBucket::MemL1,
                 Some(ServiceLevel::L2) => CpiBucket::MemL2,
                 Some(ServiceLevel::Llc) => CpiBucket::MemLlc,
@@ -197,7 +208,8 @@ impl CoreTelemetry {
     }
 
     /// Samples the occupancy histograms (and the optional series) for
-    /// one cycle.
+    /// one cycle. The core calls this only when
+    /// [`CoreTelemetry::stats_enabled`].
     pub fn sample_occupancy(&mut self, cycle: u64, rob: u64, int_prf: u64, fp_prf: u64) {
         self.rob_occupancy.record(rob);
         self.int_prf_occupancy.record(int_prf);
@@ -209,13 +221,16 @@ impl CoreTelemetry {
     }
 
     /// Credits the `n` cycles starting at `first_cycle` as exact repeats
-    /// of the last accounted cycle — the same CPI attribution and
-    /// occupancy samples `n` more [`CoreTelemetry::end_cycle`] plus
-    /// [`CoreTelemetry::sample_occupancy`] calls would record. The core
-    /// calls this for the quiet cycles it skips.
+    /// of the last accounted cycle — the same CPI attribution and (at
+    /// `stats`) occupancy samples `n` more [`CoreTelemetry::end_cycle`]
+    /// plus [`CoreTelemetry::sample_occupancy`] calls would record. The
+    /// core calls this for the quiet cycles it skips.
     pub fn repeat_last_cycle(&mut self, first_cycle: u64, n: u64) {
         let last = self.last;
         self.cpi.account_cycles(last.retired, last.cause, n);
+        if !self.stats {
+            return;
+        }
         self.rob_occupancy.record_n(last.rob, n);
         self.int_prf_occupancy.record_n(last.int_prf, n);
         self.fp_prf_occupancy.record_n(last.fp_prf, n);
@@ -234,7 +249,6 @@ mod tests {
             freelist_stalled: false,
             backpressure_stalled: false,
             rob_nonempty: false,
-            head_mem_level: None,
             serializing: false,
             redirecting: false,
         }
@@ -242,31 +256,30 @@ mod tests {
 
     fn telem() -> CoreTelemetry {
         let cfg = TelemetryConfig { level: TelemetryLevel::Stats, ..TelemetryConfig::default() };
-        CoreTelemetry::new(cfg, 8)
+        CoreTelemetry::new(&cfg, 8)
     }
 
     #[test]
     fn precedence_serialization_beats_everything() {
         let mut t = telem();
-        t.end_cycle(&CycleView {
-            serializing: true,
-            redirecting: true,
-            freelist_stalled: true,
-            rob_nonempty: true,
-            head_mem_level: Some(ServiceLevel::Dram),
-            ..view()
-        });
+        t.end_cycle(
+            &CycleView {
+                serializing: true,
+                redirecting: true,
+                freelist_stalled: true,
+                rob_nonempty: true,
+                ..view()
+            },
+            || Some(ServiceLevel::Dram),
+        );
         assert_eq!(t.cpi.get(CpiBucket::Serialization), 8);
     }
 
     #[test]
     fn precedence_freelist_beats_memory() {
         let mut t = telem();
-        t.end_cycle(&CycleView {
-            freelist_stalled: true,
-            rob_nonempty: true,
-            head_mem_level: Some(ServiceLevel::Dram),
-            ..view()
+        t.end_cycle(&CycleView { freelist_stalled: true, rob_nonempty: true, ..view() }, || {
+            Some(ServiceLevel::Dram)
         });
         assert_eq!(t.cpi.get(CpiBucket::FreelistStall), 8);
     }
@@ -274,13 +287,15 @@ mod tests {
     #[test]
     fn memory_bound_classified_by_service_level() {
         let mut t = telem();
-        t.end_cycle(&CycleView {
-            retired: 2,
-            rob_nonempty: true,
-            backpressure_stalled: true, // mem-bound head outranks backpressure
-            head_mem_level: Some(ServiceLevel::Llc),
-            ..view()
-        });
+        t.end_cycle(
+            &CycleView {
+                retired: 2,
+                rob_nonempty: true,
+                backpressure_stalled: true, // mem-bound head outranks backpressure
+                ..view()
+            },
+            || Some(ServiceLevel::Llc),
+        );
         assert_eq!(t.cpi.get(CpiBucket::Retiring), 2);
         assert_eq!(t.cpi.get(CpiBucket::MemLlc), 6);
         t.cpi.check().unwrap();
@@ -289,14 +304,14 @@ mod tests {
     #[test]
     fn empty_rob_without_stalls_is_frontend() {
         let mut t = telem();
-        t.end_cycle(&view());
+        t.end_cycle(&view(), || None);
         assert_eq!(t.cpi.get(CpiBucket::FrontendLatency), 8);
     }
 
     #[test]
     fn full_retire_skips_cause_analysis() {
         let mut t = telem();
-        t.end_cycle(&CycleView { retired: 8, serializing: true, ..view() });
+        t.end_cycle(&CycleView { retired: 8, serializing: true, ..view() }, || None);
         assert_eq!(t.cpi.get(CpiBucket::Retiring), 8);
         assert_eq!(t.cpi.get(CpiBucket::Serialization), 0);
     }
@@ -320,7 +335,20 @@ mod tests {
             trace_cap: 128,
             ..TelemetryConfig::default()
         };
-        let tracing = CoreTelemetry::new(cfg, 8);
+        let tracing = CoreTelemetry::new(&cfg, 8);
         assert!(tracing.tracing());
+    }
+
+    #[test]
+    fn off_level_accounts_cpi_but_records_no_histograms() {
+        let mut t = CoreTelemetry::new(&TelemetryConfig::default(), 8);
+        assert!(!t.stats_enabled() && !t.tracing());
+        t.end_cycle(&CycleView { retired: 3, rob_nonempty: true, ..view() }, || None);
+        t.repeat_last_cycle(2, 4);
+        assert_eq!(t.cpi.cycles, 5);
+        assert_eq!(t.cpi.get(CpiBucket::Retiring), 15);
+        assert_eq!(t.cpi.get(CpiBucket::ExecLatency), 25);
+        assert_eq!(t.rob_occupancy.count, 0);
+        assert!(t.int_occ_series.values.is_empty());
     }
 }

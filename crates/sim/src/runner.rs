@@ -2,8 +2,8 @@
 
 use atr_core::{RegLifetime, ReleaseKind};
 use atr_pipeline::telemetry::hist_names;
-use atr_pipeline::{CoreConfig, CoreStats, OooCore};
-use atr_telemetry::{Log2Hist, RunTelemetry};
+use atr_pipeline::{CoreConfig, CoreStats, CoreTelemetry, OooCore};
+use atr_telemetry::{CpiStack, Log2Hist, RunTelemetry};
 use atr_workload::{Oracle, Program};
 use std::sync::Arc;
 
@@ -18,9 +18,14 @@ pub struct RunResult {
     pub avg_fp_occupancy: f64,
     /// Cumulative whole-run statistics.
     pub stats: CoreStats,
+    /// The run's CPI stack, accounted at every telemetry level. Unlike
+    /// `ipc` it spans warmup plus the measured window: the core's cycle
+    /// counter starts at 1, so `cpi.cycles + 1 == stats.cycles`.
+    pub cpi: CpiStack,
     /// Lifetime records (empty unless `rename.collect_events` was set).
     pub lifetimes: Vec<RegLifetime>,
-    /// What the observer recorded (empty when `ATR_TELEMETRY=off`).
+    /// The histograms and series the observer recorded (empty below
+    /// `ATR_TELEMETRY=stats`).
     pub telemetry: RunTelemetry,
 }
 
@@ -29,14 +34,8 @@ pub struct RunResult {
 /// description, scheme, RF size, event collection, auditing and
 /// telemetry included.
 #[must_use]
-pub fn run(mut cfg: CoreConfig, program: Arc<Program>, warmup: u64, measure: u64) -> RunResult {
-    let requested_events = cfg.rename.collect_events;
-    // Stats-level telemetry derives the lifetime/claim histograms from
-    // the lifetime log, so it forces collection on. Collection is
-    // observation-only (pinned by
-    // `executor::tests::event_collection_does_not_change_timing`), so
-    // the forced log cannot perturb the timed result.
-    cfg.rename.collect_events |= cfg.telemetry.stats_enabled();
+pub fn run(cfg: CoreConfig, program: Arc<Program>, warmup: u64, measure: u64) -> RunResult {
+    let events = cfg.rename.collect_events;
     let mut core = OooCore::new(cfg, Oracle::new(program));
     let s0 = if warmup > 0 { core.run(warmup) } else { core.snapshot_stats() };
     let s1 = core.run(measure);
@@ -44,54 +43,55 @@ pub fn run(mut cfg: CoreConfig, program: Arc<Program>, warmup: u64, measure: u64
     let ipc = (s1.retired - s0.retired) as f64 / cycles as f64;
     let avg_int = (s1.int_prf_occupancy_sum - s0.int_prf_occupancy_sum) as f64 / cycles as f64;
     let avg_fp = (s1.fp_prf_occupancy_sum - s0.fp_prf_occupancy_sum) as f64 / cycles as f64;
-    let telemetry = collect_telemetry(&mut core);
+    let lifetimes = core.lifetime_log().to_vec();
+    let (cpi, telemetry) = observations(core.into_telemetry(), events.then_some(&lifetimes[..]));
     RunResult {
         ipc,
         avg_int_occupancy: avg_int,
         avg_fp_occupancy: avg_fp,
         stats: s1,
-        // Only the *requested* log is surfaced: a telemetry-forced log
-        // stays private so results stay bit-identical to an off run.
-        lifetimes: if requested_events { core.lifetime_log().to_vec() } else { Vec::new() },
+        cpi,
+        lifetimes,
         telemetry,
     }
 }
 
-/// Detaches the core's observer and folds it — plus the histograms
-/// derived from the lifetime log — into a [`RunTelemetry`].
-fn collect_telemetry(core: &mut OooCore) -> RunTelemetry {
-    let mut out = RunTelemetry::default();
-    let Some(t) = core.take_telemetry() else {
-        return out;
-    };
-    let t = *t;
-    out.cpi = Some(t.cpi);
-    out.hists = vec![
+/// Splits a finished run's observer into its CPI stack and what it
+/// recorded at `stats`: the histograms and the series, plus — when the
+/// run collected a lifetime log — the histograms derived from it.
+fn observations(t: CoreTelemetry, lifetimes: Option<&[RegLifetime]>) -> (CpiStack, RunTelemetry) {
+    if !t.stats_enabled() {
+        return (t.cpi, RunTelemetry::default());
+    }
+    let mut hists = vec![
         (hist_names::ROB_OCCUPANCY.to_owned(), t.rob_occupancy),
         (hist_names::INT_PRF_OCCUPANCY.to_owned(), t.int_prf_occupancy),
         (hist_names::FP_PRF_OCCUPANCY.to_owned(), t.fp_prf_occupancy),
         (hist_names::FLUSH_WALK_LEN.to_owned(), t.flush_walk_len),
         (hist_names::BRANCH_RESOLUTION.to_owned(), t.branch_resolution),
     ];
+    let mut series = Vec::new();
     if !t.int_occ_series.values.is_empty() {
-        out.series.push((hist_names::INT_PRF_OCCUPANCY.to_owned(), t.int_occ_series));
+        series.push((hist_names::INT_PRF_OCCUPANCY.to_owned(), t.int_occ_series));
     }
-    let mut lifetime = Log2Hist::new();
-    let mut claim = Log2Hist::new();
-    for rec in core.lifetime_log() {
-        let Some(released) = rec.release_cycle else {
-            continue;
-        };
-        lifetime.record(released.saturating_sub(rec.alloc_cycle));
-        if rec.release_kind == Some(ReleaseKind::Atomic) {
-            if let Some(redefined) = rec.redefine_cycle {
-                claim.record(released.saturating_sub(redefined));
+    if let Some(lifetimes) = lifetimes {
+        let mut lifetime = Log2Hist::new();
+        let mut claim = Log2Hist::new();
+        for rec in lifetimes {
+            let Some(released) = rec.release_cycle else {
+                continue;
+            };
+            lifetime.record(released.saturating_sub(rec.alloc_cycle));
+            if rec.release_kind == Some(ReleaseKind::Atomic) {
+                if let Some(redefined) = rec.redefine_cycle {
+                    claim.record(released.saturating_sub(redefined));
+                }
             }
         }
+        hists.push((hist_names::REG_LIFETIME.to_owned(), lifetime));
+        hists.push((hist_names::CLAIM_DURATION.to_owned(), claim));
     }
-    out.hists.push((hist_names::REG_LIFETIME.to_owned(), lifetime));
-    out.hists.push((hist_names::CLAIM_DURATION.to_owned(), claim));
-    out
+    (t.cpi, RunTelemetry { hists, series })
 }
 
 /// Geometric mean of positive values (the paper's average speedups).
@@ -128,36 +128,53 @@ mod tests {
         CoreConfig::default().with_rf_size(rf).with_scheme(scheme)
     }
 
-    #[test]
-    fn stats_telemetry_fills_cpi_and_derived_histograms() {
-        use atr_telemetry::{CpiBucket, TelemetryConfig, TelemetryLevel};
-        let program = ProfileParams::default().build();
-        let cfg = quick(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
-        let stats = TelemetryConfig {
+    fn stats_level(cfg: CoreConfig) -> CoreConfig {
+        use atr_telemetry::{TelemetryConfig, TelemetryLevel};
+        cfg.with_telemetry(TelemetryConfig {
             level: TelemetryLevel::Stats,
             series_interval: 100,
             ..TelemetryConfig::default()
-        };
-        let r = run(cfg.clone().with_telemetry(stats), program.clone(), WARMUP, MEASURE);
-        let cpi = r.telemetry.cpi.as_ref().expect("stats level records a CPI stack");
-        cpi.check().unwrap();
+        })
+    }
+
+    #[test]
+    fn stats_telemetry_without_events_fills_cpi_and_occupancy_histograms() {
+        use atr_telemetry::CpiBucket;
+        let program = ProfileParams::default().build();
+        let cfg = quick(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
+        let r = run(stats_level(cfg.clone()), program.clone(), WARMUP, MEASURE);
+        r.cpi.check().unwrap();
         // The core's cycle counter has origin 1, so the observer sees
         // exactly stats.cycles - 1 ticks.
-        assert_eq!(cpi.cycles + 1, r.stats.cycles);
-        assert!(cpi.get(CpiBucket::Retiring) > 0);
+        assert_eq!(r.cpi.cycles + 1, r.stats.cycles);
+        assert!(r.cpi.get(CpiBucket::Retiring) > 0);
+        assert!(r.telemetry.hist("rob_occupancy").unwrap().count > 0);
+        assert_eq!(r.telemetry.series.len(), 1, "series sampling was requested");
+        assert!(r.telemetry.hist("reg_lifetime").is_none(), "no log, no lifetime histogram");
+        assert!(r.telemetry.hist("claim_duration").is_none(), "no log, no claim histogram");
+        assert!(r.lifetimes.is_empty());
+
+        // The observer never perturbs the simulated result, and `off`
+        // still accounts the same CPI stack.
+        let off = run(cfg, program, WARMUP, MEASURE);
+        assert_eq!(off.ipc.to_bits(), r.ipc.to_bits());
+        assert_eq!(format!("{:?}", off.stats), format!("{:?}", r.stats));
+        assert_eq!(off.cpi, r.cpi);
+        assert!(off.telemetry.is_empty());
+    }
+
+    #[test]
+    fn stats_telemetry_with_events_derives_lifetime_and_claim_histograms() {
+        let program = ProfileParams::default().build();
+        let mut cfg = quick(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
+        cfg.rename.collect_events = true;
+        let r = run(stats_level(cfg), program, WARMUP, MEASURE);
         let lifetime = r.telemetry.hist("reg_lifetime").unwrap();
         assert!(lifetime.count > 0, "released registers must land in the lifetime histogram");
         let claim = r.telemetry.hist("claim_duration").unwrap();
         assert!(claim.count > 0, "ATR runs must record atomic claim durations");
         assert!(claim.count <= lifetime.count);
-        assert_eq!(r.telemetry.series.len(), 1, "series sampling was requested");
-        assert!(r.lifetimes.is_empty(), "telemetry-forced log must stay private");
-
-        // The observer never perturbs the simulated result.
-        let off = run(cfg, program, WARMUP, MEASURE);
-        assert_eq!(off.ipc.to_bits(), r.ipc.to_bits());
-        assert_eq!(off.stats.cycles, r.stats.cycles);
-        assert!(off.telemetry.is_empty());
+        assert!(!r.lifetimes.is_empty(), "the requested log is surfaced");
     }
 
     #[test]

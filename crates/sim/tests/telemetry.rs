@@ -32,11 +32,7 @@ fn cpi_invariant_holds_for_all_schemes_and_profiles() {
     for profile in &all_profiles() {
         for scheme in SCHEMES {
             let r = run(stats_core(scheme, 64), profile.build(), 500, 2_000);
-            let cpi = r
-                .telemetry
-                .cpi
-                .as_ref()
-                .unwrap_or_else(|| panic!("{} {}: no CPI stack", profile.name, scheme.label()));
+            let cpi = &r.cpi;
             cpi.check().unwrap_or_else(|e| {
                 panic!("{} {}: CPI invariant broken: {e}", profile.name, scheme.label())
             });
@@ -59,7 +55,7 @@ fn freelist_stall_bucket_shrinks_under_atr() {
     let pressured = profiles.iter().find(|p| p.name == "548.exchange2_r").expect("profile exists");
     let stalls = |scheme: ReleaseScheme| {
         let r = run(stats_core(scheme, 64), pressured.build(), 2_000, 20_000);
-        r.telemetry.cpi.as_ref().expect("stats level").get(CpiBucket::FreelistStall)
+        r.cpi.get(CpiBucket::FreelistStall)
     };
     let baseline = stalls(ReleaseScheme::Baseline);
     let atr = stalls(ReleaseScheme::Atr { redefine_delay: 0 });
@@ -71,33 +67,36 @@ fn freelist_stall_bucket_shrinks_under_atr() {
     );
 }
 
-/// Telemetry is a pure observer: the whole `CoreStats` block — not just
-/// IPC — must be bit-identical across off, stats, and trace levels.
+/// Telemetry is a pure observer: the whole `CoreStats` block — every
+/// counter, `markings` included — must be identical across off, stats
+/// and trace levels, and the CPI stack every level accounts must be the
+/// same stack.
 #[test]
 fn telemetry_levels_never_perturb_core_stats() {
     let profiles = all_profiles();
     let profile = profiles.iter().find(|p| p.name == "505.mcf_r").expect("profile exists");
-    let run_at = |level: TelemetryLevel| {
-        let mut cfg = stats_core(ReleaseScheme::Combined { redefine_delay: 0 }, 96);
-        cfg.telemetry.level = level;
-        run(cfg, profile.build(), 500, 4_000)
-    };
-    let off = run_at(TelemetryLevel::Off);
-    let stats = run_at(TelemetryLevel::Stats);
-    let trace = run_at(TelemetryLevel::Trace);
-    // `markings` is the one counter event collection legitimately
-    // enables (region marking for the log); everything timed must match.
-    let fingerprint = |r: &atr_sim::RunResult| {
-        format!(
-            "{:?} {:?} {:?} {:?}",
-            r.ipc.to_bits(),
-            (r.stats.cycles, r.stats.retired, r.stats.fetched, r.stats.flushes),
-            (r.stats.rename_freelist_stalls, r.stats.rename_backpressure_stalls),
-            (r.stats.int_prf, r.stats.fp_prf, r.stats.caches, r.stats.dram),
-        )
-    };
-    assert_eq!(fingerprint(&off), fingerprint(&stats));
-    assert_eq!(fingerprint(&off), fingerprint(&trace));
-    assert!(off.telemetry.is_empty());
-    assert!(!stats.telemetry.is_empty());
+    let program = profile.build();
+    for scheme in [ReleaseScheme::Baseline, ReleaseScheme::Combined { redefine_delay: 0 }] {
+        let run_at = |level: TelemetryLevel| {
+            let mut cfg = stats_core(scheme, 96);
+            cfg.telemetry.level = level;
+            run(cfg, program.clone(), 500, 4_000)
+        };
+        let off = run_at(TelemetryLevel::Off);
+        let stats = run_at(TelemetryLevel::Stats);
+        let trace = run_at(TelemetryLevel::Trace);
+        let fingerprint = |r: &atr_sim::RunResult| format!("{:?} {:?}", r.ipc.to_bits(), r.stats);
+        assert_eq!(fingerprint(&off), fingerprint(&stats), "{}", scheme.label());
+        assert_eq!(fingerprint(&off), fingerprint(&trace), "{}", scheme.label());
+        assert_eq!(off.cpi.slots, stats.cpi.slots, "{}: off and stats CPI slots", scheme.label());
+        assert_eq!(
+            off.cpi.cycles,
+            stats.cpi.cycles,
+            "{}: off and stats CPI cycles",
+            scheme.label()
+        );
+        assert_eq!(off.cpi, trace.cpi, "{}", scheme.label());
+        assert!(off.telemetry.is_empty());
+        assert!(!stats.telemetry.is_empty());
+    }
 }

@@ -9,11 +9,12 @@
 /// How much the observer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum TelemetryLevel {
-    /// Nothing: the hot loop takes the same branches as before the
-    /// telemetry layer existed (the <2% CI guard polices this).
+    /// Only the CPI stack, which every run accounts: no histograms, no
+    /// time series, no JSONL records, no ring trace.
     #[default]
     Off,
-    /// CPI stack, histograms, optional time series, JSONL records.
+    /// Adds the histograms, the optional time series and one JSONL
+    /// record per simulated point.
     Stats,
     /// Everything in `Stats` plus the per-uop pipeline ring trace.
     Trace,

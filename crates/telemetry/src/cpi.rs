@@ -87,8 +87,10 @@ impl CpiBucket {
         }
     }
 
+    /// The bucket's slot in [`CpiStack::slots`]: its declaration index,
+    /// which is its position in [`CpiBucket::ALL`] (pinned by a test).
     fn index(self) -> usize {
-        CpiBucket::ALL.iter().position(|b| *b == self).expect("bucket in ALL")
+        self as usize
     }
 }
 
@@ -209,6 +211,13 @@ impl CpiStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slot_index_is_the_display_position() {
+        for (i, bucket) in CpiBucket::ALL.into_iter().enumerate() {
+            assert_eq!(bucket.index(), i, "{}", bucket.label());
+        }
+    }
 
     #[test]
     fn invariant_holds_by_construction() {

@@ -1,21 +1,21 @@
 //! `atr-telemetry` — the workspace observability layer.
 //!
-//! Four pieces, all dependency-free and runtime-gated so the simulator
-//! pays nothing when they are off:
+//! Four pieces, all dependency-free:
 //!
 //! * [`cpi`] — top-down CPI-stack cycle accounting with the
-//!   `Σ buckets == width × cycles` invariant;
+//!   `Σ buckets == width × cycles` invariant, kept on every run;
 //! * [`hist`] — mergeable log2-bucketed streaming histograms and
-//!   fixed-interval time series;
+//!   fixed-interval time series, recorded only at `stats` and above;
 //! * [`trace`] — an opt-in ring-buffered per-uop pipeline trace with a
 //!   Konata-compatible dump;
 //! * [`log`] — the tiny leveled stderr logger (`ATR_LOG`) behind the
 //!   [`info!`]/[`debug!`]/[`warn!`] macros.
 //!
-//! [`RunTelemetry`] bundles what one simulation run produced so the
-//! run-matrix executor can merge, summarize, and emit it as JSONL.
-//! Gating lives in [`config::TelemetryConfig`] (`ATR_TELEMETRY`),
-//! which — like `ATR_AUDIT` — is excluded from memoization keys.
+//! [`RunTelemetry`] holds the histograms and series one simulation run
+//! recorded at `stats` level, for the run-matrix executor to emit as
+//! JSONL. Gating lives in [`config::TelemetryConfig`]
+//! (`ATR_TELEMETRY`), which — like `ATR_AUDIT` — is excluded from
+//! memoization keys.
 
 pub mod config;
 pub mod cpi;
@@ -28,15 +28,12 @@ pub use cpi::{CpiBucket, CpiStack, NUM_CPI_BUCKETS};
 pub use hist::{bucket_of, bucket_range, Log2Hist, TimeSeries, NUM_HIST_BUCKETS};
 pub use trace::{PipeTrace, TraceEvent, TraceStage};
 
-use atr_json::Json;
-
-/// Everything one simulation run observed: the CPI stack plus named
-/// histograms and time series. `None`/empty when telemetry was off.
+/// The histograms and time series one simulation run recorded: empty
+/// below `stats` level. (The run's CPI stack is accounted at every
+/// level and travels beside this, on the sim layer's `RunResult`.)
 #[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
-    /// The run's CPI stack (present at `stats` level and above).
-    pub cpi: Option<CpiStack>,
-    /// Named histograms (register lifetime, claim duration, …).
+    /// Named histograms (occupancies, register lifetime, …).
     pub hists: Vec<(String, Log2Hist)>,
     /// Named fixed-interval time series (occupancy traces).
     pub series: Vec<(String, TimeSeries)>,
@@ -46,117 +43,12 @@ impl RunTelemetry {
     /// True when the run recorded nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.cpi.is_none() && self.hists.is_empty() && self.series.is_empty()
+        self.hists.is_empty() && self.series.is_empty()
     }
 
     /// The named histogram, if recorded.
     #[must_use]
     pub fn hist(&self, name: &str) -> Option<&Log2Hist> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
-    /// Records into (or creates) the named histogram.
-    pub fn hist_mut(&mut self, name: &str) -> &mut Log2Hist {
-        if let Some(i) = self.hists.iter().position(|(n, _)| n == name) {
-            return &mut self.hists[i].1;
-        }
-        self.hists.push((name.to_owned(), Log2Hist::new()));
-        &mut self.hists.last_mut().expect("just pushed").1
-    }
-
-    /// Merges another run's telemetry: CPI stacks add, histograms
-    /// merge by name (names only one side has are kept), time series
-    /// concatenate by name.
-    pub fn merge(&mut self, other: &RunTelemetry) {
-        match (&mut self.cpi, &other.cpi) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => self.cpi = Some(b.clone()),
-            _ => {}
-        }
-        for (name, h) in &other.hists {
-            self.hist_mut(name).merge(h);
-        }
-        for (name, ts) in &other.series {
-            if let Some(i) = self.series.iter().position(|(n, _)| n == name) {
-                self.series[i].1.values.extend_from_slice(&ts.values);
-            } else {
-                self.series.push((name.clone(), ts.clone()));
-            }
-        }
-    }
-
-    /// JSON object with `cpi_stack`, `histograms`, and (when sampled)
-    /// `series` sub-objects.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        if let Some(cpi) = &self.cpi {
-            fields.push(("cpi_stack".to_owned(), cpi.to_json()));
-        }
-        fields.push((
-            "histograms".to_owned(),
-            Json::Obj(self.hists.iter().map(|(n, h)| (n.clone(), h.to_json())).collect()),
-        ));
-        if !self.series.is_empty() {
-            fields.push((
-                "series".to_owned(),
-                Json::Obj(self.series.iter().map(|(n, t)| (n.clone(), t.to_json())).collect()),
-            ));
-        }
-        Json::Obj(fields)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_combines_cpi_hists_and_series() {
-        let mut a = RunTelemetry::default();
-        let mut cpi_a = CpiStack::new(8);
-        cpi_a.account_cycle(4, CpiBucket::FreelistStall);
-        a.cpi = Some(cpi_a);
-        a.hist_mut("lifetime").record(10);
-        a.series.push(("occ".to_owned(), TimeSeries { interval: 5, values: vec![1, 2] }));
-
-        let mut b = RunTelemetry::default();
-        let mut cpi_b = CpiStack::new(8);
-        cpi_b.account_cycle(8, CpiBucket::Retiring);
-        b.cpi = Some(cpi_b);
-        b.hist_mut("lifetime").record(20);
-        b.hist_mut("claim").record(3);
-        b.series.push(("occ".to_owned(), TimeSeries { interval: 5, values: vec![3] }));
-
-        a.merge(&b);
-        let cpi = a.cpi.as_ref().unwrap();
-        assert_eq!(cpi.cycles, 2);
-        cpi.check().unwrap();
-        assert_eq!(a.hist("lifetime").unwrap().count, 2);
-        assert_eq!(a.hist("claim").unwrap().count, 1);
-        assert_eq!(a.series[0].1.values, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_other() {
-        let mut a = RunTelemetry::default();
-        assert!(a.is_empty());
-        let mut b = RunTelemetry::default();
-        let mut cpi = CpiStack::new(4);
-        cpi.account_cycle(0, CpiBucket::MemDram);
-        b.cpi = Some(cpi);
-        a.merge(&b);
-        assert_eq!(a.cpi.as_ref().unwrap().get(CpiBucket::MemDram), 4);
-    }
-
-    #[test]
-    fn json_has_expected_sections() {
-        let mut t = RunTelemetry { cpi: Some(CpiStack::new(8)), ..RunTelemetry::default() };
-        t.hist_mut("lifetime").record(1);
-        let j = t.to_json().pretty();
-        assert!(j.contains("cpi_stack"));
-        assert!(j.contains("histograms"));
-        assert!(j.contains("lifetime"));
-        assert!(!j.contains("series"));
     }
 }

@@ -113,6 +113,24 @@ echo "== telemetry off-path overhead guard (<2%)"
 # budget, min-of-3 walls per level; see --bin telemetry_overhead.
 cargo run --release --offline -p atr-bench --bin telemetry_overhead
 
+echo "== cpi_stack: one table whatever the level, the worker count or the auditor"
+# Every run accounts its CPI stack and cpi_stack runs on the shared
+# executor, so an audited pass with telemetry off and a serial stats
+# pass (records sent to a file) must print byte-identical tables.
+cpi_audit="$(mktemp)"
+cpi_stats="$(mktemp)"
+ATR_AUDIT=1 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
+    cargo run --release --offline -p atr-bench --bin cpi_stack >"$cpi_audit"
+ATR_TELEMETRY=stats ATR_TELEMETRY_OUT="$(mktemp)" ATR_SIM_THREADS=1 \
+    ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
+    target/release/cpi_stack >"$cpi_stats"
+if ! cmp "$cpi_audit" "$cpi_stats"; then
+    echo "FAIL: cpi_stack's table depends on the telemetry level, workers or auditor" >&2
+    diff "$cpi_audit" "$cpi_stats" >&2 || true
+    exit 1
+fi
+echo "cpi_stack OK: audited/off and serial/stats tables identical"
+
 echo "== live tiny pass: the reference fingerprint"
 # The figure JSON of a plain pass (no audit or telemetry) anchors
 # every fingerprint gate below.

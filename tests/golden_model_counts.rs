@@ -6,8 +6,9 @@
 //! and fetched counts, per-kind PRF releases, stall counters, occupancy
 //! sums, cache and DRAM counters — plus the CPI-stack slots for 4
 //! profiles × 4 schemes × RF {64, 280}, once with telemetry at `stats`
-//! and once with the rename auditor attached. Any drift in any counter
-//! fails the test.
+//! and once with the rename auditor attached (telemetry off). Any drift
+//! in any counter fails the test, and the two lines of a pair must agree
+//! apart from the mode word.
 //!
 //! The expected values live in `tests/golden/model_counts.txt`, one line
 //! per point. On a mismatch the full actual rendering is written next
@@ -52,11 +53,9 @@ fn render_all() -> String {
                         .with_telemetry(telemetry);
                     let r = run(cfg, program.clone(), WARMUP, MEASURE);
                     let mode = if audit { "audit" } else { "stats" };
-                    let cpi = r.telemetry.cpi.map(|c| format!("{:?}", c.slots));
                     out.push_str(&format!(
-                        "{name} {scheme:?} rf{rf_size} {mode}: {:?} cpi={}\n",
-                        r.stats,
-                        cpi.as_deref().unwrap_or("-")
+                        "{name} {scheme:?} rf{rf_size} {mode}: {:?} cpi={:?}\n",
+                        r.stats, r.cpi.slots
                     ));
                 }
             }
@@ -68,6 +67,13 @@ fn render_all() -> String {
 #[test]
 fn model_counts_match_the_golden_file() {
     let actual = render_all();
+    for pair in actual.lines().collect::<Vec<_>>().chunks(2) {
+        assert_eq!(
+            pair[0].replacen(" stats: ", " audit: ", 1),
+            pair[1],
+            "a point's counters depend on its telemetry level or on the auditor"
+        );
+    }
     if actual == GOLDEN {
         return;
     }
