@@ -1,10 +1,10 @@
 //! Microbenchmarks of the rename-stage mechanisms: per-scheme rename
-//! cost (ATR's bulk marking is the interesting delta), flush-walk cost,
-//! and checkpoint-vs-walk SRT recovery — the ablations DESIGN.md calls
-//! out for the design choices of §4.2.
+//! cost (ATR's bulk marking is the interesting delta), flush-walk cost
+//! and counter width — the ablations DESIGN.md calls out for the design
+//! choices of §4.2.
 
 use atr_bench::timing::bench;
-use atr_core::{CheckpointPolicy, ReleaseScheme, RenameConfig, RenamedUop, Renamer};
+use atr_core::{ReleaseScheme, RenameConfig, RenamedUop, Renamer};
 use atr_isa::{ArchReg, StaticInst};
 
 const SAMPLES: usize = 20;
@@ -78,27 +78,6 @@ fn main() {
             renamer
         });
     }
-
-    let checkpoint = Renamer::new(&cfg(ReleaseScheme::Baseline)).take_checkpoint();
-    bench("srt_recovery/checkpoint_restore", SAMPLES, 0, move || {
-        let mut r = Renamer::new(&cfg(ReleaseScheme::Baseline));
-        r.restore_checkpoint(&checkpoint);
-        r
-    });
-    let survivors: Vec<(ArchReg, atr_core::PTag)> = (0..64u32)
-        .map(|i| {
-            (
-                ArchReg::int((i % 16) as u8),
-                atr_core::PTag::new(atr_isa::RegClass::Int, 16 + (i % 200)),
-            )
-        })
-        .collect();
-    bench("srt_recovery/committed_walk_restore_64", SAMPLES, 64, move || {
-        let mut r = Renamer::new(&cfg(ReleaseScheme::Baseline));
-        r.restore_from_committed(survivors.iter().copied());
-        r
-    });
-    let _ = CheckpointPolicy::EveryBranch;
 
     // §5.4 ablation: counter width does not change rename cost, only
     // release opportunity — this measures that the mechanism itself is

@@ -1,91 +1,118 @@
-//! CI guard: the telemetry **off** path must cost (nearly) nothing.
+//! CI guard: the telemetry **off** path records nothing but the CPI
+//! stack.
 //!
 //! Runs one fixed-budget simulation interleaved at `off` and `stats`
-//! levels (min of three walls each — min, not mean, because scheduler
-//! noise only ever adds time) and fails when the off path is more than
-//! 2% *slower* than the stats path. Both levels account the CPI stack;
-//! stats does strictly more on top (per-cycle occupancy histograms, the
-//! flush-walk and branch-resolution histograms), so an off path that
-//! fails this guard has lost its gating — e.g. the histograms being
-//! recorded, or event collection being forced, with telemetry disabled.
+//! levels and checks, deterministically:
 //!
-//! The timing gate is backed by functional checks: the off run must
-//! produce nothing but the CPI stack (no histograms, no series), that
-//! stack must equal the stats run's, and both levels must yield
-//! bit-identical simulated results.
+//! * the `off` core's observer ([`OooCore::into_telemetry`]) holds zero
+//!   samples in every histogram, the occupancy series and the trace
+//!   ring, and its lifetime log is empty (event collection is never
+//!   forced) — so the disabled path did none of the work it gates;
+//! * the `stats` core recorded histogram and series samples (the check
+//!   above can fail);
+//! * both levels produce the identical `CoreStats` and CPI stack.
 //!
-//! The budget is fixed internally (not `ATR_SIM_*`) so the measurement
-//! is long enough to be stable no matter how tiny CI's test budget is.
+//! The off/stats wall-clock ratio (min of three walls each) is printed
+//! at `info` but gates nothing: on a shared 2-vCPU host it read
+//! 0.89–1.20 between identical runs, far wider than any overhead worth
+//! bounding. The off path's speed is measured end to end by perfbench's
+//! untraced rounds, which run at `off`.
+//!
+//! The budget is fixed internally (not `ATR_SIM_*`) so the run covers
+//! flushes, exceptions and every histogram no matter how tiny CI's test
+//! budget is.
 
 use atr_core::ReleaseScheme;
-use atr_sim::run;
-use atr_telemetry::{TelemetryConfig, TelemetryLevel};
+use atr_pipeline::{CoreConfig, CoreStats, CoreTelemetry, OooCore};
+use atr_telemetry::{CpiStack, TelemetryConfig, TelemetryLevel};
 use atr_workload::spec::all_profiles;
+use atr_workload::Oracle;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const REPS: usize = 3;
-const TOLERANCE: f64 = 1.02;
+
+/// One finished run at one level.
+struct Observed {
+    wall: Duration,
+    stats: CoreStats,
+    cpi: CpiStack,
+    /// Samples held by the histograms, the series and the trace ring.
+    samples: u64,
+    lifetimes: usize,
+}
+
+/// Every sample the observer holds beyond its CPI stack.
+fn recorded_samples(t: &CoreTelemetry) -> u64 {
+    let hists = [
+        &t.rob_occupancy,
+        &t.int_prf_occupancy,
+        &t.fp_prf_occupancy,
+        &t.flush_walk_len,
+        &t.branch_resolution,
+    ];
+    hists.iter().map(|h| h.count).sum::<u64>()
+        + t.int_occ_series.values.len() as u64
+        + t.trace.len() as u64
+}
 
 fn main() -> ExitCode {
     let profiles = all_profiles();
     let profile = profiles.iter().find(|p| p.name == "505.mcf_r").expect("profile exists");
-    let core_at = |level: TelemetryLevel| {
-        atr_pipeline::CoreConfig::default()
+    let simulate = |level: TelemetryLevel| {
+        let cfg = CoreConfig::default()
             .with_rf_size(96)
             .with_scheme(ReleaseScheme::Atr { redefine_delay: 0 })
-            .with_telemetry(TelemetryConfig { level, ..TelemetryConfig::default() })
+            .with_telemetry(TelemetryConfig {
+                level,
+                series_interval: 1_000,
+                ..TelemetryConfig::default()
+            });
+        let t0 = Instant::now();
+        let mut core = OooCore::new(cfg, Oracle::new(profile.build()));
+        core.run(10_000);
+        let stats = core.run(100_000);
+        let wall = t0.elapsed();
+        let lifetimes = core.lifetime_log().len();
+        let t = core.into_telemetry();
+        Observed { wall, stats, samples: recorded_samples(&t), cpi: t.cpi, lifetimes }
     };
 
-    let mut off_min = Duration::MAX;
-    let mut stats_min = Duration::MAX;
-    let mut fingerprints: Vec<(u64, u64, u64)> = Vec::new();
-    let mut stats_cpi = None;
+    let (mut off_min, mut stats_min) = (Duration::MAX, Duration::MAX);
     for rep in 0..REPS {
         // Interleave so drift (thermal, noisy neighbors) hits both arms.
-        for (level, min) in
-            [(TelemetryLevel::Stats, &mut stats_min), (TelemetryLevel::Off, &mut off_min)]
-        {
-            let t0 = Instant::now();
-            let r = run(core_at(level), profile.build(), 10_000, 100_000);
-            *min = (*min).min(t0.elapsed());
-            fingerprints.push((r.stats.cycles, r.stats.retired, r.stats.flushes));
-            if level == TelemetryLevel::Stats {
-                if r.telemetry.is_empty() {
-                    atr_telemetry::warn!("stats level produced no histograms");
-                    return ExitCode::FAILURE;
-                }
-                stats_cpi = Some(r.cpi);
-            } else if !r.telemetry.is_empty() {
-                atr_telemetry::warn!(
-                    "ATR_TELEMETRY=off produced more than the CPI stack — gating broken"
-                );
-                return ExitCode::FAILURE;
-            } else if stats_cpi.as_ref() != Some(&r.cpi) {
-                atr_telemetry::warn!("the off run's CPI stack differs from the stats run's");
-                return ExitCode::FAILURE;
-            }
+        let stats = simulate(TelemetryLevel::Stats);
+        let off = simulate(TelemetryLevel::Off);
+        if off.samples != 0 || off.lifetimes != 0 {
+            atr_telemetry::warn!(
+                "ATR_TELEMETRY=off recorded {} histogram/series/trace samples and {} lifetime \
+                 records — gating broken",
+                off.samples,
+                off.lifetimes
+            );
+            return ExitCode::FAILURE;
         }
+        if stats.samples == 0 {
+            atr_telemetry::warn!("stats level recorded no histogram or series samples");
+            return ExitCode::FAILURE;
+        }
+        if format!("{:?}", off.stats) != format!("{:?}", stats.stats) {
+            atr_telemetry::warn!("telemetry level changed the simulated result");
+            return ExitCode::FAILURE;
+        }
+        if off.cpi != stats.cpi {
+            atr_telemetry::warn!("the off run's CPI stack differs from the stats run's");
+            return ExitCode::FAILURE;
+        }
+        off_min = off_min.min(off.wall);
+        stats_min = stats_min.min(stats.wall);
         atr_telemetry::debug!("rep {rep}: off_min {off_min:?}, stats_min {stats_min:?}");
-    }
-    if fingerprints.windows(2).any(|w| w[0] != w[1]) {
-        atr_telemetry::warn!("telemetry level changed the simulated result: {fingerprints:?}");
-        return ExitCode::FAILURE;
     }
 
     let ratio = off_min.as_secs_f64() / stats_min.as_secs_f64();
     atr_telemetry::info!(
-        "telemetry_overhead: off {off_min:?} vs stats {stats_min:?} (off/stats = {ratio:.3})"
+        "telemetry_overhead: off {off_min:?} vs stats {stats_min:?} (off/stats = {ratio:.3}, \
+         informational)"
     );
-    if ratio > TOLERANCE {
-        atr_telemetry::warn!(
-            "telemetry off path is {:.1}% slower than the stats path (tolerance 2%). \
-             The disabled path must do strictly less work than stats — check that \
-             OooCore records no histograms and that collect_events is not forced when \
-             ATR_TELEMETRY=off.",
-            (ratio - 1.0) * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
     ExitCode::SUCCESS
 }

@@ -38,10 +38,12 @@
 //! precommit release a trustworthy zero count) is checked on the
 //! release path itself by the renamer under the same flag, because
 //! end-of-cycle state cannot reconstruct the order of intra-cycle
-//! events. Flush recovery is cross-validated by
-//! [`RenameAuditor::check_flush_restore`]: after every flush the
-//! restored SRT must equal the walk-based reconstruction from the
-//! committed RAT — checkpoint restores and ROB walks must agree.
+//! events. Flush recovery has one path — the SRT is always rebuilt from
+//! the committed RAT plus the surviving uops
+//! ([`Renamer::restore_after_flush`]) — so there is no second copy to
+//! cross-validate: the liveness (2), reachability (6) and reference
+//! balance (7) checks audit the rebuilt table at the end of the
+//! flushing cycle.
 //!
 //! The auditor only reads renamer state; it never perturbs timing, so
 //! audited runs retire the bit-identical instruction stream of
@@ -50,7 +52,7 @@
 use crate::ptag::PTag;
 use crate::renamer::{RenamedUop, Renamer};
 use crate::scheme::ReleaseScheme;
-use atr_isa::{ArchReg, RegClass};
+use atr_isa::RegClass;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -81,12 +83,10 @@ pub type InflightUop<'a> = (&'a RenamedUop, bool);
 ///
 /// Construct one per core, call [`RenameAuditor::check_cycle`] (or the
 /// panicking [`RenameAuditor::enforce_cycle`]) once per simulated cycle
-/// with the current ROB contents, and
-/// [`RenameAuditor::check_flush_restore`] after every SRT recovery.
+/// with the current ROB contents.
 #[derive(Debug, Clone, Default)]
 pub struct RenameAuditor {
     cycles_checked: u64,
-    flushes_checked: u64,
     violations_found: u64,
 }
 
@@ -101,12 +101,6 @@ impl RenameAuditor {
     #[must_use]
     pub fn cycles_checked(&self) -> u64 {
         self.cycles_checked
-    }
-
-    /// Flush restores audited so far.
-    #[must_use]
-    pub fn flushes_checked(&self) -> u64 {
-        self.flushes_checked
     }
 
     /// Credits `n` cycles whose state is identical to the cycle just
@@ -285,51 +279,6 @@ impl RenameAuditor {
     ) {
         let violations = self.check_cycle(renamer, inflight, cycle);
         assert!(violations.is_empty(), "rename audit failed:\n{}", render(&violations));
-    }
-
-    /// Cross-validates a completed flush recovery: the restored SRT
-    /// must equal the walk reconstruction (committed RAT + surviving
-    /// ROB mappings, oldest first) regardless of which recovery policy
-    /// produced it. Catches checkpoint/walk divergence — a checkpoint
-    /// restored at the wrong branch, a survivor map missing an
-    /// eliminated move's alias, a walk that freed a surviving mapping.
-    pub fn check_flush_restore(
-        &mut self,
-        renamer: &Renamer,
-        survivors: impl Iterator<Item = (ArchReg, PTag)>,
-        cycle: u64,
-    ) -> Vec<AuditViolation> {
-        let expected = renamer.rebuild_from_committed(survivors);
-        let mut violations = Vec::new();
-        for ((a, restored), (_, walked)) in renamer.srt().live().zip(expected.live()) {
-            if restored != walked {
-                violations.push(AuditViolation {
-                    cycle,
-                    message: format!(
-                        "flush restore diverged at {a}: restored SRT maps it to {restored}, \
-                         the committed-RAT walk rebuilds {walked}"
-                    ),
-                });
-            }
-        }
-        self.flushes_checked += 1;
-        self.violations_found += violations.len() as u64;
-        violations
-    }
-
-    /// [`RenameAuditor::check_flush_restore`], panicking on divergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the restored SRT differs from the walk reconstruction.
-    pub fn enforce_flush_restore(
-        &mut self,
-        renamer: &Renamer,
-        survivors: impl Iterator<Item = (ArchReg, PTag)>,
-        cycle: u64,
-    ) {
-        let violations = self.check_flush_restore(renamer, survivors, cycle);
-        assert!(violations.is_empty(), "flush-restore audit failed:\n{}", render(&violations));
     }
 }
 

@@ -1,8 +1,9 @@
 //! Register renaming with out-of-order release — the paper's contribution.
 //!
 //! This crate implements the baseline rename machinery of §4.2.1 (SRT,
-//! physical register file, free list, checkpoint- and walk-based
-//! recovery) and the four register-release schemes the paper evaluates:
+//! physical register file, free list, and the flush recovery that
+//! rebuilds the SRT from the committed RAT plus the surviving uops) and
+//! the four register-release schemes the paper evaluates:
 //!
 //! * **Baseline** — a physical register is freed when the instruction
 //!   that *redefines* its architectural register commits.
@@ -55,8 +56,6 @@ pub use events::{LifetimeLog, RegLifetime, ReleaseKind};
 pub use freelist::FreeList;
 pub use prf::{PhysRegFile, PrfStats};
 pub use ptag::{PTag, PerClass};
-pub use renamer::{
-    CheckpointPolicy, FlushRecord, RenameConfig, RenamedUop, Renamer, SrtCheckpoint,
-};
+pub use renamer::{FlushRecord, RenameConfig, RenamedUop, Renamer};
 pub use scheme::ReleaseScheme;
 pub use srt::RenameTable;

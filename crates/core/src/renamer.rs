@@ -10,8 +10,9 @@
 //!    instruction (non-speculative ER release point, §2.3);
 //! 4. [`Renamer::on_commit`] at retirement (conventional release and
 //!    committed-RAT update);
-//! 5. [`Renamer::flush_walk`] plus one of the SRT restore methods on a
-//!    misprediction or exception flush;
+//! 5. [`Renamer::flush_walk`] over the squashed uops, then
+//!    [`Renamer::restore_after_flush`] over the survivors, on every
+//!    flush (misprediction, exception or interrupt);
 //! 6. [`Renamer::tick`] once per cycle (drains the pipelined
 //!    redefine-delay queue, §4.2.2).
 //!
@@ -28,17 +29,6 @@ use crate::srt::RenameTable;
 use atr_isa::{ArchReg, RegClass, StaticInst, MAX_SRCS, NUM_ARCH_REGS};
 use std::collections::VecDeque;
 
-/// How the SRT is recovered on a flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointPolicy {
-    /// Checkpoint the SRT at every conditional/indirect branch; restore
-    /// directly.
-    EveryBranch,
-    /// No checkpoints: rebuild from the committed RAT plus the surviving
-    /// ROB mappings (the §4.2.1 walk).
-    WalkOnly,
-}
-
 /// Renamer configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RenameConfig {
@@ -51,8 +41,6 @@ pub struct RenameConfig {
     /// Consumer counter width in bits (3 in the paper; one value is
     /// reserved as the no-early-release sentinel, §4.2.2).
     pub counter_width: u32,
-    /// SRT recovery policy.
-    pub checkpoint_policy: CheckpointPolicy,
     /// Rename stalls when a free list drops below this watermark
     /// (`MAX_DEST × WIDTH_STAGE` in §4.2.1).
     pub stall_threshold: usize,
@@ -78,7 +66,6 @@ impl Default for RenameConfig {
             int_prf_size: 224,
             fp_prf_size: 224,
             counter_width: 3,
-            checkpoint_policy: CheckpointPolicy::EveryBranch,
             stall_threshold: 8,
             collect_events: false,
             move_elimination: false,
@@ -86,9 +73,6 @@ impl Default for RenameConfig {
         }
     }
 }
-
-/// A full-SRT checkpoint (both classes).
-pub type SrtCheckpoint = RenameTable;
 
 /// The rename-stage output for one instruction: what the pipeline keeps
 /// in the ROB entry.
@@ -121,7 +105,10 @@ pub struct RenamedUop {
 
 impl RenamedUop {
     /// The physical register holding this uop's result: the allocated
-    /// destination, or the aliased source for an eliminated move.
+    /// destination, or the aliased source for an eliminated move. This
+    /// is the register the uop's `dst_arch` maps to while it is in
+    /// flight and after it commits — an eliminated move allocated
+    /// nothing, so its `pdst` is `None`.
     #[must_use]
     pub fn result_ptag(&self) -> Option<PTag> {
         self.pdst.or(self.alias)
@@ -174,7 +161,6 @@ pub struct FlushRecord {
 pub struct Renamer {
     scheme: ReleaseScheme,
     stall_threshold: usize,
-    checkpoint_policy: CheckpointPolicy,
     srt: RenameTable,
     committed: RenameTable,
     prf: PerClass<PhysRegFile>,
@@ -219,7 +205,6 @@ impl Renamer {
         Renamer {
             scheme: cfg.scheme,
             stall_threshold: cfg.stall_threshold,
-            checkpoint_policy: cfg.checkpoint_policy,
             srt: RenameTable::identity(),
             committed: RenameTable::identity(),
             prf: PerClass::from_fn(|class| {
@@ -243,12 +228,6 @@ impl Renamer {
     #[must_use]
     pub fn scheme(&self) -> ReleaseScheme {
         self.scheme
-    }
-
-    /// The configured checkpoint policy.
-    #[must_use]
-    pub fn checkpoint_policy(&self) -> CheckpointPolicy {
-        self.checkpoint_policy
     }
 
     /// Can the rename stage accept instructions this cycle (free lists
@@ -305,13 +284,6 @@ impl Renamer {
     /// Marks `tag` produced (writeback).
     pub fn set_ready(&mut self, tag: PTag) {
         self.prf.get_mut(tag.class()).get_mut(tag).ready = true;
-    }
-
-    /// Takes a full SRT checkpoint (stored by the pipeline in the branch's
-    /// ROB entry under [`CheckpointPolicy::EveryBranch`]).
-    #[must_use]
-    pub fn take_checkpoint(&self) -> SrtCheckpoint {
-        self.srt.clone()
     }
 
     /// Current speculative mapping of `reg` (diagnostics and tests).
@@ -451,39 +423,12 @@ impl Renamer {
             let dst_event = self.log.on_alloc(class, cycle, seq, wrong_path);
             self.prf.get_mut(class).on_alloc(pdst, dst_event);
             let prev = self.srt.set(a, pdst);
-            let prev_state = *self.prf.get(class).get(prev);
-            self.log.update(prev_state.event, |r| r.redefine_cycle = Some(cycle));
+            let prev_event = self.prf.get(class).get(prev).event;
+            self.log.update(prev_event, |r| r.redefine_cycle = Some(cycle));
             uop.pdst = Some(pdst);
             uop.dst_event = dst_event;
-            uop.prev_event = prev_state.event;
-
-            if self.scheme.atr_enabled() && !prev_state.atr_blocked() && prev_state.refs == 1 {
-                // The redefined register lived in an atomic commit
-                // region: ATR claims its release; the previous-ptag
-                // field is invalidated so commit cannot double free
-                // (§4.2.4). With move elimination, only sole-reference
-                // registers are claimable: a shared register stays in
-                // the SRT through its other aliases, where later
-                // marking or wrong-path consumers could strand the
-                // claim (see DESIGN.md) — shared previous mappings
-                // fall back to the commit/precommit paths, which
-                // decrement the reference count (§6).
-                uop.atr_freed_prev = true;
-                self.open_claims += 1;
-                self.prf.get_mut(class).get_mut(prev).atr_claimed = true;
-                if self.redefine_delay == 0 {
-                    self.apply_effective_redefine(prev, cycle);
-                } else {
-                    let generation = self.prf.get(class).get(prev).generation;
-                    self.pending_redefines.push_back((
-                        cycle + u64::from(self.redefine_delay),
-                        prev,
-                        generation,
-                    ));
-                }
-            } else {
-                uop.prev_ptag = Some(prev);
-            }
+            uop.prev_event = prev_event;
+            self.claim_or_keep_prev(&mut uop, prev, cycle);
 
             // A branch or exception-capable instruction also makes its
             // *own* destination ineligible: the region starting at this
@@ -509,43 +454,55 @@ impl Renamer {
         let p = self.srt.get(src);
         self.prf.get_mut(class).get_mut(p).refs += 1;
         let prev = self.srt.set(dst, p);
-        let prev_state = *self.prf.get(class).get(prev);
-        self.log.update(prev_state.event, |r| r.redefine_cycle = Some(cycle));
+        let prev_event = self.prf.get(class).get(prev).event;
+        self.log.update(prev_event, |r| r.redefine_cycle = Some(cycle));
         let mut uop = RenamedUop {
             psrcs: [None; MAX_SRCS],
             pdst: None,
             dst_arch: Some(dst),
             prev_ptag: None,
             atr_freed_prev: false,
-            prev_event: prev_state.event,
+            prev_event,
             dst_event: None,
             alias: Some(p),
         };
         // The redefinition of `dst` releases the previous mapping
         // through the usual paths; ATR may claim it (decrementing
-        // instead of freeing happens inside `release`). Self-moves
-        // (prev == p) must not be claimed: the "previous" value is the
-        // register itself.
-        if prev == p {
-            uop.prev_ptag = Some(prev);
-        } else if self.scheme.atr_enabled() && !prev_state.atr_blocked() && prev_state.refs == 1 {
-            uop.atr_freed_prev = true;
-            self.open_claims += 1;
-            self.prf.get_mut(class).get_mut(prev).atr_claimed = true;
-            if self.redefine_delay == 0 {
-                self.apply_effective_redefine(prev, cycle);
-            } else {
-                let generation = self.prf.get(class).get(prev).generation;
-                self.pending_redefines.push_back((
-                    cycle + u64::from(self.redefine_delay),
-                    prev,
-                    generation,
-                ));
-            }
-        } else {
-            uop.prev_ptag = Some(prev);
-        }
+        // instead of freeing happens inside `release`). A self-move
+        // (prev == p) is never claimed: the increment above left the
+        // register with at least two references.
+        self.claim_or_keep_prev(&mut uop, prev, cycle);
         uop
+    }
+
+    /// Settles the previous mapping `prev` of `uop`'s destination. If it
+    /// lived in an atomic commit region, ATR claims its release and the
+    /// previous-ptag field stays invalid so commit cannot double free
+    /// (§4.2.4); otherwise `uop` keeps it as `prev_ptag` for the
+    /// commit/precommit paths. With move elimination, only
+    /// sole-reference registers are claimable: a shared register stays
+    /// in the SRT through its other aliases, where later marking or
+    /// wrong-path consumers could strand the claim (see DESIGN.md) —
+    /// shared previous mappings fall back to the commit/precommit
+    /// paths, which decrement the reference count (§6).
+    fn claim_or_keep_prev(&mut self, uop: &mut RenamedUop, prev: PTag, cycle: u64) {
+        let state = *self.prf.get(prev.class()).get(prev);
+        if !self.scheme.atr_enabled() || state.atr_blocked() || state.refs != 1 {
+            uop.prev_ptag = Some(prev);
+            return;
+        }
+        uop.atr_freed_prev = true;
+        self.open_claims += 1;
+        self.prf.get_mut(prev.class()).get_mut(prev).atr_claimed = true;
+        if self.redefine_delay == 0 {
+            self.apply_effective_redefine(prev, cycle);
+        } else {
+            self.pending_redefines.push_back((
+                cycle + u64::from(self.redefine_delay),
+                prev,
+                state.generation,
+            ));
+        }
     }
 
     /// Moves eliminated so far (§6 extension).
@@ -555,7 +512,11 @@ impl Renamer {
     }
 
     fn mark_all_live(&mut self, is_branch: bool) {
-        self.markings += 1;
+        // Only ATR needs the marking; other schemes run it solely to
+        // fill the lifetime log, which must not move a reported counter.
+        if self.scheme.atr_enabled() {
+            self.markings += 1;
+        }
         for (a, p) in self.srt.live() {
             let prf = self.prf.get_mut(a.class());
             prf.mark_no_early_release(p, is_branch);
@@ -881,34 +842,19 @@ impl Renamer {
         );
     }
 
-    /// Restores the SRT from a checkpoint taken at the flush point.
-    pub fn restore_checkpoint(&mut self, cp: &SrtCheckpoint) {
-        self.srt = cp.clone();
-    }
-
-    /// Pure reconstruction of the SRT from the committed RAT plus the
-    /// surviving (uncommitted, unsquashed) destination mappings in age
-    /// order, oldest first — what [`Renamer::restore_from_committed`]
-    /// installs. Exposed so the auditor can cross-validate a checkpoint
-    /// restore against the walk-based reconstruction: the two recovery
-    /// policies must always agree on the post-flush table.
-    #[must_use]
-    pub fn rebuild_from_committed(
-        &self,
-        survivors: impl Iterator<Item = (ArchReg, PTag)>,
-    ) -> RenameTable {
-        let mut srt = self.committed.clone();
-        for (a, p) in survivors {
-            srt.set(a, p);
+    /// Rebuilds the SRT after a [`Renamer::flush_walk`]: the committed
+    /// RAT, then each surviving (renamed, not yet committed, not
+    /// squashed) uop's destination mapped to its
+    /// [`RenamedUop::result_ptag`], oldest first — the §4.2.1 ROB walk.
+    /// An eliminated move's destination maps to its alias, not to its
+    /// (empty) `pdst`.
+    pub fn restore_after_flush<'a>(&mut self, survivors: impl IntoIterator<Item = &'a RenamedUop>) {
+        self.srt.clone_from(&self.committed);
+        for uop in survivors {
+            if let (Some(a), Some(p)) = (uop.dst_arch, uop.result_ptag()) {
+                self.srt.set(a, p);
+            }
         }
-        srt
-    }
-
-    /// Rebuilds the SRT from the committed RAT plus the surviving
-    /// (uncommitted, unsquashed) destination mappings in age order,
-    /// oldest first — the §4.2.1 ROB walk.
-    pub fn restore_from_committed(&mut self, survivors: impl Iterator<Item = (ArchReg, PTag)>) {
-        self.srt = self.rebuild_from_committed(survivors);
     }
 
     /// Sum of allocated registers across both files (diagnostics).

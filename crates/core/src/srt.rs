@@ -11,11 +11,9 @@ const _: () = assert!(NUM_FP_ARCH_REGS == CLASS_REGS);
 /// The speculative renaming table: the current architectural →
 /// physical mapping for both register classes (§4.2.1).
 ///
-/// The table is checkpointed on branches (policy-dependent) and restored
-/// on flushes; walk-based recovery instead rebuilds it from the
-/// committed RAT plus the surviving ROB mappings. Each class is a fixed
-/// array of physical register indices, so a checkpoint is a plain
-/// 64-byte copy.
+/// Every flush rebuilds it from the committed RAT plus the surviving
+/// ROB mappings (the §4.2.1 walk); nothing checkpoints it. Each class
+/// is a fixed array of physical register indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RenameTable {
     map: PerClass<[u16; CLASS_REGS]>,

@@ -105,24 +105,3 @@ fn injected_early_release_is_caught_on_the_next_check() {
     assert!(all.contains("un-issued"), "expected a consumer-mapping violation: {all}");
     assert_eq!(auditor.violations_found(), violations.len() as u64);
 }
-
-#[test]
-fn flush_restore_divergence_is_reported() {
-    let mut renamer = Renamer::new(&config(ReleaseScheme::Baseline));
-    let mut auditor = RenameAuditor::new();
-    let inst = StaticInst::alu(0x1000, ArchReg::int(5), &[ArchReg::int(6)]);
-    let uop = renamer.rename(&inst, 0, 1, false);
-    // Claim the instruction was squashed without restoring the SRT: the
-    // restored table should equal the committed RAT (no survivors), but
-    // still holds the squashed mapping.
-    let diverged = auditor.check_flush_restore(&renamer, std::iter::empty(), 2);
-    assert_eq!(diverged.len(), 1, "exactly the squashed mapping diverges: {diverged:?}");
-    assert!(diverged[0].message.contains("r5"), "{}", diverged[0].message);
-
-    // After an honest restore the same check passes.
-    renamer.restore_from_committed(std::iter::empty());
-    let clean = auditor.check_flush_restore(&renamer, std::iter::empty(), 3);
-    assert!(clean.is_empty(), "{clean:?}");
-    assert_eq!(auditor.flushes_checked(), 2);
-    let _ = uop;
-}

@@ -14,9 +14,7 @@
 //! registry access for proptest): every case is seeded deterministically,
 //! so a failure message's seed reproduces the exact action sequence.
 
-use atr_core::{
-    CheckpointPolicy, FlushRecord, ReleaseScheme, RenameConfig, RenamedUop, Renamer, SrtCheckpoint,
-};
+use atr_core::{FlushRecord, ReleaseScheme, RenameConfig, RenamedUop, Renamer};
 use atr_isa::{ArchReg, OpClass, StaticInst};
 use atr_rng::{RngExt, SeedableRng, SmallRng};
 
@@ -71,7 +69,6 @@ struct Slot {
     uop: RenamedUop,
     issued: bool,
     precommitted: bool,
-    cp_after: SrtCheckpoint,
 }
 
 struct Model {
@@ -88,7 +85,6 @@ impl Model {
             int_prf_size: 48,
             fp_prf_size: 48,
             counter_width,
-            checkpoint_policy: CheckpointPolicy::EveryBranch,
             stall_threshold: 4,
             collect_events: true,
             move_elimination,
@@ -125,8 +121,7 @@ impl Model {
                 let inst = self.build_inst(*kind, *dst, *src);
                 let uop = self.renamer.rename(&inst, self.seq, self.cycle, false);
                 self.seq += 1;
-                let cp_after = self.renamer.take_checkpoint();
-                self.rob.push(Slot { inst, uop, issued: false, precommitted: false, cp_after });
+                self.rob.push(Slot { inst, uop, issued: false, precommitted: false });
             }
             Action::IssueOldest => {
                 if let Some(slot) = self.rob.iter_mut().find(|s| !s.issued) {
@@ -167,8 +162,8 @@ impl Model {
                 let records: Vec<FlushRecord> =
                     squashed.iter().rev().map(|s| s.uop.flush_record(&s.inst, s.issued)).collect();
                 self.renamer.flush_walk(&records, self.cycle);
-                let cp = self.rob[bidx].cp_after.clone();
-                self.renamer.restore_checkpoint(&cp);
+                // Retired slots are already removed: the rest survive.
+                self.renamer.restore_after_flush(self.rob.iter().map(|s| &s.uop));
             }
             Action::Tick(n) => {
                 self.cycle += u64::from(*n);

@@ -2,7 +2,7 @@
 //! the same protocol the pipeline uses. Each named scenario corresponds
 //! to a figure or subsection of the paper.
 
-use atr_core::{CheckpointPolicy, FlushRecord, ReleaseScheme, RenameConfig, RenamedUop, Renamer};
+use atr_core::{FlushRecord, ReleaseScheme, RenameConfig, RenamedUop, Renamer};
 use atr_isa::{ArchReg, OpClass, RegClass, StaticInst};
 
 fn r(i: u8) -> ArchReg {
@@ -14,7 +14,6 @@ fn cfg(scheme: ReleaseScheme) -> RenameConfig {
         scheme,
         int_prf_size: 64,
         fp_prf_size: 64,
-        checkpoint_policy: CheckpointPolicy::EveryBranch,
         collect_events: true,
         ..RenameConfig::default()
     }
@@ -38,7 +37,8 @@ struct Entry {
     inst: StaticInst,
     uop: RenamedUop,
     issued: bool,
-    cp_after: atr_core::SrtCheckpoint,
+    /// `Driver::commit` keeps the entry; this marks it retired.
+    committed: bool,
 }
 
 struct Driver {
@@ -50,7 +50,11 @@ struct Driver {
 
 impl Driver {
     fn new(scheme: ReleaseScheme) -> Self {
-        Driver { renamer: Renamer::new(&cfg(scheme)), rob: Vec::new(), cycle: 10, seq: 0 }
+        Driver::from_config(&cfg(scheme))
+    }
+
+    fn from_config(cfg: &RenameConfig) -> Self {
+        Driver { renamer: Renamer::new(cfg), rob: Vec::new(), cycle: 10, seq: 0 }
     }
 
     fn rename(&mut self, inst: StaticInst) -> usize {
@@ -58,8 +62,7 @@ impl Driver {
         self.renamer.tick(self.cycle);
         let uop = self.renamer.rename(&inst, self.seq, self.cycle, false);
         self.seq += 1;
-        let cp_after = self.renamer.take_checkpoint();
-        self.rob.push(Entry { inst, uop, issued: false, cp_after });
+        self.rob.push(Entry { inst, uop, issued: false, committed: false });
         self.rob.len() - 1
     }
 
@@ -84,19 +87,19 @@ impl Driver {
         self.renamer.tick(self.cycle);
         let uop = self.rob[idx].uop;
         self.renamer.on_commit(&uop, self.cycle);
+        self.rob[idx].committed = true;
     }
 
     /// Flushes all instructions with index > `flush_point` (youngest
-    /// first) and restores the SRT to the state just after the flush
-    /// point renamed.
+    /// first), then rebuilds the SRT from the committed RAT plus the
+    /// uncommitted entries up to the flush point, as the pipeline does.
     fn flush_after(&mut self, flush_point: usize) {
         self.cycle += 1;
         let squashed: Vec<Entry> = self.rob.split_off(flush_point + 1);
         let records: Vec<FlushRecord> =
             squashed.iter().rev().map(|e| e.uop.flush_record(&e.inst, e.issued)).collect();
         self.renamer.flush_walk(&records, self.cycle);
-        let cp = self.rob[flush_point].cp_after.clone();
-        self.renamer.restore_checkpoint(&cp);
+        self.renamer.restore_after_flush(self.rob.iter().filter(|e| !e.committed).map(|e| &e.uop));
     }
 
     /// Renames a leading branch so the reset-state architectural
@@ -495,16 +498,14 @@ fn er_count_restore_after_flush_keeps_counts_exact() {
 }
 
 #[test]
-fn checkpoint_restore_recovers_the_srt() {
+fn flush_restore_recovers_the_srt() {
     let mut d = Driver::new(ReleaseScheme::Atr { redefine_delay: 0 });
     let r1 = ArchReg::int(1);
     let before = d.renamer.current_mapping(r1);
-    let cp = d.renamer.take_checkpoint();
     let b = d.rename(branch(0x00));
     let _w = d.rename(alu(0x04, 1, &[2])); // wrong path remaps r1
     assert_ne!(d.renamer.current_mapping(r1), before);
     d.flush_after(b);
-    d.renamer.restore_checkpoint(&cp);
     assert_eq!(d.renamer.current_mapping(r1), before);
 }
 
@@ -521,9 +522,27 @@ fn walk_restore_rebuilds_from_committed_rat() {
     let p2 = d.rob[i2].uop.pdst.unwrap();
     let _i3 = d.rename(alu(0x08, 1, &[3])); // will be squashed
     d.flush_after(i2);
-    d.renamer.restore_from_committed([(ArchReg::int(2), p2)].into_iter());
     assert_eq!(d.renamer.current_mapping(ArchReg::int(1)), p1, "committed mapping");
     assert_eq!(d.renamer.current_mapping(ArchReg::int(2)), p2, "survivor mapping");
+}
+
+#[test]
+fn surviving_eliminated_move_maps_to_its_alias_after_a_flush() {
+    // The surviving move allocated nothing (`pdst` is `None`): a rebuild
+    // that mapped survivors by `pdst` would skip it and leave r1 on its
+    // committed mapping.
+    let mut cfg = cfg(ReleaseScheme::Atr { redefine_delay: 0 });
+    cfg.move_elimination = true;
+    let mut d = Driver::from_config(&cfg);
+    let p2 = d.renamer.current_mapping(r(2));
+    let mv = d.rename(StaticInst::new(0x0, OpClass::Mov, Some(r(1)), &[r(2)]));
+    assert_eq!(d.rob[mv].uop.pdst, None, "the move was eliminated");
+    let b = d.rename(branch(0x04));
+    let _w = d.rename(alu(0x08, 1, &[3])); // wrong path redefines r1
+    assert_ne!(d.renamer.current_mapping(r(1)), p2);
+    d.flush_after(b);
+    assert_eq!(d.renamer.current_mapping(r(1)), p2, "r1 maps to the move's alias");
+    d.renamer.check_invariants();
 }
 
 #[test]

@@ -18,11 +18,9 @@ use crate::lsq::{LoadCheck, Lsq};
 use crate::rob::{CompletionQueue, Rob, RobEntry, RobId, RobState};
 use crate::stats::CoreStats;
 use crate::telemetry::{CoreTelemetry, CycleView};
-use atr_core::{
-    CheckpointPolicy, FlushRecord, PTag, RegLifetime, RenameAuditor, Renamer, SrtCheckpoint,
-};
+use atr_core::{FlushRecord, RegLifetime, RenameAuditor, Renamer};
 use atr_frontend::{Bpu, Prediction};
-use atr_isa::{ArchReg, DynInst, FuKind, InstSeq, OpClass, RegClass};
+use atr_isa::{DynInst, FuKind, InstSeq, OpClass, RegClass};
 use atr_mem::{AccessKind, MemoryHierarchy, ServiceLevel};
 use atr_telemetry::TraceStage;
 use atr_workload::{synthesize_outcome, Oracle, Program};
@@ -101,8 +99,6 @@ pub struct OooCore {
     due: Vec<RobId>,
     /// The flush walk's reused buffer of squashed entries' records.
     flush_records: Vec<FlushRecord>,
-    /// The flush recovery's reused buffer of surviving mappings.
-    survivors: Vec<(ArchReg, PTag)>,
     lsq: Lsq,
     frontend: VecDeque<Fetched>,
     // Fetch state.
@@ -160,7 +156,6 @@ impl OooCore {
             completions: CompletionQueue::new(),
             due: Vec::new(),
             flush_records: Vec::new(),
-            survivors: Vec::new(),
             lsq: Lsq::new(cfg.load_buffer, cfg.store_buffer),
             frontend: VecDeque::new(),
             fetch_pc: program.entry(),
@@ -671,13 +666,6 @@ impl OooCore {
             if f.inst.on_wrong_path {
                 self.stats.wrong_path_renamed += 1;
             }
-            let checkpoint = if self.renamer.checkpoint_policy() == CheckpointPolicy::EveryBranch
-                && (class.is_conditional() || class.has_predicted_target())
-            {
-                Some(self.renamer.take_checkpoint())
-            } else {
-                None
-            };
             if class.is_load() {
                 self.lsq.push_load(seq);
             } else if class.is_store() {
@@ -696,7 +684,6 @@ impl OooCore {
                 complete_at: if eliminated { self.cycle } else { 0 },
                 prediction: f.prediction,
                 mispredicted: f.mispredicted,
-                checkpoint,
                 renamed_at: self.cycle,
                 mem_level: None,
             });
@@ -852,7 +839,9 @@ impl OooCore {
     /// (everything when `None`): the ROB entries, youngest first,
     /// through the reused flush-record buffer, the flush telemetry and
     /// the renamer's flush walk; then the issue queue, the completion
-    /// queue, the load/store queues and the frontend pipe.
+    /// queue, the load/store queues and the frontend pipe. Ends with the
+    /// one SRT recovery every flush cause shares: the rebuild from the
+    /// committed RAT plus the surviving entries, oldest first (§4.2.1).
     fn squash(&mut self, keep: Option<RobId>, cause: &str) {
         let mut records = std::mem::take(&mut self.flush_records);
         records.clear();
@@ -887,28 +876,7 @@ impl OooCore {
             }
         }
         self.frontend.clear();
-    }
-
-    /// Rebuilds the SRT after a flush walk: from the flush point's
-    /// checkpoint when there is one, else from the committed RAT plus
-    /// the surviving ROB entries' mappings (the §4.2.1 walk). When the
-    /// auditor is attached it cross-validates the result against the
-    /// walk reconstruction. Eliminated moves map their destination to
-    /// the *alias* (they allocated nothing), hence `result_ptag`, not
-    /// `pdst`.
-    fn restore_srt(&mut self, checkpoint: Option<&SrtCheckpoint>) {
-        let mut survivors = std::mem::take(&mut self.survivors);
-        survivors.clear();
-        survivors
-            .extend(self.rob.iter().filter_map(|e| Some((e.uop.dst_arch?, e.uop.result_ptag()?))));
-        match checkpoint {
-            Some(cp) => self.renamer.restore_checkpoint(cp),
-            None => self.renamer.restore_from_committed(survivors.iter().copied()),
-        }
-        if let Some(auditor) = self.auditor.as_mut() {
-            auditor.enforce_flush_restore(&self.renamer, survivors.iter().copied(), self.cycle);
-        }
-        self.survivors = survivors;
+        self.renamer.restore_after_flush(self.rob.iter().map(|e| &e.uop));
     }
 
     /// Rewinds the frontend's speculative state to before the oldest
@@ -928,7 +896,7 @@ impl OooCore {
         let e = self.rob.get_mut(id).expect("mispredicted entry");
         e.mispredicted = false;
         let (sinst, taken, target) = (e.inst.sinst, e.inst.taken(), e.inst.next_pc());
-        let (oracle_idx, checkpoint) = (e.inst.oracle_idx, e.checkpoint.clone());
+        let oracle_idx = e.inst.oracle_idx;
         if sinst.class.is_conditional() {
             self.stats.cond_mispredicts += 1;
         } else {
@@ -940,9 +908,8 @@ impl OooCore {
         let prediction = e.prediction.as_ref().expect("control flow has a prediction");
         self.bpu.recover(&sinst, &prediction.snapshot, taken, target);
 
-        // Backend recovery: squash, walk, restore the SRT.
+        // Backend recovery: squash, walk, rebuild the SRT.
         self.squash(Some(id), "mispredict");
-        self.restore_srt(checkpoint.as_ref());
 
         // Redirect fetch to the architectural path.
         self.on_wrong_path = false;
@@ -1135,7 +1102,6 @@ impl OooCore {
                 // The flush point: the newest precommitted entry.
                 let flush_point = precommitted.checked_sub(1).map(|i| self.rob.id_at(i));
                 self.squash(flush_point, "interrupt");
-                self.restore_srt(None);
                 self.on_wrong_path = false;
                 self.wrong_path_dead = false;
                 self.next_oracle_idx = resume_idx;
@@ -1154,7 +1120,6 @@ impl OooCore {
         let (resume_idx, resume_pc) = (oldest.inst.oracle_idx, oldest.inst.sinst.pc);
         self.restore_bpu_before(0);
         self.squash(None, "exception");
-        self.restore_srt(None);
 
         // Service the fault, then re-execute from the faulting
         // instruction (its injected exception is now resolved).

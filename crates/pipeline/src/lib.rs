@@ -14,8 +14,10 @@
 //!   disambiguation;
 //! * diversified functional units (Table 1: 5 ALU, 3 load, 2 store
 //!   ports, an unpipelined divider);
-//! * a precommit pointer (§2.3), walk- or checkpoint-based recovery,
-//!   and precise-exception handling with re-execution;
+//! * a precommit pointer (§2.3), one flush recovery for mispredicts,
+//!   exceptions and interrupts (the flush walk, then the SRT rebuilt
+//!   from the committed RAT plus the surviving ROB entries), and
+//!   precise-exception handling with re-execution;
 //! * an event-driven cycle loop — tag-broadcast wakeup, a completion
 //!   queue, and quiet-cycle skip-ahead — whose results are bit-identical
 //!   to stepping every cycle.

@@ -1,6 +1,6 @@
 //! The reorder buffer.
 
-use atr_core::{RenamedUop, SrtCheckpoint};
+use atr_core::RenamedUop;
 use atr_frontend::Prediction;
 use atr_isa::DynInst;
 use atr_mem::ServiceLevel;
@@ -34,8 +34,6 @@ pub struct RobEntry {
     /// Direction/target misprediction, known to the simulator at fetch,
     /// enacted at resolve.
     pub mispredicted: bool,
-    /// SRT checkpoint (branches under `CheckpointPolicy::EveryBranch`).
-    pub checkpoint: Option<SrtCheckpoint>,
     /// Cycle this entry was renamed (analysis).
     pub renamed_at: u64,
     /// For loads that went to memory: the hierarchy level servicing
@@ -342,7 +340,6 @@ mod tests {
             complete_at: 0,
             prediction: None,
             mispredicted: false,
-            checkpoint: None,
             renamed_at: 0,
             mem_level: None,
         }

@@ -9,7 +9,7 @@
 //! the occupancy series, the audited-cycle count and the retired
 //! stream.
 
-use atr_core::{CheckpointPolicy, ReleaseScheme};
+use atr_core::ReleaseScheme;
 use atr_pipeline::{CoreConfig, CoreStats, InterruptMode, OooCore};
 use atr_telemetry::{TelemetryConfig, TelemetryLevel};
 use atr_workload::{spec, Oracle, ProfileParams};
@@ -107,11 +107,9 @@ fn every_scheme_matches_the_stepwise_reference() {
 }
 
 #[test]
-fn redefine_delay_move_elimination_and_walk_recovery_match() {
+fn redefine_delay_and_move_elimination_match() {
     let mut moves = observed_cfg(ReleaseScheme::Combined { redefine_delay: 2 }, 64);
     moves.rename.move_elimination = true;
-    let mut walk = observed_cfg(ReleaseScheme::Atr { redefine_delay: 0 }, 96);
-    walk.rename.checkpoint_policy = CheckpointPolicy::WalkOnly;
     check(&[
         case(
             "atr delay 6",
@@ -119,7 +117,6 @@ fn redefine_delay_move_elimination_and_walk_recovery_match() {
             observed_cfg(ReleaseScheme::Atr { redefine_delay: 6 }, 64),
         ),
         case("move elimination", "502.gcc_r", moves),
-        case("walk-only recovery", "531.deepsjeng_r", walk),
     ]);
 }
 

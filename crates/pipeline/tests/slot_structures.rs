@@ -47,7 +47,6 @@ fn entry(seq: InstSeq) -> RobEntry {
         complete_at: 0,
         prediction: None,
         mispredicted: false,
-        checkpoint: None,
         renamed_at: 0,
         mem_level: None,
     }

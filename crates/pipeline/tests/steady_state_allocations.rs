@@ -1,7 +1,7 @@
 //! A warmed-up core barely touches the heap: the ROB and issue queue are
-//! slot-addressed rings, rename checkpoints are fixed arrays, and the
-//! flush paths reuse the core's own buffers, so the per-cycle path
-//! allocates almost nothing once warm.
+//! slot-addressed rings, the SRT is rebuilt in place, and the flush
+//! paths reuse the core's own buffers, so the per-cycle path allocates
+//! almost nothing once warm.
 //!
 //! A counting global allocator over `System` tallies this thread's
 //! allocations (its own test binary, so no other test shares it), and

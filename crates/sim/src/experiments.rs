@@ -624,7 +624,7 @@ pub fn fig15_assemble(
 /// One ablation data point.
 #[derive(Debug, Clone)]
 pub struct AblationRow {
-    /// Which ablation ("move-elim", "counter-width", "checkpoint").
+    /// Which ablation ("move-elim" or "counter-width").
     pub study: String,
     /// Variant label.
     pub variant: String,

@@ -1,16 +1,15 @@
 //! Seeded flush-storm fuzzing of the audited pipeline.
 //!
 //! Each case draws a random high-misprediction workload and a random
-//! core configuration (scheme, RF size, recovery policy, move
-//! elimination), then runs it with the cycle-level auditor attached
-//! while injecting interrupts to force §4.1 region-boundary flushes on
-//! top of the branch-driven ones. Any SRT/free-list divergence — a
-//! flush restore that disagrees with the committed-RAT walk, a leaked
-//! or double-freed register — panics inside the auditor, and the
-//! harness reports the failing seed so the exact case replays with
-//! `storm(seed)`.
+//! core configuration (scheme, RF size, move elimination), then runs it
+//! with the cycle-level auditor attached while injecting interrupts to
+//! force §4.1 region-boundary flushes on top of the branch-driven ones.
+//! Any SRT/free-list divergence — a rebuilt SRT naming a freed
+//! register, a leaked or double-freed register — panics inside the
+//! auditor, and the harness reports the failing seed so the exact case
+//! replays with `storm(seed)`.
 
-use atr_core::{CheckpointPolicy, ReleaseScheme};
+use atr_core::ReleaseScheme;
 use atr_pipeline::{CoreConfig, InterruptMode, OooCore};
 use atr_rng::{RngExt, SeedableRng, SmallRng};
 use atr_workload::{Oracle, ProfileParams};
@@ -38,11 +37,9 @@ fn storm(seed: u64) {
         .with_scheme(scheme)
         .with_rf_size(rng.random_range(48..128usize))
         .with_audit(true);
-    cfg.rename.checkpoint_policy = if rng.random::<bool>() {
-        CheckpointPolicy::EveryBranch
-    } else {
-        CheckpointPolicy::WalkOnly
-    };
+    // An unused draw: it keeps each seed's move-elimination draw, and so
+    // each seed's case, the same as when it chose a recovery policy.
+    let _ = rng.random::<bool>();
     cfg.rename.move_elimination = rng.random::<bool>();
 
     let mut core = OooCore::new(cfg, Oracle::new(program));

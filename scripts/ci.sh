@@ -107,10 +107,12 @@ ATR_TELEMETRY=stats ATR_AUDIT=1 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 \
     cargo run --release --offline -p atr-bench --bin all_experiments >"$telemetry_out"
 cargo run --release --offline -p atr-bench --bin jsonl_check "$telemetry_out"
 
-echo "== telemetry off-path overhead guard (<2%)"
-# ATR_TELEMETRY=off must never be slower than stats (within 2% noise):
-# a failure means the disabled path lost its gating. Fixed internal
-# budget, min-of-3 walls per level; see --bin telemetry_overhead.
+echo "== telemetry off-path guard (off records only the CPI stack)"
+# ATR_TELEMETRY=off must record no histogram, series, trace or lifetime
+# sample, and must simulate and account exactly what stats does; a
+# failure means the disabled path lost its gating. Deterministic (the
+# off/stats wall ratio is printed, not gated); fixed internal budget;
+# see --bin telemetry_overhead.
 cargo run --release --offline -p atr-bench --bin telemetry_overhead
 
 echo "== cpi_stack: one table whatever the level, the worker count or the auditor"
