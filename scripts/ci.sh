@@ -3,7 +3,7 @@
 #
 # The tiny ATR_SIM_* budget keeps the simulation-heavy experiment tests
 # fast while still executing every code path; full-budget numbers are
-# regenerated with `--bin all_experiments` (see EXPERIMENTS.md).
+# regenerated with target/release/all_experiments (see EXPERIMENTS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,23 +54,33 @@ if grep -rnE 'env::var|var_os' $model_src; then
 fi
 
 echo "== cargo test (tiny budget)"
+# Includes the root test tests/figure_fingerprint.rs, which runs a plain
+# tiny pass of the product and pins its fingerprint to
+# tests/golden/tiny_fingerprint.txt, and the telemetry off-path guard
+# (crates/sim/tests/telemetry.rs: off records only the CPI stack).
 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
     cargo test --workspace --offline -q
 
+echo "== release build of the product (the tier-1 build command)"
+cargo build --release --offline
+
 fingerprint() { cat "$1"/*.json | sha256sum | cut -d' ' -f1; }
+# Change the pin only together with a CHANGES.md entry that names and
+# justifies every figure number that moved.
+pinned_fp="$(cat tests/golden/tiny_fingerprint.txt)"
+tiny="ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0"
 
 echo "== all_experiments with rename auditor (tiny budget)"
 # Re-runs the experiment matrix with the cycle-level rename/release
 # auditor attached; any invariant violation panics the run. The results
 # dir is redirected so the tiny-budget pass never clobbers the committed
-# full-budget results/*.json; its fingerprint is compared with the live
-# pass below. Stdout is captured to assert the telemetry-off default
-# emits zero telemetry records.
+# full-budget results/*.json; its fingerprint is compared with the pin
+# below. Stdout is captured to assert the telemetry-off default emits
+# zero telemetry records.
 audit_out="$(mktemp)"
 audit_results="$(mktemp -d)"
-ATR_AUDIT=1 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
-    ATR_RESULTS_DIR="$audit_results" \
-    cargo run --release --offline -p atr-bench --bin all_experiments >"$audit_out"
+env $tiny ATR_AUDIT=1 ATR_RESULTS_DIR="$audit_results" \
+    target/release/all_experiments >"$audit_out"
 if grep -q "atr-run-telemetry" "$audit_out"; then
     echo "FAIL: telemetry records leaked onto stdout with ATR_TELEMETRY unset" >&2
     exit 1
@@ -102,18 +112,9 @@ echo "== all_experiments with telemetry + audit (tiny budget), JSONL schema chec
 # because ATR_AUDIT=1 is set).
 telemetry_out="$(mktemp)"
 telemetry_results="$(mktemp -d)"
-ATR_TELEMETRY=stats ATR_AUDIT=1 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 \
-    ATR_SIM_PROGRESS=0 ATR_RESULTS_DIR="$telemetry_results" \
-    cargo run --release --offline -p atr-bench --bin all_experiments >"$telemetry_out"
-cargo run --release --offline -p atr-bench --bin jsonl_check "$telemetry_out"
-
-echo "== telemetry off-path guard (off records only the CPI stack)"
-# ATR_TELEMETRY=off must record no histogram, series, trace or lifetime
-# sample, and must simulate and account exactly what stats does; a
-# failure means the disabled path lost its gating. Deterministic (the
-# off/stats wall ratio is printed, not gated); fixed internal budget;
-# see --bin telemetry_overhead.
-cargo run --release --offline -p atr-bench --bin telemetry_overhead
+env $tiny ATR_TELEMETRY=stats ATR_AUDIT=1 ATR_RESULTS_DIR="$telemetry_results" \
+    target/release/all_experiments >"$telemetry_out"
+target/release/all_experiments --check-jsonl "$telemetry_out"
 
 echo "== cpi_stack: one table whatever the level, the worker count or the auditor"
 # Every run accounts its CPI stack and cpi_stack runs on the shared
@@ -121,10 +122,8 @@ echo "== cpi_stack: one table whatever the level, the worker count or the audito
 # pass (records sent to a file) must print byte-identical tables.
 cpi_audit="$(mktemp)"
 cpi_stats="$(mktemp)"
-ATR_AUDIT=1 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
-    cargo run --release --offline -p atr-bench --bin cpi_stack >"$cpi_audit"
-ATR_TELEMETRY=stats ATR_TELEMETRY_OUT="$(mktemp)" ATR_SIM_THREADS=1 \
-    ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
+env $tiny ATR_AUDIT=1 target/release/cpi_stack >"$cpi_audit"
+env $tiny ATR_TELEMETRY=stats ATR_TELEMETRY_OUT="$(mktemp)" ATR_SIM_THREADS=1 \
     target/release/cpi_stack >"$cpi_stats"
 if ! cmp "$cpi_audit" "$cpi_stats"; then
     echo "FAIL: cpi_stack's table depends on the telemetry level, workers or auditor" >&2
@@ -133,40 +132,19 @@ if ! cmp "$cpi_audit" "$cpi_stats"; then
 fi
 echo "cpi_stack OK: audited/off and serial/stats tables identical"
 
-echo "== live tiny pass: the reference fingerprint"
-# The figure JSON of a plain pass (no audit or telemetry) anchors
-# every fingerprint gate below.
-live_results="$(mktemp -d)"
-tiny="ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0"
-env $tiny ATR_RESULTS_DIR="$live_results" \
-    cargo run --release --offline -p atr-bench --bin all_experiments >/dev/null
-live_fp=$(fingerprint "$live_results")
-echo "live fingerprint: $live_fp"
-
-# Every other gate compares against this same build, so a change that
-# silently moved the figures would still pass them; the live pass is
-# therefore pinned to a known fingerprint as well. Change the pin only
-# together with a CHANGES.md entry that names and justifies every
-# figure number that moved.
-pinned_fp=93d38585c64873d3cceb3f7ec467b79946726c6ad77625d5f7c9da11bd8c9f91
-if [ "$live_fp" != "$pinned_fp" ]; then
-    echo "FAIL: the tiny-pass figures changed" >&2
-    echo "  pinned $pinned_fp / live $live_fp" >&2
-    exit 1
-fi
-echo "pinned fingerprint OK"
-
+echo "== observation gate: observed passes reproduce the pinned fingerprint"
 # The cycle loop skips quiet cycles on one path whether telemetry and
 # audit are on or off, so the observed passes above must reproduce the
-# live figures bit for bit.
+# plain pass's figures bit for bit; cargo test pins that pass to the
+# same file.
 audit_fp=$(fingerprint "$audit_results")
 telemetry_fp=$(fingerprint "$telemetry_results")
-if [ "$audit_fp" != "$live_fp" ] || [ "$telemetry_fp" != "$live_fp" ]; then
+if [ "$audit_fp" != "$pinned_fp" ] || [ "$telemetry_fp" != "$pinned_fp" ]; then
     echo "FAIL: observation changed the figures" >&2
-    echo "  live $live_fp / audit $audit_fp / telemetry+audit $telemetry_fp" >&2
+    echo "  pinned $pinned_fp / audit $audit_fp / telemetry+audit $telemetry_fp" >&2
     exit 1
 fi
-echo "observation gate OK: audit and telemetry+audit passes match the live fingerprint"
+echo "observation gate OK: audit and telemetry+audit passes match the pinned fingerprint"
 
 echo "== all_experiments --only: one entry, the same bytes"
 # A pass over one registry entry ensures only that entry's points; its
@@ -175,7 +153,7 @@ echo "== all_experiments --only: one entry, the same bytes"
 only_results="$(mktemp -d)"
 env $tiny ATR_RESULTS_DIR="$only_results" \
     target/release/all_experiments --only fig13 >/dev/null
-if ! cmp "$only_results/fig13.json" "$live_results/fig13.json"; then
+if ! cmp "$only_results/fig13.json" "$audit_results/fig13.json"; then
     echo "FAIL: --only fig13 diverged from the full pass's fig13.json" >&2
     exit 1
 fi
