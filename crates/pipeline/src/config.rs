@@ -56,7 +56,7 @@ pub struct CoreConfig {
     pub bpu: BpuConfig,
     /// Memory hierarchy configuration.
     pub mem: MemConfig,
-    /// Observer configuration (CPI stack, histograms, pipeline trace).
+    /// Observer configuration (CPI stack, histograms).
     /// Pure observation — never affects timing — and, like `audit`,
     /// excluded from result-memoization keys.
     pub telemetry: TelemetryConfig,

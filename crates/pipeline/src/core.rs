@@ -22,7 +22,6 @@ use atr_core::{FlushRecord, RegLifetime, RenameAuditor, Renamer};
 use atr_frontend::{Bpu, Prediction};
 use atr_isa::{DynInst, FuKind, InstSeq, OpClass, RegClass};
 use atr_mem::{AccessKind, MemoryHierarchy, ServiceLevel};
-use atr_telemetry::TraceStage;
 use atr_workload::{synthesize_outcome, Oracle, Program};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -122,8 +121,7 @@ pub struct OooCore {
     /// [`OooCore::enable_retire_log`] was called.
     retire_log: Option<Vec<RetiredInst>>,
     /// The observer ([`crate::telemetry`]): its CPI stack is accounted
-    /// on every run; its histograms, series and ring record only at the
-    /// levels that ask for them.
+    /// on every run; its histograms record only at `stats`.
     telemetry: CoreTelemetry,
     /// End of the current exception/interrupt serialization window (CPI
     /// attribution only — timing uses `fetch_stall_until`).
@@ -275,13 +273,6 @@ impl OooCore {
         self.telemetry
     }
 
-    /// The current pipeline-trace window in Konata text format, when
-    /// tracing (`ATR_TELEMETRY=trace`) is on.
-    #[must_use]
-    pub fn dump_konata(&self) -> Option<String> {
-        self.telemetry.tracing().then(|| self.telemetry.trace.dump_konata())
-    }
-
     /// Starts capturing every retired instruction for differential
     /// comparison. Call before [`OooCore::run`].
     pub fn enable_retire_log(&mut self) {
@@ -314,7 +305,7 @@ impl OooCore {
     /// The cycle at [`OooCore::cycles`] runs through every stage. If it
     /// was *quiet* — it changed no state beyond the per-cycle counters
     /// (stall counts, PRF occupancy sums, CPI slots, occupancy
-    /// histograms and series, audited cycles) — then every cycle up to
+    /// histograms, audited cycles) — then every cycle up to
     /// the next timed event would repeat it exactly, so `tick` jumps
     /// straight to that event and credits the skipped cycles in bulk.
     /// The events are the next completion, a pending redefine, the end
@@ -409,7 +400,7 @@ impl OooCore {
         s.int_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Int) as u128;
         s.fp_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Fp) as u128;
         s.cycles = to - 1;
-        self.telemetry.repeat_last_cycle(from, n);
+        self.telemetry.repeat_last_cycle(n);
         if self.auditor.is_some() {
             if let Err(e) = self.telemetry.cpi.check() {
                 panic!("cycles {from}..{to}: {e}");
@@ -421,41 +412,12 @@ impl OooCore {
         self.cycle = to;
     }
 
-    /// Runs the renamer invariant audit; on failure, dumps the pipeline
-    /// trace window (when tracing) before propagating the panic, so the
-    /// cycles leading up to the violation can be inspected in Konata.
+    /// Runs the renamer invariant audit and the schedule audit.
     fn enforce_audit_cycle(&mut self) {
         let Some(auditor) = self.auditor.as_mut() else { return };
         let (renamer, rob, cycle) = (&self.renamer, &self.rob, self.cycle);
-        let (iq, completions) = (&self.iq, &self.completions);
-        let mut audit = || {
-            auditor.enforce_cycle(renamer, rob.iter().map(|e| (&e.uop, e.issued())), cycle);
-            audit_schedule(renamer, rob, iq, completions, cycle);
-        };
-        if !self.telemetry.tracing() {
-            audit();
-            return;
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(audit));
-        if let Err(payload) = outcome {
-            let trace = &self.telemetry.trace;
-            let path = self
-                .cfg
-                .telemetry
-                .trace_dump
-                .as_deref()
-                .cloned()
-                .unwrap_or_else(|| format!("atr-audit-trace-cycle{cycle}.kanata").into());
-            let shown = path.display();
-            match std::fs::write(&path, trace.dump_konata()) {
-                Ok(()) => atr_telemetry::info!(
-                    "audit failure at cycle {cycle}: wrote {} trace events to {shown}",
-                    trace.len()
-                ),
-                Err(e) => atr_telemetry::warn!("could not write audit trace to {shown}: {e}"),
-            }
-            std::panic::resume_unwind(payload);
-        }
+        auditor.enforce_cycle(renamer, rob.iter().map(|e| (&e.uop, e.issued())), cycle);
+        audit_schedule(renamer, rob, &self.iq, &self.completions, cycle);
     }
 
     /// End-of-cycle telemetry: CPI slot attribution, and occupancy
@@ -490,7 +452,6 @@ impl OooCore {
         t.end_cycle(&view, head_mem_level);
         if t.stats_enabled() {
             t.sample_occupancy(
-                cycle,
                 self.rob.len() as u64,
                 self.renamer.occupancy(RegClass::Int) as u64,
                 self.renamer.occupancy(RegClass::Fp) as u64,
@@ -500,14 +461,6 @@ impl OooCore {
             if let Err(e) = t.cpi.check() {
                 panic!("cycle {cycle}: {e}");
             }
-        }
-    }
-
-    /// Pushes a pipeline-trace event when tracing is on.
-    #[inline]
-    fn trace_event(&mut self, seq: InstSeq, stage: TraceStage, label: &str) {
-        if self.telemetry.tracing() {
-            self.telemetry.trace.push(seq, self.cycle, stage, label);
         }
     }
 
@@ -598,10 +551,6 @@ impl OooCore {
             self.stats.fetched += 1;
             if fetched.inst.on_wrong_path {
                 self.stats.wrong_path_fetched += 1;
-            }
-            if self.telemetry.tracing() {
-                let label = format!("{:?} {:#x}", fetched.inst.sinst.class, fetched.inst.sinst.pc);
-                self.trace_event(fetched.inst.seq, TraceStage::Fetch, &label);
             }
 
             // Fetch follows the prediction; a misprediction sends the
@@ -695,7 +644,6 @@ impl OooCore {
                     psrcs.iter().flatten().copied().filter(|&p| !renamer.is_ready(p)),
                 );
             }
-            self.trace_event(seq, TraceStage::Rename, "");
         }
         active
     }
@@ -784,7 +732,6 @@ impl OooCore {
         entry.mem_level = mem_level;
         self.completions.push(complete_at, id);
         self.renamer.on_issue(&psrcs, self.cycle);
-        self.trace_event(seq, TraceStage::Issue, "");
         true
     }
 
@@ -799,13 +746,10 @@ impl OooCore {
         for &id in &due {
             let e = self.rob.get_mut(id).expect("completing entry");
             e.state = RobState::Completed;
-            let (seq, pdst) = (e.inst.seq, e.uop.pdst);
-            if let Some(p) = pdst {
+            if let Some(p) = e.uop.pdst {
                 self.renamer.set_ready(p);
                 self.iq.wake(p);
             }
-            self.trace_event(seq, TraceStage::Exec, "");
-            let e = self.rob.get(id).expect("completing entry");
             if e.inst.sinst.class.is_control_flow() && !e.inst.on_wrong_path {
                 // Counted where `handle_mispredict` counts its
                 // mispredicts, so a run that stops with a resolved
@@ -842,17 +786,11 @@ impl OooCore {
     /// queue, the load/store queues and the frontend pipe. Ends with the
     /// one SRT recovery every flush cause shares: the rebuild from the
     /// committed RAT plus the surviving entries, oldest first (§4.2.1).
-    fn squash(&mut self, keep: Option<RobId>, cause: &str) {
+    fn squash(&mut self, keep: Option<RobId>) {
         let mut records = std::mem::take(&mut self.flush_records);
         records.clear();
         let cycle = self.cycle;
-        let mut trace = self.telemetry.tracing().then_some(&mut self.telemetry.trace);
-        let visit = |e: &RobEntry| {
-            records.push(e.uop.flush_record(&e.inst.sinst, e.issued()));
-            if let Some(trace) = trace.as_mut() {
-                trace.push(e.inst.seq, cycle, TraceStage::Flush, cause);
-            }
-        };
+        let visit = |e: &RobEntry| records.push(e.uop.flush_record(&e.inst.sinst, e.issued()));
         let squashed = match keep {
             Some(id) => self.rob.squash_younger(id, visit),
             None => self.rob.squash_all(visit),
@@ -909,7 +847,7 @@ impl OooCore {
         self.bpu.recover(&sinst, &prediction.snapshot, taken, target);
 
         // Backend recovery: squash, walk, rebuild the SRT.
-        self.squash(Some(id), "mispredict");
+        self.squash(Some(id));
 
         // Redirect fetch to the architectural path.
         self.on_wrong_path = false;
@@ -966,9 +904,7 @@ impl OooCore {
                 e.inst.seq, e.inst.sinst.class
             );
             let e = self.rob.precommit();
-            let seq = e.inst.seq;
             self.renamer.on_precommit(&mut e.uop, self.cycle);
-            self.trace_event(seq, TraceStage::Precommit, "");
         }
         self.rob.precommitted_len() > start
     }
@@ -1013,15 +949,6 @@ impl OooCore {
                 _ => {}
             }
             self.renamer.on_commit(&uop, self.cycle);
-            if self.telemetry.tracing() {
-                self.trace_event(seq, TraceStage::Commit, "");
-                // The conventional commit-path release of the previous
-                // mapping (ATR-claimed previous mappings were released
-                // back at the redefine, inside the renamer).
-                if uop.prev_ptag.is_some() && !uop.atr_freed_prev {
-                    self.trace_event(seq, TraceStage::Release, "");
-                }
-            }
             if let Some(log) = self.retire_log.as_mut() {
                 log.push(RetiredInst {
                     oracle_idx: inst.oracle_idx,
@@ -1101,7 +1028,7 @@ impl OooCore {
                 self.restore_bpu_before(precommitted);
                 // The flush point: the newest precommitted entry.
                 let flush_point = precommitted.checked_sub(1).map(|i| self.rob.id_at(i));
-                self.squash(flush_point, "interrupt");
+                self.squash(flush_point);
                 self.on_wrong_path = false;
                 self.wrong_path_dead = false;
                 self.next_oracle_idx = resume_idx;
@@ -1119,7 +1046,7 @@ impl OooCore {
         let oldest = self.rob.head().expect("exception implies a head entry");
         let (resume_idx, resume_pc) = (oldest.inst.oracle_idx, oldest.inst.sinst.pc);
         self.restore_bpu_before(0);
-        self.squash(None, "exception");
+        self.squash(None);
 
         // Service the fault, then re-execute from the faulting
         // instruction (its injected exception is now resolved).

@@ -1,12 +1,10 @@
 //! The core-side telemetry observer.
 //!
 //! [`CoreTelemetry`] bundles everything the observability layer records
-//! about one core: the CPI stack, the pipeline-level histograms, the
-//! optional occupancy time series, and (at `trace` level) the per-uop
-//! ring trace. It is a pure observer — nothing in here feeds back into
-//! timing. Every core carries one and accounts its CPI stack on every
-//! cycle, whatever the telemetry level; the histograms and the series
-//! record only at `stats` and above, and the ring only at `trace`.
+//! about one core: the CPI stack and the pipeline-level histograms. It
+//! is a pure observer — nothing in here feeds back into timing. Every
+//! core carries one and accounts its CPI stack on every cycle, whatever
+//! the telemetry level; the histograms record only at `stats`.
 //!
 //! Cycle attribution works on *deltas*: [`CoreTelemetry::begin_cycle`]
 //! snapshots the stall counters [`crate::CoreStats`] already maintains,
@@ -16,7 +14,7 @@
 //! precedence order is documented in DESIGN.md §Observability.
 
 use atr_mem::ServiceLevel;
-use atr_telemetry::{CpiBucket, CpiStack, Log2Hist, PipeTrace, TelemetryConfig, TimeSeries};
+use atr_telemetry::{CpiBucket, CpiStack, Log2Hist, TelemetryConfig};
 
 /// Histogram names, shared with the sim layer's JSONL records.
 pub mod hist_names {
@@ -80,11 +78,11 @@ pub struct CycleView {
 
 /// Per-core observer state. Construct with [`CoreTelemetry::new`]. The
 /// CPI stack is accounted at every level; below `stats` the histograms
-/// and the series stay empty, and each of their hook sites costs the
-/// pipeline one branch.
+/// stay empty, and each of their hook sites costs the pipeline one
+/// branch.
 #[derive(Debug)]
 pub struct CoreTelemetry {
-    /// Record the histograms and the series (`stats` and above).
+    /// Record the histograms (`stats`).
     stats: bool,
     /// The CPI stack under construction.
     pub cpi: CpiStack,
@@ -98,10 +96,6 @@ pub struct CoreTelemetry {
     pub flush_walk_len: Log2Hist,
     /// Branch resolution latency histogram.
     pub branch_resolution: Log2Hist,
-    /// Integer PRF occupancy time series (at `stats` with sampling on).
-    pub int_occ_series: TimeSeries,
-    /// The per-uop ring trace (empty below `trace` level).
-    pub trace: PipeTrace,
     scratch: CycleScratch,
     last: LastCycle,
 }
@@ -118,23 +112,15 @@ impl CoreTelemetry {
             fp_prf_occupancy: Log2Hist::new(),
             flush_walk_len: Log2Hist::new(),
             branch_resolution: Log2Hist::new(),
-            int_occ_series: TimeSeries::new(cfg.series_interval),
-            trace: PipeTrace::new(if cfg.trace_enabled() { cfg.trace_cap as usize } else { 0 }),
             scratch: CycleScratch::default(),
             last: LastCycle::default(),
         }
     }
 
-    /// Are the histograms and the series recording (`stats` and above)?
+    /// Are the histograms recording (`stats`)?
     #[must_use]
     pub fn stats_enabled(&self) -> bool {
         self.stats
-    }
-
-    /// Is the per-uop trace recording?
-    #[must_use]
-    pub fn tracing(&self) -> bool {
-        !self.trace.is_disabled()
     }
 
     /// Snapshots the stall counters before the stages run.
@@ -207,25 +193,23 @@ impl CoreTelemetry {
         }
     }
 
-    /// Samples the occupancy histograms (and the optional series) for
-    /// one cycle. The core calls this only when
-    /// [`CoreTelemetry::stats_enabled`].
-    pub fn sample_occupancy(&mut self, cycle: u64, rob: u64, int_prf: u64, fp_prf: u64) {
+    /// Samples the occupancy histograms for one cycle. The core calls
+    /// this only when [`CoreTelemetry::stats_enabled`].
+    pub fn sample_occupancy(&mut self, rob: u64, int_prf: u64, fp_prf: u64) {
         self.rob_occupancy.record(rob);
         self.int_prf_occupancy.record(int_prf);
         self.fp_prf_occupancy.record(fp_prf);
-        self.int_occ_series.maybe_sample(cycle, int_prf);
         self.last.rob = rob;
         self.last.int_prf = int_prf;
         self.last.fp_prf = fp_prf;
     }
 
-    /// Credits the `n` cycles starting at `first_cycle` as exact repeats
-    /// of the last accounted cycle — the same CPI attribution and (at
-    /// `stats`) occupancy samples `n` more [`CoreTelemetry::end_cycle`]
-    /// plus [`CoreTelemetry::sample_occupancy`] calls would record. The
-    /// core calls this for the quiet cycles it skips.
-    pub fn repeat_last_cycle(&mut self, first_cycle: u64, n: u64) {
+    /// Credits `n` cycles as exact repeats of the last accounted cycle —
+    /// the same CPI attribution and (at `stats`) occupancy samples `n`
+    /// more [`CoreTelemetry::end_cycle`] plus
+    /// [`CoreTelemetry::sample_occupancy`] calls would record. The core
+    /// calls this for the quiet cycles it skips.
+    pub fn repeat_last_cycle(&mut self, n: u64) {
         let last = self.last;
         self.cpi.account_cycles(last.retired, last.cause, n);
         if !self.stats {
@@ -234,7 +218,6 @@ impl CoreTelemetry {
         self.rob_occupancy.record_n(last.rob, n);
         self.int_prf_occupancy.record_n(last.int_prf, n);
         self.fp_prf_occupancy.record_n(last.fp_prf, n);
-        self.int_occ_series.sample_span(first_cycle, first_cycle + n, last.int_prf);
     }
 }
 
@@ -255,7 +238,7 @@ mod tests {
     }
 
     fn telem() -> CoreTelemetry {
-        let cfg = TelemetryConfig { level: TelemetryLevel::Stats, ..TelemetryConfig::default() };
+        let cfg = TelemetryConfig { level: TelemetryLevel::Stats };
         CoreTelemetry::new(&cfg, 8)
     }
 
@@ -327,28 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_only_at_trace_level() {
-        let stats_only = telem();
-        assert!(!stats_only.tracing());
-        let cfg = TelemetryConfig {
-            level: TelemetryLevel::Trace,
-            trace_cap: 128,
-            ..TelemetryConfig::default()
-        };
-        let tracing = CoreTelemetry::new(&cfg, 8);
-        assert!(tracing.tracing());
-    }
-
-    #[test]
     fn off_level_accounts_cpi_but_records_no_histograms() {
         let mut t = CoreTelemetry::new(&TelemetryConfig::default(), 8);
-        assert!(!t.stats_enabled() && !t.tracing());
+        assert!(!t.stats_enabled());
         t.end_cycle(&CycleView { retired: 3, rob_nonempty: true, ..view() }, || None);
-        t.repeat_last_cycle(2, 4);
+        t.repeat_last_cycle(4);
         assert_eq!(t.cpi.cycles, 5);
         assert_eq!(t.cpi.get(CpiBucket::Retiring), 15);
         assert_eq!(t.cpi.get(CpiBucket::ExecLatency), 25);
         assert_eq!(t.rob_occupancy.count, 0);
-        assert!(t.int_occ_series.values.is_empty());
     }
 }

@@ -4,10 +4,9 @@
 //! previous one and credits them in bulk; `run_without_skip` steps every
 //! cycle. For each configuration below both drive the same program
 //! through the same sequence of runs and interrupt requests, with the
-//! rename auditor attached and telemetry at `stats` (occupancy series
-//! on), and must agree on every counter, the CPI stack, every histogram,
-//! the occupancy series, the audited-cycle count and the retired
-//! stream.
+//! rename auditor attached and telemetry at `stats`, and must agree on
+//! every counter, the CPI stack, every histogram, the audited-cycle
+//! count and the retired stream.
 
 use atr_core::ReleaseScheme;
 use atr_pipeline::{CoreConfig, CoreStats, InterruptMode, OooCore};
@@ -27,9 +26,11 @@ struct Case {
 }
 
 fn observed_cfg(scheme: ReleaseScheme, rf_size: usize) -> CoreConfig {
-    CoreConfig::default().with_rf_size(rf_size).with_scheme(scheme).with_audit(true).with_telemetry(
-        TelemetryConfig { level: TelemetryLevel::Stats, series_interval: 7, ..Default::default() },
-    )
+    CoreConfig::default()
+        .with_rf_size(rf_size)
+        .with_scheme(scheme)
+        .with_audit(true)
+        .with_telemetry(TelemetryConfig { level: TelemetryLevel::Stats })
 }
 
 fn case(name: &'static str, profile: &str, cfg: CoreConfig) -> Case {
@@ -52,7 +53,7 @@ fn drive(c: &Case, skip: bool) -> (String, CoreStats) {
     }
     let t = core.telemetry().expect("telemetry at stats");
     let report = format!(
-        "{stats:?}\ncpi {:?}\nrob {:?}\nint {:?}\nfp {:?}\nflush {:?}\nbranch {:?}\nseries {:?}\n\
+        "{stats:?}\ncpi {:?}\nrob {:?}\nint {:?}\nfp {:?}\nflush {:?}\nbranch {:?}\n\
          audited {}\nretired {:?}",
         t.cpi,
         t.rob_occupancy,
@@ -60,7 +61,6 @@ fn drive(c: &Case, skip: bool) -> (String, CoreStats) {
         t.fp_prf_occupancy,
         t.flush_walk_len,
         t.branch_resolution,
-        t.int_occ_series,
         core.auditor().expect("auditor attached").cycles_checked(),
         core.retire_log(),
     );

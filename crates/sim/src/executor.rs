@@ -43,7 +43,8 @@ pub enum FailureKind {
 }
 
 /// A structured per-point failure: the pass continues, the caller
-/// decides (the matrix records it, reports degrade, shims panic).
+/// decides (the matrix records it, reports degrade to the surviving
+/// points, and [`crate::RunMatrix::get`] panics on it).
 #[derive(Debug, Clone)]
 pub struct PointFailure {
     /// [`SimPoint::label`] of the failed point.
@@ -306,8 +307,7 @@ mod tests {
             SimPoint::new("999.not_a_profile", ReleaseScheme::Baseline, 64, 50, 200),
             SimPoint::new("548.exchange2_r", ReleaseScheme::Baseline, 64, 50, 200),
         ];
-        let telemetry =
-            TelemetryConfig { level: TelemetryLevel::Stats, ..TelemetryConfig::default() };
+        let telemetry = TelemetryConfig { level: TelemetryLevel::Stats };
         let session = Session {
             telemetry_out: Some(out.clone()),
             ..Session::default().quiet().with_threads(2).with_telemetry(telemetry)

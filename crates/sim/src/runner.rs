@@ -24,7 +24,7 @@ pub struct RunResult {
     pub cpi: CpiStack,
     /// Lifetime records (empty unless `rename.collect_events` was set).
     pub lifetimes: Vec<RegLifetime>,
-    /// The histograms and series the observer recorded (empty below
+    /// The histograms the observer recorded (empty below
     /// `ATR_TELEMETRY=stats`).
     pub telemetry: RunTelemetry,
 }
@@ -57,7 +57,7 @@ pub fn run(cfg: CoreConfig, program: Arc<Program>, warmup: u64, measure: u64) ->
 }
 
 /// Splits a finished run's observer into its CPI stack and what it
-/// recorded at `stats`: the histograms and the series, plus — when the
+/// recorded at `stats`: the histograms, plus — when the
 /// run collected a lifetime log — the histograms derived from it.
 fn observations(t: CoreTelemetry, lifetimes: Option<&[RegLifetime]>) -> (CpiStack, RunTelemetry) {
     if !t.stats_enabled() {
@@ -70,10 +70,6 @@ fn observations(t: CoreTelemetry, lifetimes: Option<&[RegLifetime]>) -> (CpiStac
         (hist_names::FLUSH_WALK_LEN.to_owned(), t.flush_walk_len),
         (hist_names::BRANCH_RESOLUTION.to_owned(), t.branch_resolution),
     ];
-    let mut series = Vec::new();
-    if !t.int_occ_series.values.is_empty() {
-        series.push((hist_names::INT_PRF_OCCUPANCY.to_owned(), t.int_occ_series));
-    }
     if let Some(lifetimes) = lifetimes {
         let mut lifetime = Log2Hist::new();
         let mut claim = Log2Hist::new();
@@ -91,7 +87,7 @@ fn observations(t: CoreTelemetry, lifetimes: Option<&[RegLifetime]>) -> (CpiStac
         hists.push((hist_names::REG_LIFETIME.to_owned(), lifetime));
         hists.push((hist_names::CLAIM_DURATION.to_owned(), claim));
     }
-    (t.cpi, RunTelemetry { hists, series })
+    (t.cpi, RunTelemetry { hists })
 }
 
 /// Geometric mean of positive values (the paper's average speedups).
@@ -130,11 +126,7 @@ mod tests {
 
     fn stats_level(cfg: CoreConfig) -> CoreConfig {
         use atr_telemetry::{TelemetryConfig, TelemetryLevel};
-        cfg.with_telemetry(TelemetryConfig {
-            level: TelemetryLevel::Stats,
-            series_interval: 100,
-            ..TelemetryConfig::default()
-        })
+        cfg.with_telemetry(TelemetryConfig { level: TelemetryLevel::Stats })
     }
 
     #[test]
@@ -149,7 +141,6 @@ mod tests {
         assert_eq!(r.cpi.cycles + 1, r.stats.cycles);
         assert!(r.cpi.get(CpiBucket::Retiring) > 0);
         assert!(r.telemetry.hist("rob_occupancy").unwrap().count > 0);
-        assert_eq!(r.telemetry.series.len(), 1, "series sampling was requested");
         assert!(r.telemetry.hist("reg_lifetime").is_none(), "no log, no lifetime histogram");
         assert!(r.telemetry.hist("claim_duration").is_none(), "no log, no claim histogram");
         assert!(r.lifetimes.is_empty());

@@ -17,6 +17,18 @@
 use atr_telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
+/// Knobs that were removed, each with what became of it. Setting one
+/// (to anything but blank or `0`) warns once and changes nothing.
+const RETIRED_VARIABLES: [(&str, &str); 4] = [
+    (
+        "ATR_RUN_JOURNAL",
+        "resume from a run journal was removed, and every pass simulates its points",
+    ),
+    ("ATR_TRACE_CAP", "the per-uop pipeline trace was removed"),
+    ("ATR_TRACE_DUMP", "the per-uop pipeline trace was removed"),
+    ("ATR_TELEMETRY_SERIES", "the occupancy time series was removed"),
+];
+
 /// All runtime knobs of one execution pass, resolved up front.
 ///
 /// Nothing in here may change a simulated result: threads, progress,
@@ -34,7 +46,7 @@ pub struct Session {
     pub progress: bool,
     /// Attach the cycle-level rename/release auditor (`ATR_AUDIT`).
     pub audit: bool,
-    /// Observer configuration (`ATR_TELEMETRY` plus its satellites).
+    /// Observer configuration (`ATR_TELEMETRY`).
     pub telemetry: TelemetryConfig,
     /// File the per-point telemetry JSONL records are appended to
     /// (`ATR_TELEMETRY_OUT`; stdout when unset).
@@ -74,13 +86,13 @@ impl Session {
     /// * `ATR_SIM_THREADS` — positive worker count;
     /// * `ATR_SIM_PROGRESS` — progress lines unless `0`;
     /// * `ATR_AUDIT` — on unless unset, empty or `0`;
-    /// * `ATR_TELEMETRY` (+ `ATR_TRACE_CAP`, `ATR_TELEMETRY_SERIES`,
-    ///   `ATR_TRACE_DUMP`);
+    /// * `ATR_TELEMETRY` — `off` or `stats`;
     /// * `ATR_TELEMETRY_OUT` — non-blank path for the telemetry records;
     /// * `ATR_FAULT_INJECT` — non-blank label needle.
     ///
-    /// The retired `ATR_RUN_JOURNAL` (resume from a run journal) changes
-    /// nothing; when it is set, a warning says so.
+    /// The retired `ATR_RUN_JOURNAL`, `ATR_TRACE_CAP`, `ATR_TRACE_DUMP`
+    /// and `ATR_TELEMETRY_SERIES` change nothing; each one that is set
+    /// warns once.
     #[must_use]
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let threads = match lookup("ATR_SIM_THREADS") {
@@ -95,11 +107,10 @@ impl Session {
                 }
             },
         };
-        if lookup("ATR_RUN_JOURNAL").is_some_and(|v| !matches!(v.trim(), "" | "0")) {
-            atr_telemetry::warn!(
-                "ignoring ATR_RUN_JOURNAL: resume from a run journal was removed, \
-                 and every pass simulates its points"
-            );
+        for (name, why) in RETIRED_VARIABLES {
+            if lookup(name).is_some_and(|v| !matches!(v.trim(), "" | "0")) {
+                atr_telemetry::warn!("ignoring {name}: {why}");
+            }
         }
         let non_blank =
             |name: &str| lookup(name).map(|v| v.trim().to_owned()).filter(|v| !v.is_empty());
@@ -171,6 +182,7 @@ fn available_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atr_telemetry::TelemetryLevel;
     use std::collections::HashMap;
 
     /// A session resolved from `vars` alone.
@@ -223,9 +235,17 @@ mod tests {
         let default_threads = Session::default().threads;
         assert_eq!(parse(&[("ATR_SIM_THREADS", "0")]).threads, default_threads);
         assert_eq!(parse(&[("ATR_SIM_THREADS", "many")]).threads, default_threads);
-        let t = parse(&[("ATR_TELEMETRY", "stats"), ("ATR_TELEMETRY_SERIES", "100")]).telemetry;
-        assert!(t.stats_enabled() && !t.trace_enabled());
-        assert_eq!(t.series_interval, 100);
+        assert!(parse(&[("ATR_TELEMETRY", "stats")]).telemetry.stats_enabled());
+    }
+
+    /// The removed `trace` level is a malformed value now: it warns and
+    /// leaves telemetry off.
+    #[test]
+    fn former_trace_level_is_rejected_and_telemetry_stays_off() {
+        for value in ["trace", "2"] {
+            assert_eq!(TelemetryLevel::parse(value), None, "{value:?}");
+            assert_eq!(parse(&[("ATR_TELEMETRY", value)]), Session::default(), "{value:?}");
+        }
     }
 
     #[test]
@@ -246,11 +266,13 @@ mod tests {
         assert_eq!(parse(&[("ATR_TELEMETRY_OUT", " ")]).telemetry_out, None, "blank is stdout");
     }
 
-    /// The retired resume knob warns and changes nothing.
+    /// Every retired knob warns and changes nothing.
     #[test]
     fn retired_journal_variable_changes_nothing() {
-        for value in ["1", "/tmp/old-dir", "0", ""] {
-            assert_eq!(parse(&[("ATR_RUN_JOURNAL", value)]), Session::default(), "{value:?}");
+        for (name, _) in RETIRED_VARIABLES {
+            for value in ["1", "/tmp/old-dir", "0", ""] {
+                assert_eq!(parse(&[(name, value)]), Session::default(), "{name}={value:?}");
+            }
         }
     }
 }

@@ -46,14 +46,10 @@ pub fn record(point: &SimPoint, result: &RunResult, wall: Duration) -> Json {
     ];
     let t = &result.telemetry;
     let hists = t.hists.iter().map(|(n, h)| (n.clone(), h.to_json())).collect();
-    let mut telemetry = vec![
+    let telemetry = vec![
         ("cpi_stack".to_owned(), result.cpi.to_json()),
         ("histograms".to_owned(), Json::Obj(hists)),
     ];
-    if !t.series.is_empty() {
-        let series = t.series.iter().map(|(n, ts)| (n.clone(), ts.to_json())).collect();
-        telemetry.push(("series".to_owned(), Json::Obj(series)));
-    }
     fields.push(("telemetry".to_owned(), Json::Obj(telemetry)));
     Json::Obj(fields)
 }
@@ -155,10 +151,7 @@ mod tests {
         let cfg = CoreConfig::default()
             .with_rf_size(96)
             .with_scheme(ReleaseScheme::Atr { redefine_delay: 0 })
-            .with_telemetry(TelemetryConfig {
-                level: TelemetryLevel::Stats,
-                ..TelemetryConfig::default()
-            });
+            .with_telemetry(TelemetryConfig { level: TelemetryLevel::Stats });
         run(cfg, ProfileParams::default().build(), 1_000, 5_000)
     }
 

@@ -19,10 +19,10 @@ const SCHEMES: [ReleaseScheme; 4] = [
 
 /// A stats-level core at `rf` registers under `scheme`.
 fn stats_core(scheme: ReleaseScheme, rf: usize) -> CoreConfig {
-    CoreConfig::default().with_rf_size(rf).with_scheme(scheme).with_telemetry(TelemetryConfig {
-        level: TelemetryLevel::Stats,
-        ..TelemetryConfig::default()
-    })
+    CoreConfig::default()
+        .with_rf_size(rf)
+        .with_scheme(scheme)
+        .with_telemetry(TelemetryConfig { level: TelemetryLevel::Stats })
 }
 
 /// The `Σ slots == width × cycles` invariant must hold for every scheme
@@ -70,15 +70,14 @@ fn freelist_stall_bucket_shrinks_under_atr() {
 
 /// Telemetry is a pure observer, and `off` records nothing but the CPI
 /// stack. The whole `CoreStats` block — every counter, `markings`
-/// included — must be identical across off, stats and trace levels, and
-/// the CPI stack every level accounts must be the same stack. The `off`
-/// core's observer must hold no histogram, series or trace sample and
-/// its lifetime log must be empty, so the disabled path did none of the
-/// work it gates; the `stats` core must have recorded samples, the
-/// occupancy series (sampled every 100 cycles at every level), flush
-/// walks and branch resolutions included, so that check can fail. The
-/// cores are driven directly: `sim::run` drops the observer's samples
-/// below `stats`, so its result cannot show the gating.
+/// included — must be identical at `off` and `stats`, and the CPI stack
+/// both levels account must be the same stack. The `off` core's
+/// observer must hold no histogram sample and its lifetime log must be
+/// empty, so the disabled path did none of the work it gates; the
+/// `stats` core must have recorded samples, flush walks and branch
+/// resolutions included, so that check can fail. The cores are driven
+/// directly: `sim::run` drops the observer's samples below `stats`, so
+/// its result cannot show the gating.
 #[test]
 fn telemetry_levels_never_perturb_core_stats() {
     let profiles = all_profiles();
@@ -88,7 +87,6 @@ fn telemetry_levels_never_perturb_core_stats() {
         let run_at = |level: TelemetryLevel| {
             let mut cfg = stats_core(scheme, 96);
             cfg.telemetry.level = level;
-            cfg.telemetry.series_interval = 100;
             let mut core = OooCore::new(cfg, Oracle::new(program.clone()));
             core.run(500);
             let stats = core.run(4_000);
@@ -97,25 +95,20 @@ fn telemetry_levels_never_perturb_core_stats() {
         };
         let (off, off_lifetimes, off_t) = run_at(TelemetryLevel::Off);
         let (stats, _, stats_t) = run_at(TelemetryLevel::Stats);
-        let (trace, _, trace_t) = run_at(TelemetryLevel::Trace);
         let label = scheme.label();
         assert_eq!(format!("{off:?}"), format!("{stats:?}"), "{label}");
-        assert_eq!(format!("{off:?}"), format!("{trace:?}"), "{label}");
         assert_eq!(off_t.cpi, stats_t.cpi, "{label}: off and stats CPI stacks");
-        assert_eq!(off_t.cpi, trace_t.cpi, "{label}: off and trace CPI stacks");
 
         assert_eq!(recorded_samples(&off_t), 0, "{label}: off recorded samples");
         assert_eq!(off_lifetimes, 0, "{label}: off collected a lifetime log");
-        // Non-zero counts also show that the budget covers flushes, and
-        // that the series is on, so the zero-sample check above can fail.
-        assert!(!stats_t.int_occ_series.values.is_empty(), "{label}: stats sampled no series");
+        // Non-zero counts also show that the budget covers flushes, so
+        // the zero-sample check above can fail.
         assert!(stats_t.flush_walk_len.count > 0, "{label}: stats recorded no flush walk");
         assert!(stats_t.branch_resolution.count > 0, "{label}: stats recorded no branch");
     }
 }
 
-/// Every sample an observer holds beyond its CPI stack: the histograms,
-/// the occupancy series and the trace ring.
+/// Every sample an observer holds beyond its CPI stack: the histograms.
 fn recorded_samples(t: &CoreTelemetry) -> u64 {
     let hists = [
         &t.rob_occupancy,
@@ -124,7 +117,5 @@ fn recorded_samples(t: &CoreTelemetry) -> u64 {
         &t.flush_walk_len,
         &t.branch_resolution,
     ];
-    hists.iter().map(|h| h.count).sum::<u64>()
-        + t.int_occ_series.values.len() as u64
-        + t.trace.len() as u64
+    hists.iter().map(|h| h.count).sum()
 }

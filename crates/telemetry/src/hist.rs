@@ -1,4 +1,4 @@
-//! Streaming log2-bucketed histograms and fixed-interval time series.
+//! Streaming log2-bucketed histograms.
 //!
 //! A [`Log2Hist`] keeps 65 buckets: bucket 0 counts the value 0, and
 //! bucket `k` (1..=64) counts values in `[2^(k-1), 2^k - 1]`, so the
@@ -157,60 +157,6 @@ impl Log2Hist {
     }
 }
 
-/// A fixed-interval scalar time series (e.g. PRF occupancy every N
-/// cycles). Sampling is pull-based: the owner calls
-/// [`TimeSeries::maybe_sample`] each cycle and the series keeps one
-/// value per interval boundary.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    /// Cycles between samples; 0 disables sampling entirely.
-    pub interval: u64,
-    /// One sampled value per elapsed interval.
-    pub values: Vec<u64>,
-}
-
-impl TimeSeries {
-    /// A series sampling every `interval` cycles (0 = disabled).
-    #[must_use]
-    pub fn new(interval: u64) -> Self {
-        TimeSeries { interval, values: Vec::new() }
-    }
-
-    /// Records `value` when `cycle` sits on an interval boundary.
-    pub fn maybe_sample(&mut self, cycle: u64, value: u64) {
-        if self.interval != 0 && cycle.is_multiple_of(self.interval) {
-            self.values.push(value);
-        }
-    }
-
-    /// Samples a value that held constant over the cycles `from..to`,
-    /// exactly as calling [`TimeSeries::maybe_sample`] on each would.
-    pub fn sample_span(&mut self, from: u64, to: u64, value: u64) {
-        if self.interval == 0 || to <= from {
-            return;
-        }
-        let boundaries = to.div_ceil(self.interval) - from.div_ceil(self.interval);
-        self.values.extend(std::iter::repeat_n(value, boundaries as usize));
-    }
-
-    /// JSON: interval plus the sampled values.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("interval".to_owned(), Json::Int(i64::try_from(self.interval).unwrap_or(i64::MAX))),
-            (
-                "values".to_owned(),
-                Json::Arr(
-                    self.values
-                        .iter()
-                        .map(|&v| Json::Int(i64::try_from(v).unwrap_or(i64::MAX)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,18 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn time_series_samples_on_boundaries_only() {
-        let mut ts = TimeSeries::new(10);
-        for cycle in 0..35u64 {
-            ts.maybe_sample(cycle, cycle * 2);
-        }
-        assert_eq!(ts.values, vec![0, 20, 40, 60]);
-        let mut off = TimeSeries::new(0);
-        off.maybe_sample(0, 1);
-        assert!(off.values.is_empty());
-    }
-
-    #[test]
     fn bulk_recording_matches_repeated_single_records() {
         let mut one = Log2Hist::new();
         let mut bulk = Log2Hist::new();
@@ -296,17 +230,5 @@ mod tests {
             bulk.record_n(value, n);
         }
         assert_eq!(one, bulk);
-
-        for interval in [1u64, 3, 10] {
-            for (from, to) in [(0u64, 0u64), (0, 35), (7, 8), (9, 10), (10, 31), (11, 19)] {
-                let mut step = TimeSeries::new(interval);
-                let mut span = TimeSeries::new(interval);
-                for cycle in from..to {
-                    step.maybe_sample(cycle, 42);
-                }
-                span.sample_span(from, to, 42);
-                assert_eq!(step, span, "interval {interval}, cycles {from}..{to}");
-            }
-        }
     }
 }

@@ -7,6 +7,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every scratch file and results dir lives under one temp root that is
+# removed however the script exits.
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -18,7 +23,7 @@ echo "== perfbench builds against the pipeline API"
 # gates above never compile it; a pipeline API change that breaks the
 # benchmark fails here instead of in the perf gate. Its committed
 # Cargo.lock is stale (any build rewrites it), so it is restored after.
-perfbench_lock="$(mktemp)"
+perfbench_lock="$scratch/perfbench.lock"
 cp perfbench/Cargo.lock "$perfbench_lock"
 perfbench_status=0
 cargo check --release --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
@@ -77,8 +82,8 @@ echo "== all_experiments with rename auditor (tiny budget)"
 # full-budget results/*.json; its fingerprint is compared with the pin
 # below. Stdout is captured to assert the telemetry-off default emits
 # zero telemetry records.
-audit_out="$(mktemp)"
-audit_results="$(mktemp -d)"
+audit_out="$scratch/audit.out"
+audit_results="$scratch/audit_results"
 env $tiny ATR_AUDIT=1 ATR_RESULTS_DIR="$audit_results" \
     target/release/all_experiments >"$audit_out"
 if grep -q "atr-run-telemetry" "$audit_out"; then
@@ -90,8 +95,8 @@ echo "== all_experiments with rename auditor at the smallest budget (40 + 160)"
 # So few instructions stop many runs with a resolved, mispredicted
 # branch still in flight; the end-of-run CoreStats consistency audit
 # must hold there too. Any failed point makes the pass exit 1.
-small_err="$(mktemp)"
-small_results="$(mktemp -d)"
+small_err="$scratch/small.err"
+small_results="$scratch/small_results"
 ATR_AUDIT=1 ATR_SIM_WARMUP=40 ATR_SIM_INSTS=160 ATR_SIM_PROGRESS=0 \
     ATR_RESULTS_DIR="$small_results" \
     target/release/all_experiments >/dev/null 2>"$small_err" || {
@@ -110,8 +115,8 @@ echo "== all_experiments with telemetry + audit (tiny budget), JSONL schema chec
 # must parse and satisfy the record schema, including the CPI-stack
 # Σ slots == width x cycles invariant (also asserted per-cycle in-core
 # because ATR_AUDIT=1 is set).
-telemetry_out="$(mktemp)"
-telemetry_results="$(mktemp -d)"
+telemetry_out="$scratch/telemetry.jsonl"
+telemetry_results="$scratch/telemetry_results"
 env $tiny ATR_TELEMETRY=stats ATR_AUDIT=1 ATR_RESULTS_DIR="$telemetry_results" \
     target/release/all_experiments >"$telemetry_out"
 target/release/all_experiments --check-jsonl "$telemetry_out"
@@ -120,10 +125,10 @@ echo "== cpi_stack: one table whatever the level, the worker count or the audito
 # Every run accounts its CPI stack and cpi_stack runs on the shared
 # executor, so an audited pass with telemetry off and a serial stats
 # pass (records sent to a file) must print byte-identical tables.
-cpi_audit="$(mktemp)"
-cpi_stats="$(mktemp)"
+cpi_audit="$scratch/cpi_audit.txt"
+cpi_stats="$scratch/cpi_stats.txt"
 env $tiny ATR_AUDIT=1 target/release/cpi_stack >"$cpi_audit"
-env $tiny ATR_TELEMETRY=stats ATR_TELEMETRY_OUT="$(mktemp)" ATR_SIM_THREADS=1 \
+env $tiny ATR_TELEMETRY=stats ATR_TELEMETRY_OUT="$scratch/cpi_stats.jsonl" ATR_SIM_THREADS=1 \
     target/release/cpi_stack >"$cpi_stats"
 if ! cmp "$cpi_audit" "$cpi_stats"; then
     echo "FAIL: cpi_stack's table depends on the telemetry level, workers or auditor" >&2
@@ -150,7 +155,7 @@ echo "== all_experiments --only: one entry, the same bytes"
 # A pass over one registry entry ensures only that entry's points; its
 # JSON must equal the full pass's byte for byte (results are keyed by
 # point, not by what else the pass simulated).
-only_results="$(mktemp -d)"
+only_results="$scratch/only_results"
 env $tiny ATR_RESULTS_DIR="$only_results" \
     target/release/all_experiments --only fig13 >/dev/null
 if ! cmp "$only_results/fig13.json" "$audit_results/fig13.json"; then
@@ -161,7 +166,7 @@ if [ "$(ls "$only_results")" != "$(printf 'fig13.json\nfig13.txt')" ]; then
     echo "FAIL: --only fig13 wrote more than fig13's files: $(ls "$only_results")" >&2
     exit 1
 fi
-only_err="$(mktemp)"
+only_err="$scratch/only.err"
 status=0
 target/release/all_experiments --only nope >/dev/null 2>"$only_err" || status=$?
 if [ "$status" -ne 2 ] || ! grep -q "valid names: .*fig13" "$only_err"; then
@@ -176,8 +181,8 @@ echo "== panic isolation: a fault-injected pass thins, says so and exits 1"
 # The pass must isolate those points, still write the entry's files from
 # the surviving set, log the coverage marker, and exit 1, so a script
 # can tell a thinned pass from a complete one.
-fault_results="$(mktemp -d)"
-fault_err="$(mktemp)"
+fault_results="$scratch/fault_results"
+fault_err="$scratch/fault.err"
 status=0
 env $tiny ATR_RESULTS_DIR="$fault_results" ATR_FAULT_INJECT=505.mcf_r \
     target/release/all_experiments --only fig13 >/dev/null 2>"$fault_err" || status=$?

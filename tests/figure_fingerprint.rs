@@ -1,8 +1,9 @@
 //! The product binary end to end: a tiny-budget `all_experiments` pass
 //! must write figure JSON whose fingerprint equals the one pinned in
 //! `tests/golden/tiny_fingerprint.txt` (`scripts/ci.sh` gates its
-//! audited and telemetry passes on the same file), and
-//! `--check-jsonl` must reject what is not a run-telemetry record.
+//! audited and telemetry passes on the same file), `--check-jsonl`
+//! must reject what is not a run-telemetry record, and removed knobs
+//! must warn and change nothing.
 //!
 //! The fingerprint is SHA-256 over the pass's `*.json` files
 //! concatenated in name order — the bytes `cat *.json | sha256sum`
@@ -83,6 +84,32 @@ fn check_jsonl_rejects_a_malformed_record_and_an_empty_file() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("--check-jsonl FILE..."), "the usage line lists it: {stderr}");
+}
+
+/// The retired knobs and the removed `trace` level each warn once, and
+/// the pass runs with telemetry off.
+#[test]
+fn retired_knobs_and_the_removed_trace_level_warn_and_change_nothing() {
+    let retired = ["ATR_RUN_JOURNAL", "ATR_TRACE_CAP", "ATR_TRACE_DUMP", "ATR_TELEMETRY_SERIES"];
+    for level in ["trace", "2"] {
+        let dir = scratch("retired_knobs");
+        let mut envs = vec![
+            ("ATR_TELEMETRY", level),
+            ("ATR_RESULTS_DIR", dir.to_str().expect("a UTF-8 temp dir")),
+        ];
+        envs.extend(retired.map(|name| (name, "1")));
+        let out = product(&["--only", "table1"], &envs);
+        let _ = std::fs::remove_dir_all(&dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        assert!(out.stdout.is_empty(), "no telemetry records at off");
+        let warned = |needle: &str| stderr.matches(needle).count();
+        assert_eq!(warned(&format!("ignoring malformed ATR_TELEMETRY=\"{level}\"")), 1, "{stderr}");
+        for name in retired {
+            assert_eq!(warned(&format!("ignoring {name}:")), 1, "{stderr}");
+        }
+        assert!(stderr.contains("telemetry=Off"), "{stderr}");
+    }
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn render_all() -> String {
                     let telemetry = if audit {
                         TelemetryConfig::default()
                     } else {
-                        TelemetryConfig { level: TelemetryLevel::Stats, ..Default::default() }
+                        TelemetryConfig { level: TelemetryLevel::Stats }
                     };
                     let cfg = CoreConfig::default()
                         .with_rf_size(rf_size)
