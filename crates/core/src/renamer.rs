@@ -292,12 +292,6 @@ impl Renamer {
         self.srt.get(reg)
     }
 
-    /// Is release-time legality checking on ([`RenameConfig::audit`])?
-    #[must_use]
-    pub fn audit_enabled(&self) -> bool {
-        self.audit
-    }
-
     /// The speculative rename table (auditor view).
     #[must_use]
     pub fn srt(&self) -> &RenameTable {

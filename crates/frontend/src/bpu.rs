@@ -207,12 +207,6 @@ impl Bpu {
         self.path = snapshot.path;
         self.ras = snapshot.ras.clone();
     }
-
-    /// BTB (hits, misses).
-    #[must_use]
-    pub fn btb_stats(&self) -> (u64, u64) {
-        self.btb.stats()
-    }
 }
 
 #[cfg(test)]

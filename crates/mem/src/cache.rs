@@ -136,12 +136,6 @@ impl Cache {
         &self.stats
     }
 
-    /// The line-aligned address of `addr`.
-    #[must_use]
-    pub fn line_addr(&self, addr: u64) -> u64 {
-        addr & !(self.cfg.line_bytes as u64 - 1)
-    }
-
     fn set_index(&self, addr: u64) -> usize {
         ((addr / self.cfg.line_bytes as u64) & (self.sets.len() as u64 - 1)) as usize
     }

@@ -850,11 +850,7 @@ impl OooCore {
         self.squash(Some(id));
 
         // Redirect fetch to the architectural path.
-        self.on_wrong_path = false;
-        self.wrong_path_dead = false;
-        self.next_oracle_idx = oracle_idx + 1;
-        self.fetch_pc = target;
-        self.fetch_stall_until = self.cycle + u64::from(self.cfg.redirect_penalty);
+        self.restart_fetch(oracle_idx + 1, target, self.cfg.redirect_penalty);
         // Telemetry: the bad-speculation window covers the redirect
         // penalty plus the frontend refill before corrected-path
         // instructions can reach rename again.
@@ -981,8 +977,7 @@ impl OooCore {
                 self.pending_interrupt = None;
                 self.stats.interrupts += 1;
                 self.fetch_stall_until = self.cycle + u64::from(self.cfg.exception_penalty);
-                self.serialize_until = self.fetch_stall_until + u64::from(self.cfg.frontend_depth);
-                self.last_commit_cycle = self.cycle;
+                self.enter_handler();
             }
             InterruptMode::FlushAtRegionBoundary => {
                 // §4.1b: wait until no atomic claim spans the flush
@@ -1029,13 +1024,9 @@ impl OooCore {
                 // The flush point: the newest precommitted entry.
                 let flush_point = precommitted.checked_sub(1).map(|i| self.rob.id_at(i));
                 self.squash(flush_point);
-                self.on_wrong_path = false;
-                self.wrong_path_dead = false;
-                self.next_oracle_idx = resume_idx;
-                self.fetch_pc = self.oracle.get(resume_idx).sinst.pc;
-                self.fetch_stall_until = self.cycle + u64::from(self.cfg.exception_penalty);
-                self.serialize_until = self.fetch_stall_until + u64::from(self.cfg.frontend_depth);
-                self.last_commit_cycle = self.cycle;
+                let resume_pc = self.oracle.get(resume_idx).sinst.pc;
+                self.restart_fetch(resume_idx, resume_pc, self.cfg.exception_penalty);
+                self.enter_handler();
             }
         }
         true
@@ -1051,11 +1042,23 @@ impl OooCore {
         // Service the fault, then re-execute from the faulting
         // instruction (its injected exception is now resolved).
         self.oracle.clear_exception(resume_idx);
+        self.restart_fetch(resume_idx, resume_pc, self.cfg.exception_penalty);
+        self.enter_handler();
+    }
+
+    /// Sends fetch back to the architectural path: oracle instruction
+    /// `oracle_idx` at `pc`, after `penalty` stall cycles.
+    fn restart_fetch(&mut self, oracle_idx: u64, pc: u64, penalty: u32) {
         self.on_wrong_path = false;
         self.wrong_path_dead = false;
-        self.next_oracle_idx = resume_idx;
-        self.fetch_pc = resume_pc;
-        self.fetch_stall_until = self.cycle + u64::from(self.cfg.exception_penalty);
+        self.next_oracle_idx = oracle_idx;
+        self.fetch_pc = pc;
+        self.fetch_stall_until = self.cycle + u64::from(penalty);
+    }
+
+    /// Runs a handler behind the fetch stall: rename waits for the
+    /// frontend to refill after it, and the commit watchdog restarts.
+    fn enter_handler(&mut self) {
         self.serialize_until = self.fetch_stall_until + u64::from(self.cfg.frontend_depth);
         self.last_commit_cycle = self.cycle;
     }
@@ -1123,23 +1126,4 @@ fn audit_schedule(
         issued,
         "cycle {cycle}: the completion queue holds entries that are not issued"
     );
-}
-
-/// A program is driven through a fresh core; convenience for tests,
-/// examples, and the experiment harness.
-///
-/// # Examples
-///
-/// ```
-/// use atr_pipeline::{run_program, CoreConfig};
-/// use atr_workload::ProfileParams;
-///
-/// let program = ProfileParams { seed: 7, ..ProfileParams::default() }.build();
-/// let stats = run_program(&CoreConfig::default(), program, 10_000);
-/// assert!(stats.retired >= 10_000);
-/// ```
-#[must_use]
-pub fn run_program(cfg: &CoreConfig, program: Arc<Program>, max_insts: u64) -> CoreStats {
-    let mut core = OooCore::new(cfg.clone(), Oracle::new(program));
-    core.run(max_insts)
 }

@@ -6,17 +6,14 @@
 //! input slice, which keeps the output bit-identical to a serial pass.
 //! Uses only `std::thread::scope` — no external dependencies.
 //!
-//! The one entry point is [`execute_session`]: every runtime knob
-//! comes from one resolved [`Session`] (see [`crate::session`]), every
-//! point is simulated, and each point yields a [`PointOutcome`] instead
-//! of a bare result:
-//!
-//! * a point that **panics** is surfaced as a structured
-//!   [`PointFailure`] carrying the panic payload — the other points'
-//!   results survive (points are deterministic, so a retry would only
-//!   panic again);
-//! * a point naming an **unknown profile** fails the same structured
-//!   way during prebuild instead of sinking the pass.
+//! [`crate::RunMatrix::ensure_with`] is the one public way in: every
+//! runtime knob comes from one resolved [`Session`] (see
+//! [`crate::session`]), every point is simulated, and each point yields
+//! a `PointOutcome` instead of a bare result. A point that panics —
+//! an injected fault, a broken invariant, a profile `atr_workload::spec`
+//! does not know — is surfaced as a [`PointFailure`] carrying the panic
+//! payload, and the other points' results survive (points are
+//! deterministic, so a retry would only panic again).
 //!
 //! Each progress line and each telemetry record carries the point's
 //! wall time, so a slow point is visible in the pass's own output.
@@ -27,45 +24,31 @@ use crate::session::Session;
 use atr_pipeline::CoreConfig;
 use atr_workload::spec::all_profiles;
 use atr_workload::Program;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Why a point produced no result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The point names a profile `atr_workload::spec` does not know.
-    UnknownProfile,
-    /// The point panicked.
-    Panic,
-}
-
-/// A structured per-point failure: the pass continues, the caller
-/// decides (the matrix records it, reports degrade to the surviving
-/// points, and [`crate::RunMatrix::get`] panics on it).
+/// A point that panicked: the pass continues, the caller decides (the
+/// matrix records it, reports degrade to the surviving points, and
+/// [`crate::RunMatrix::get`] panics on it).
 #[derive(Debug, Clone)]
 pub struct PointFailure {
     /// [`SimPoint::label`] of the failed point.
     pub label: String,
-    /// What went wrong.
-    pub kind: FailureKind,
-    /// The panic payload (or prebuild diagnostic).
+    /// The panic payload.
     pub payload: String,
 }
 
 impl std::fmt::Display for PointFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            FailureKind::UnknownProfile => write!(f, "{}: {}", self.label, self.payload),
-            FailureKind::Panic => write!(f, "{} panicked: {}", self.label, self.payload),
-        }
+        write!(f, "{} panicked: {}", self.label, self.payload)
     }
 }
 
 /// One point's outcome under [`execute_session`].
-pub type PointOutcome = Result<RunResult, PointFailure>;
+pub(crate) type PointOutcome = Result<RunResult, PointFailure>;
 
 /// Executes every point, in parallel, against the base core config,
 /// with every runtime knob taken from `session` (the environment is
@@ -74,7 +57,7 @@ pub type PointOutcome = Result<RunResult, PointFailure>;
 /// `points`; equal results are bit-identical no matter the thread
 /// count or telemetry level.
 #[must_use]
-pub fn execute_session(
+pub(crate) fn execute_session(
     session: &Session,
     core: &CoreConfig,
     points: &[SimPoint],
@@ -82,96 +65,67 @@ pub fn execute_session(
     if points.is_empty() {
         return Vec::new();
     }
+    // Generate each profile the points name once up front: points
+    // overwhelmingly share profiles, and generation is pure, so
+    // prebuilding changes nothing but the wall clock. A profile
+    // `atr_workload::spec` does not know gets no program, and its points
+    // panic in their own guard.
+    let programs: HashMap<&'static str, Arc<Program>> = all_profiles()
+        .into_iter()
+        .filter(|profile| points.iter().any(|p| p.profile == profile.name))
+        .map(|profile| (profile.name, profile.build()))
+        .collect();
+
     let mut outcomes: Vec<Option<PointOutcome>> = Vec::new();
     outcomes.resize_with(points.len(), || None);
-
-    // Generate each distinct known profile's static program once up
-    // front: points overwhelmingly share profiles, and generation is
-    // pure, so prebuilding changes nothing but the wall clock. A point
-    // naming an unknown profile becomes a structured failure here
-    // instead of a panic — one typo'd point must not sink a pass.
-    let known: HashMap<&'static str, _> = all_profiles().into_iter().map(|p| (p.name, p)).collect();
-    let mut programs: HashMap<&'static str, Arc<Program>> = HashMap::new();
-    for point in points {
-        if !programs.contains_key(point.profile) {
-            if let Some(profile) = known.get(point.profile) {
-                programs.insert(point.profile, profile.build());
-            }
-        }
-    }
-    let mut unknown_warned: HashSet<&'static str> = HashSet::new();
-    for (idx, point) in points.iter().enumerate() {
-        if !programs.contains_key(point.profile) {
-            if unknown_warned.insert(point.profile) {
-                atr_telemetry::warn!(
-                    "unknown profile in SimPoint: {} — failing its point(s), continuing the pass",
-                    point.profile
-                );
-            }
-            outcomes[idx] = Some(Err(PointFailure {
-                label: point.label(),
-                kind: FailureKind::UnknownProfile,
-                payload: format!("unknown profile in SimPoint: {}", point.profile),
-            }));
-        }
-    }
-
-    let todo: Vec<usize> = (0..points.len()).filter(|&i| outcomes[i].is_none()).collect();
-
-    // Per-point wall time, index-aligned with `points` (zero for a point
-    // that failed at prebuild and never ran).
+    // Per-point wall time, index-aligned with `points`.
     let mut walls = vec![Duration::ZERO; points.len()];
-    if !todo.is_empty() {
-        let workers = session.threads.clamp(1, todo.len());
-        let t0 = Instant::now();
-        let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let worker = || {
-            let mut produced: Vec<(usize, PointOutcome, Duration)> = Vec::new();
-            while let Some(&idx) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let point = &points[idx];
-                let started = Instant::now();
-                let outcome =
-                    run_point_guarded(session, core, programs[point.profile].clone(), point);
-                let wall = started.elapsed();
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                match &outcome {
-                    Ok(_) if session.progress => atr_telemetry::info!(
-                        "[matrix {:>4}/{:<4} {:>7.1?}] {} ({:.0?})",
-                        finished,
-                        todo.len(),
-                        t0.elapsed(),
-                        point.label(),
-                        wall,
-                    ),
-                    Ok(_) => {}
-                    Err(failure) => atr_telemetry::warn!(
-                        "[matrix {:>4}/{:<4}] FAILED {failure}",
-                        finished,
-                        todo.len(),
-                    ),
-                }
-                produced.push((idx, outcome, wall));
+    let workers = session.threads.clamp(1, points.len());
+    let t0 = Instant::now();
+    let next = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
+    let worker = || {
+        let mut produced: Vec<(usize, PointOutcome, Duration)> = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(point) = points.get(idx) else { break };
+            let started = Instant::now();
+            let outcome = run_point_guarded(session, core, programs.get(point.profile), point);
+            let wall = started.elapsed();
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            match &outcome {
+                Ok(_) if session.progress => atr_telemetry::info!(
+                    "[matrix {:>4}/{:<4} {:>7.1?}] {} ({:.0?})",
+                    finished,
+                    points.len(),
+                    t0.elapsed(),
+                    point.label(),
+                    wall,
+                ),
+                Ok(_) => {}
+                Err(failure) => atr_telemetry::warn!(
+                    "[matrix {:>4}/{:<4}] FAILED {failure}",
+                    finished,
+                    points.len(),
+                ),
             }
-            produced
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            for handle in handles {
-                // Workers cannot panic — run_point_guarded catches — so
-                // a join failure here is a harness bug, not a bad point.
-                for (idx, outcome, wall) in handle.join().expect("executor worker died") {
-                    walls[idx] = wall;
-                    outcomes[idx] = Some(outcome);
-                }
+            produced.push((idx, outcome, wall));
+        }
+        produced
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            // Workers cannot panic — run_point_guarded catches — so a
+            // join failure here is a harness bug, not a bad point.
+            for (idx, outcome, wall) in handle.join().expect("executor worker died") {
+                walls[idx] = wall;
+                outcomes[idx] = Some(outcome);
             }
-        });
-    }
-
-    let outcomes: Vec<PointOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("every point resolved by prebuild or a worker"))
-        .collect();
+        }
+    });
+    let outcomes: Vec<PointOutcome> =
+        outcomes.into_iter().map(|o| o.expect("every point resolved by a worker")).collect();
 
     // One JSONL record per simulated point, in input order — stable no
     // matter which worker ran what.
@@ -187,14 +141,6 @@ pub fn execute_session(
             .collect();
         crate::telemetry::emit_lines(&lines, session.telemetry_out.as_deref());
     }
-
-    let failed = outcomes.iter().filter(|o| o.is_err()).count();
-    if failed > 0 {
-        atr_telemetry::warn!(
-            "[matrix] {failed} of {} point(s) failed; downstream reports degrade to the surviving set",
-            points.len()
-        );
-    }
     outcomes
 }
 
@@ -204,7 +150,7 @@ pub fn execute_session(
 fn run_point_guarded(
     session: &Session,
     core: &CoreConfig,
-    program: Arc<Program>,
+    program: Option<&Arc<Program>>,
     point: &SimPoint,
 ) -> PointOutcome {
     std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -213,13 +159,11 @@ fn run_point_guarded(
                 panic!("injected fault for {}", point.label());
             }
         }
-        run_point(session, core, program, point)
+        let program =
+            program.unwrap_or_else(|| panic!("unknown profile in SimPoint: {}", point.profile));
+        run_point(session, core, Arc::clone(program), point)
     }))
-    .map_err(|panic| PointFailure {
-        label: point.label(),
-        kind: FailureKind::Panic,
-        payload: panic_message(panic.as_ref()),
-    })
+    .map_err(|panic| PointFailure { label: point.label(), payload: panic_message(panic.as_ref()) })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -277,8 +221,8 @@ mod tests {
         assert!(serial[1].ipc > serial[0].ipc);
     }
 
-    /// An unknown profile becomes a structured failure; its siblings
-    /// still simulate. Regression for the old prebuild panic.
+    /// An unknown profile panics in its point's guard like any other
+    /// fault; its siblings still simulate.
     #[test]
     fn unknown_profile_fails_its_point_without_sinking_the_pass() {
         let points = vec![
@@ -289,8 +233,11 @@ mod tests {
         let outcomes = execute_session(&session, &CoreConfig::default(), &points);
         assert!(outcomes[0].is_ok(), "the healthy sibling must survive");
         let failure = outcomes[1].as_ref().expect_err("unknown profile must fail");
-        assert_eq!(failure.kind, FailureKind::UnknownProfile);
-        assert!(failure.payload.contains("999.not_a_profile"), "{}", failure.payload);
+        assert_eq!(failure.payload, "unknown profile in SimPoint: 999.not_a_profile");
+        assert_eq!(
+            failure.to_string(),
+            "999.not_a_profile baseline@64 panicked: unknown profile in SimPoint: 999.not_a_profile"
+        );
     }
 
     /// With `telemetry_out` set, a stats-level pass appends exactly one

@@ -15,12 +15,13 @@
 
 use crate::config::{table1, SimConfig};
 use crate::matrix::{CoreTweak, RunMatrix, SimPoint};
-use crate::report::{coverage_marker, gain, pct, render_table};
+use crate::report::{coverage_marker, cpi_table, gain, pct, render_table};
 use crate::runner::geomean;
 use crate::session::Session;
 use atr_analysis::{BulkReleaseLogic, CorePowerModel};
 use atr_core::ReleaseScheme;
 use atr_json::{json_record, Json, ToJson};
+use atr_telemetry::CpiStack;
 use atr_workload::spec::{all_profiles, spec2017_fp, spec2017_int, SpecProfile, WorkloadClass};
 use std::path::Path;
 use std::time::Instant;
@@ -761,6 +762,9 @@ pub struct Output {
     pub cells: Vec<Vec<String>>,
     /// The headlines beside the paper's values.
     pub headlines: Vec<Headline>,
+    /// Text printed after the headlines; empty for every entry but
+    /// fig10, which appends its CPI stacks.
+    pub appendix: String,
 }
 
 fn rows_output<R: ToJson>(
@@ -768,7 +772,12 @@ fn rows_output<R: ToJson>(
     headlines: Vec<Headline>,
     cells: impl Fn(&R) -> Vec<String>,
 ) -> Output {
-    Output { json: Some(rows.to_json()), cells: rows.iter().map(cells).collect(), headlines }
+    Output {
+        json: Some(rows.to_json()),
+        cells: rows.iter().map(cells).collect(),
+        headlines,
+        appendix: String::new(),
+    }
 }
 
 /// One evaluation artifact of the paper — a figure, a table, the §4.4
@@ -789,13 +798,13 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// The titled table followed by the headlines: `<name>.txt`.
+    /// The titled table, the headlines and the appendix: `<name>.txt`.
     #[must_use]
     pub fn render(&self, out: &Output) -> String {
-        let table = render_table(self.headers, &out.cells);
         let headlines: String = out.headlines.iter().map(|h| format!("{h}\n")).collect();
-        let gap = if headlines.is_empty() { "" } else { "\n" };
-        format!("{}\n\n{table}{gap}{headlines}", self.title)
+        let sections = [render_table(self.headers, &out.cells), headlines, out.appendix.clone()];
+        let sections: Vec<String> = sections.into_iter().filter(|s| !s.is_empty()).collect();
+        format!("{}\n\n{}", self.title, sections.join("\n"))
     }
 }
 
@@ -995,7 +1004,7 @@ fn no_points(_: &SimConfig) -> Vec<SimPoint> {
 
 fn table1_output(sim: &SimConfig, _: &RunMatrix) -> Output {
     let cells = table1(&sim.core).into_iter().map(|(k, v)| vec![k, v]).collect();
-    Output { json: None, cells, headlines: Vec::new() }
+    Output { json: None, cells, headlines: Vec::new(), appendix: String::new() }
 }
 
 fn table2_output(_: &SimConfig, _: &RunMatrix) -> Output {
@@ -1013,7 +1022,7 @@ fn table2_output(_: &SimConfig, _: &RunMatrix) -> Output {
             ]
         })
         .collect();
-    Output { json: None, cells, headlines: Vec::new() }
+    Output { json: None, cells, headlines: Vec::new(), appendix: String::new() }
 }
 
 fn fig01_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
@@ -1107,7 +1116,7 @@ fn hw_overhead_output(_: &SimConfig, _: &RunMatrix) -> Output {
         .collect();
     let cells =
         quantities.into_iter().map(|(label, value, _)| vec![label.to_owned(), value]).collect();
-    Output { json: None, cells, headlines }
+    Output { json: None, cells, headlines, appendix: String::new() }
 }
 
 /// Fig 10's register file sizes.
@@ -1145,7 +1154,7 @@ fn fig10_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
             paper,
         ));
     }
-    rows_output(&rows, headlines, |r| {
+    let mut out = rows_output(&rows, headlines, |r| {
         vec![
             r.benchmark.clone(),
             r.class.clone(),
@@ -1153,7 +1162,38 @@ fn fig10_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {
             r.scheme.clone(),
             gain(r.speedup),
         ]
-    })
+    });
+    out.appendix = fig10_cpi_stacks(sim, matrix);
+    out
+}
+
+/// Fig 10's CPI stacks at 64 registers, where the schemes differ most:
+/// every SPEC profile's run merged per scheme, baseline first. The
+/// freelist-stall row shrinking from baseline to combined is the
+/// paper's mechanism made visible. A failed point is left out of its
+/// scheme's stack.
+fn fig10_cpi_stacks(sim: &SimConfig, matrix: &RunMatrix) -> String {
+    const RF: usize = 64;
+    let points = fig10_points(sim, &[RF]);
+    let schemes = std::iter::once(ReleaseScheme::Baseline).chain(FIG10_SCHEMES);
+    let columns: Vec<(String, CpiStack)> = schemes
+        .map(|scheme| {
+            let name = format!("{}@{RF}", scheme.label());
+            let mut stack = CpiStack::new(sim.core.retire_width as u64);
+            for point in points.iter().filter(|p| p.scheme == scheme) {
+                if let Some(result) = matrix.try_get(point) {
+                    stack.merge(&result.cpi);
+                }
+            }
+            stack.check().unwrap_or_else(|e| panic!("CPI invariant broken for {name}: {e}"));
+            (name, stack)
+        })
+        .collect();
+    format!(
+        "CPI stacks, SPEC aggregate (fraction of retire slots; a stack spans warmup plus \
+         the measured window)\n\n{}",
+        cpi_table(&columns)
+    )
 }
 
 fn fig11_output(sim: &SimConfig, matrix: &RunMatrix) -> Output {

@@ -157,9 +157,9 @@ pub struct RunMatrix {
     /// Requested keys served by a different cached key (canonicalized
     /// tweaks, events-superset runs).
     alias: HashMap<SimPoint, SimPoint>,
-    /// Points that produced a structured failure instead of a result
-    /// (panicked, unknown profile). Kept so assemblies can
-    /// degrade to the surviving set and reports can say `n/m failed`.
+    /// Points that panicked instead of producing a result (an unknown
+    /// profile panics too). Kept so assemblies can degrade to the
+    /// surviving set and reports can say `n/m failed`.
     failures: HashMap<SimPoint, PointFailure>,
     requested: usize,
     executed: usize,
@@ -189,10 +189,10 @@ impl RunMatrix {
     ///   observation-only and never perturbs timing (pinned by
     ///   `executor::tests::event_collection_does_not_change_timing`).
     ///
-    /// A point that fails (panics, or names an unknown profile) is
-    /// recorded in the failure set instead of aborting the batch; it is not retried by later `ensure_with`
-    /// calls in the same process (the simulator is deterministic — it
-    /// would fail again).
+    /// A point that panics (an unknown profile panics too) is recorded
+    /// in the failure set instead of aborting the batch; it is not
+    /// retried by later `ensure_with` calls in the same process (the
+    /// simulator is deterministic — it would fail again).
     pub fn ensure_with(&mut self, session: &Session, core: &CoreConfig, points: &[SimPoint]) {
         self.requested += points.len();
         // Events-enabled keys that will exist after this call, from the

@@ -60,7 +60,7 @@ pub fn gain(speedup: f64) -> String {
 /// bucket (slot share as a percentage, zero rows elided when no stack
 /// uses them) plus a closing `cpi` row.
 #[must_use]
-pub fn cpi_table(stacks: &[(String, &CpiStack)]) -> String {
+pub fn cpi_table(stacks: &[(String, CpiStack)]) -> String {
     let mut headers = vec!["bucket"];
     for (name, _) in stacks {
         headers.push(name);
@@ -105,8 +105,8 @@ pub fn coverage_marker(failed: usize, requested: usize, unwritten: &[&str]) -> O
 }
 
 /// The directory experiment JSON lands in: `ATR_RESULTS_DIR` if set,
-/// otherwise `<workspace root>/results` — so the binaries write to the
-/// same place no matter which directory they are launched from.
+/// otherwise `<workspace root>/results` — so the binary writes to the
+/// same place no matter which directory it is launched from.
 #[must_use]
 pub fn results_dir() -> PathBuf {
     results_dir_for(std::env::var_os("ATR_RESULTS_DIR").map(PathBuf::from))
@@ -170,7 +170,7 @@ mod tests {
         a.account_cycle(0, CpiBucket::MemDram);
         let mut b = CpiStack::new(8);
         b.account_cycle(4, CpiBucket::FreelistStall);
-        let t = cpi_table(&[("base".to_owned(), &a), ("atr".to_owned(), &b)]);
+        let t = cpi_table(&[("base".to_owned(), a), ("atr".to_owned(), b)]);
         assert!(t.contains("retiring"));
         assert!(t.contains("mem_dram"));
         assert!(t.contains("freelist_stall"));

@@ -4,10 +4,10 @@
 //! [`Session::from_lookup`] resolves them from any variable lookup (a
 //! test passes a map), [`Session::from_env`] is that parser over the
 //! process environment, and the resolved struct is threaded explicitly
-//! through [`crate::executor::execute_session`] and
-//! [`crate::matrix::RunMatrix::ensure_with`]. Execution itself reads no
-//! environment: not in the worker path, and not when telemetry records
-//! are written (their destination is [`Session::telemetry_out`]).
+//! through [`crate::matrix::RunMatrix::ensure_with`] into the executor.
+//! Execution itself reads no environment: not in the worker path, and
+//! not when telemetry records are written (their destination is
+//! [`Session::telemetry_out`]).
 //!
 //! Every field is also settable in code (builder style), so tests and
 //! library users get deterministic sessions with no env coupling at

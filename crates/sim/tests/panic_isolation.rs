@@ -1,5 +1,5 @@
 //! Panic-isolation integration tests: a point that panics fails alone,
-//! with its payload, through the executor and through the matrix.
+//! with its payload, and the matrix keeps its siblings' results.
 //!
 //! Every session here is built with [`Session::default`] plus explicit
 //! builders — zero environment reads — so these tests cannot race other
@@ -7,8 +7,7 @@
 
 use atr_core::ReleaseScheme;
 use atr_pipeline::CoreConfig;
-use atr_sim::executor::{execute_session, FailureKind};
-use atr_sim::{RunMatrix, Session, SimPoint};
+use atr_sim::{PointFailure, RunMatrix, Session, SimPoint};
 
 fn mcf(scheme: ReleaseScheme, rf: usize) -> SimPoint {
     SimPoint::new("505.mcf_r", scheme, rf, 50, 200)
@@ -22,45 +21,45 @@ fn points() -> Vec<SimPoint> {
     ]
 }
 
+/// Ensures `points()` on a fresh matrix under `session`.
+fn ensure(session: &Session) -> RunMatrix {
+    let mut matrix = RunMatrix::new();
+    matrix.ensure_with(session, &CoreConfig::default(), &points());
+    matrix
+}
+
+/// The failure record of `point`.
+fn failure<'m>(matrix: &'m RunMatrix, point: &SimPoint) -> &'m PointFailure {
+    let found = matrix.failures().find(|(key, _)| *key == point);
+    found.map(|(_, f)| f).unwrap_or_else(|| panic!("{} did not fail", point.label()))
+}
+
 /// A poisoned point fails with the panic payload; its siblings'
-/// results survive the pass.
+/// results survive the pass, `try_*` degrades and the summary counts
+/// the failures.
 #[test]
 fn injected_panic_is_isolated_and_carries_its_payload() {
-    let core = CoreConfig::default();
     let session = Session::default().quiet().with_threads(2).with_fault_injection("505.mcf_r");
-    let outcomes = execute_session(&session, &core, &points());
+    let matrix = ensure(&session);
+    assert_eq!(matrix.failed(), 2, "both mcf points are poisoned");
+    assert_eq!(matrix.try_ipc(&points()[0]), None);
+    assert!(matrix.summary().contains("2 FAILED"), "{}", matrix.summary());
 
-    for idx in [0usize, 1] {
-        let failure = outcomes[idx].as_ref().expect_err("poisoned mcf point must fail");
-        assert_eq!(failure.kind, FailureKind::Panic);
+    for point in &points()[..2] {
+        let failure = failure(&matrix, point);
         assert!(failure.payload.contains("injected fault"), "{}", failure.payload);
-        assert!(failure.label.contains("505.mcf_r"), "{}", failure.label);
+        assert_eq!(failure.label, point.label());
         let shown = failure.to_string();
         assert!(shown.contains("panicked: injected fault for 505.mcf_r"), "{shown}");
     }
-    let survivor = outcomes[2].as_ref().expect("the healthy sibling must survive");
-    assert!(survivor.ipc > 0.0);
+    assert!(matrix.get(&points()[2]).ipc > 0.0, "the healthy sibling must survive");
 
     // Isolation is per point, not per profile position: poisoning the
     // last point fails only it, and the payload names that point.
     let last = Session::default().quiet().with_fault_injection("548.exchange2_r");
-    let outcomes = execute_session(&last, &core, &points());
-    assert!(outcomes[0].is_ok() && outcomes[1].is_ok());
-    let failure = outcomes[2].as_ref().unwrap_err();
-    assert_eq!(failure.kind, FailureKind::Panic);
+    let matrix = ensure(&last);
+    assert_eq!(matrix.failed(), 1);
+    assert!(matrix.try_get(&points()[0]).is_some() && matrix.try_get(&points()[1]).is_some());
+    let failure = failure(&matrix, &points()[2]);
     assert_eq!(failure.payload, format!("injected fault for {}", points()[2].label()));
-}
-
-/// The same isolation through the matrix: failures land in the failure
-/// set, `try_*` degrades, `get` of a healthy point still works.
-#[test]
-fn matrix_survives_a_poisoned_point() {
-    let core = CoreConfig::default();
-    let session = Session::default().quiet().with_fault_injection("505.mcf_r");
-    let mut matrix = RunMatrix::new();
-    matrix.ensure_with(&session, &core, &points());
-    assert_eq!(matrix.failed(), 2, "both mcf points are poisoned");
-    assert_eq!(matrix.try_ipc(&points()[0]), None);
-    assert!(matrix.try_get(&points()[2]).is_some());
-    assert!(matrix.summary().contains("2 FAILED"), "{}", matrix.summary());
 }

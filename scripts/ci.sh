@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and a tiny-budget test pass.
+# Local CI gate: formatting, lints, the test suite, and tiny-budget
+# passes of the product (audited, observed, one entry, fault-injected)
+# checked against the pinned fingerprint and against each other.
 #
-# The tiny ATR_SIM_* budget keeps the simulation-heavy experiment tests
-# fast while still executing every code path; full-budget numbers are
-# regenerated with target/release/all_experiments (see EXPERIMENTS.md).
+# The tests fix their own budgets in code and read no ATR_* variable;
+# the product passes below run at ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000.
+# Full-budget numbers are regenerated with target/release/all_experiments
+# (see EXPERIMENTS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,13 +61,12 @@ if grep -rnE 'env::var|var_os' $model_src; then
     exit 1
 fi
 
-echo "== cargo test (tiny budget)"
+echo "== cargo test"
 # Includes the root test tests/figure_fingerprint.rs, which runs a plain
 # tiny pass of the product and pins its fingerprint to
 # tests/golden/tiny_fingerprint.txt, and the telemetry off-path guard
 # (crates/sim/tests/telemetry.rs: off records only the CPI stack).
-ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
-    cargo test --workspace --offline -q
+cargo test --workspace --offline -q
 
 echo "== release build of the product (the tier-1 build command)"
 cargo build --release --offline
@@ -109,39 +111,26 @@ if grep -q "points failed" "$small_err"; then
     exit 1
 fi
 
-echo "== all_experiments with telemetry + audit (tiny budget), JSONL schema check"
+echo "== all_experiments with telemetry + audit (tiny budget, one worker), JSONL schema check"
 # With ATR_TELEMETRY=stats the executor emits one JSONL record per
 # simulated point on stdout (all narrative goes to stderr); every line
 # must parse and satisfy the record schema, including the CPI-stack
 # Σ slots == width x cycles invariant (also asserted per-cycle in-core
-# because ATR_AUDIT=1 is set).
+# because ATR_AUDIT=1 is set). The pass runs on one worker so that the
+# observation gate below also covers the worker count.
 telemetry_out="$scratch/telemetry.jsonl"
 telemetry_results="$scratch/telemetry_results"
-env $tiny ATR_TELEMETRY=stats ATR_AUDIT=1 ATR_RESULTS_DIR="$telemetry_results" \
+env $tiny ATR_TELEMETRY=stats ATR_AUDIT=1 ATR_SIM_THREADS=1 ATR_RESULTS_DIR="$telemetry_results" \
     target/release/all_experiments >"$telemetry_out"
 target/release/all_experiments --check-jsonl "$telemetry_out"
 
-echo "== cpi_stack: one table whatever the level, the worker count or the auditor"
-# Every run accounts its CPI stack and cpi_stack runs on the shared
-# executor, so an audited pass with telemetry off and a serial stats
-# pass (records sent to a file) must print byte-identical tables.
-cpi_audit="$scratch/cpi_audit.txt"
-cpi_stats="$scratch/cpi_stats.txt"
-env $tiny ATR_AUDIT=1 target/release/cpi_stack >"$cpi_audit"
-env $tiny ATR_TELEMETRY=stats ATR_TELEMETRY_OUT="$scratch/cpi_stats.jsonl" ATR_SIM_THREADS=1 \
-    target/release/cpi_stack >"$cpi_stats"
-if ! cmp "$cpi_audit" "$cpi_stats"; then
-    echo "FAIL: cpi_stack's table depends on the telemetry level, workers or auditor" >&2
-    diff "$cpi_audit" "$cpi_stats" >&2 || true
-    exit 1
-fi
-echo "cpi_stack OK: audited/off and serial/stats tables identical"
-
-echo "== observation gate: observed passes reproduce the pinned fingerprint"
+echo "== observation gate: observed passes reproduce the pinned fingerprint and tables"
 # The cycle loop skips quiet cycles on one path whether telemetry and
 # audit are on or off, so the observed passes above must reproduce the
 # plain pass's figures bit for bit; cargo test pins that pass to the
-# same file.
+# same file. Every run accounts its CPI stack, so the tables (fig10.txt
+# ends with the CPI stacks) must not depend on the telemetry level or
+# the worker count either.
 audit_fp=$(fingerprint "$audit_results")
 telemetry_fp=$(fingerprint "$telemetry_results")
 if [ "$audit_fp" != "$pinned_fp" ] || [ "$telemetry_fp" != "$pinned_fp" ]; then
@@ -149,21 +138,30 @@ if [ "$audit_fp" != "$pinned_fp" ] || [ "$telemetry_fp" != "$pinned_fp" ]; then
     echo "  pinned $pinned_fp / audit $audit_fp / telemetry+audit $telemetry_fp" >&2
     exit 1
 fi
-echo "observation gate OK: audit and telemetry+audit passes match the pinned fingerprint"
+for table in "$audit_results"/*.txt; do
+    if ! cmp "$table" "$telemetry_results/$(basename "$table")"; then
+        echo "FAIL: $(basename "$table") depends on the telemetry level or the worker count" >&2
+        exit 1
+    fi
+done
+echo "observation gate OK: observed passes match the pin, and their tables are identical"
 
 echo "== all_experiments --only: one entry, the same bytes"
 # A pass over one registry entry ensures only that entry's points; its
-# JSON must equal the full pass's byte for byte (results are keyed by
-# point, not by what else the pass simulated).
+# files must equal the audited full pass's byte for byte (results are
+# keyed by point, not by what else the pass simulated, and the auditor
+# observes without perturbing): fig10.txt's CPI stacks included.
 only_results="$scratch/only_results"
 env $tiny ATR_RESULTS_DIR="$only_results" \
-    target/release/all_experiments --only fig13 >/dev/null
-if ! cmp "$only_results/fig13.json" "$audit_results/fig13.json"; then
-    echo "FAIL: --only fig13 diverged from the full pass's fig13.json" >&2
-    exit 1
-fi
-if [ "$(ls "$only_results")" != "$(printf 'fig13.json\nfig13.txt')" ]; then
-    echo "FAIL: --only fig13 wrote more than fig13's files: $(ls "$only_results")" >&2
+    target/release/all_experiments --only fig10 >/dev/null
+for file in fig10.json fig10.txt; do
+    if ! cmp "$only_results/$file" "$audit_results/$file"; then
+        echo "FAIL: --only fig10 diverged from the audited full pass's $file" >&2
+        exit 1
+    fi
+done
+if [ "$(ls "$only_results")" != "$(printf 'fig10.json\nfig10.txt')" ]; then
+    echo "FAIL: --only fig10 wrote more than fig10's files: $(ls "$only_results")" >&2
     exit 1
 fi
 only_err="$scratch/only.err"
@@ -174,7 +172,7 @@ if [ "$status" -ne 2 ] || ! grep -q "valid names: .*fig13" "$only_err"; then
     cat "$only_err" >&2
     exit 1
 fi
-echo "--only OK: fig13 identical, an unknown name exits 2"
+echo "--only OK: fig10 identical, an unknown name exits 2"
 
 echo "== panic isolation: a fault-injected pass thins, says so and exits 1"
 # ATR_FAULT_INJECT panics every point whose label contains the needle.

@@ -5,19 +5,23 @@
 use atr_core::ReleaseScheme;
 use atr_pipeline::CoreConfig;
 use atr_sim::experiments::{fig01_points, fig10_points, fig11_points};
-use atr_sim::{execute_session, RunMatrix, RunResult, Session, SimConfig, SimPoint};
+use atr_sim::{RunMatrix, Session, SimConfig, SimPoint};
 use std::collections::HashSet;
 
 fn tiny() -> SimConfig {
     SimConfig { core: CoreConfig::default(), warmup: 500, measure: 2_000 }
 }
 
-/// Runs `points` on an env-free session with `threads` workers,
-/// panicking on any failed point.
-fn execute(sim: &SimConfig, points: &[SimPoint], threads: usize) -> Vec<RunResult> {
+/// Ensures `points` on a fresh matrix with an env-free session of
+/// `threads` workers, panicking on any failed point.
+fn execute(sim: &SimConfig, points: &[SimPoint], threads: usize) -> RunMatrix {
     let session = Session::default().quiet().with_threads(threads);
-    let outcomes = execute_session(&session, &sim.core, points);
-    outcomes.into_iter().map(|o| o.unwrap_or_else(|f| panic!("{f}"))).collect()
+    let mut matrix = RunMatrix::new();
+    matrix.ensure_with(&session, &sim.core, points);
+    if let Some((_, failure)) = matrix.failures().next() {
+        panic!("{failure}");
+    }
+    matrix
 }
 
 /// A small mixed batch: several profiles × schemes × RF sizes, one
@@ -44,18 +48,16 @@ fn parallel_execution_is_bit_identical_to_serial() {
     let points = mixed_points(&sim);
     let serial = execute(&sim, &points, 1);
     let parallel = execute(&sim, &points, 4);
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            s.ipc.to_bits(),
-            p.ipc.to_bits(),
-            "ipc differs at point {i} ({})",
-            points[i].label()
-        );
+    assert_eq!(serial.executed(), points.len());
+    assert_eq!(parallel.executed(), points.len());
+    for point in &points {
+        let (s, p) = (serial.get(point), parallel.get(point));
+        assert_eq!(s.ipc.to_bits(), p.ipc.to_bits(), "ipc differs at {}", point.label());
         assert_eq!(s.avg_int_occupancy.to_bits(), p.avg_int_occupancy.to_bits());
         assert_eq!(s.avg_fp_occupancy.to_bits(), p.avg_fp_occupancy.to_bits());
         // Whole-run stats and the lifetime log must agree field by field.
         assert_eq!(format!("{:?}", s.stats), format!("{:?}", p.stats));
+        assert_eq!(s.cpi, p.cpi);
         assert_eq!(s.lifetimes.len(), p.lifetimes.len());
     }
 }
