@@ -95,8 +95,6 @@ pub struct RenamedUop {
     /// Lifetime-log handle of the *previous* allocation (for recording
     /// the redefiner's precommit/commit timestamps).
     pub prev_event: Option<EventHandle>,
-    /// Lifetime-log handle of the new allocation.
-    pub dst_event: Option<EventHandle>,
     /// Move elimination (§6): the uop allocated no register; its
     /// destination aliases this (source) physical register, whose
     /// reference count was incremented at rename.
@@ -404,7 +402,6 @@ impl Renamer {
             prev_ptag: None,
             atr_freed_prev: false,
             prev_event: None,
-            dst_event: None,
             alias: None,
         };
         if let Some(a) = inst.dst {
@@ -420,7 +417,6 @@ impl Renamer {
             let prev_event = self.prf.get(class).get(prev).event;
             self.log.update(prev_event, |r| r.redefine_cycle = Some(cycle));
             uop.pdst = Some(pdst);
-            uop.dst_event = dst_event;
             uop.prev_event = prev_event;
             self.claim_or_keep_prev(&mut uop, prev, cycle);
 
@@ -457,7 +453,6 @@ impl Renamer {
             prev_ptag: None,
             atr_freed_prev: false,
             prev_event,
-            dst_event: None,
             alias: Some(p),
         };
         // The redefinition of `dst` releases the previous mapping

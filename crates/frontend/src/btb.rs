@@ -30,8 +30,6 @@ pub struct Btb {
     sets: Vec<Vec<BtbEntry>>,
     ways: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Btb {
@@ -47,24 +45,22 @@ impl Btb {
         assert_eq!(entries % ways, 0, "entries must be a multiple of ways");
         let nsets = entries / ways;
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
-        Btb { sets: vec![Vec::new(); nsets], ways, tick: 0, hits: 0, misses: 0 }
+        Btb { sets: vec![Vec::new(); nsets], ways, tick: 0 }
     }
 
     fn set_of(&self, pc: u64) -> usize {
         ((pc >> 2) & (self.sets.len() as u64 - 1)) as usize
     }
 
-    /// Looks up `pc`, updating LRU and hit/miss statistics.
+    /// Looks up `pc`, updating LRU.
     pub fn lookup(&mut self, pc: u64) -> Option<BtbEntry> {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_of(pc);
         if let Some(e) = self.sets[set].iter_mut().find(|e| e.pc == pc) {
             e.lru = tick;
-            self.hits += 1;
             return Some(*e);
         }
-        self.misses += 1;
         None
     }
 
@@ -91,12 +87,6 @@ impl Btb {
             *victim = entry;
         }
     }
-
-    /// (hits, misses) so far.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +101,6 @@ mod tests {
         let e = b.lookup(0x1000).unwrap();
         assert_eq!(e.target, 0x2000);
         assert_eq!(e.class, OpClass::CondBranch);
-        assert_eq!(b.stats(), (1, 1));
     }
 
     #[test]

@@ -630,7 +630,6 @@ impl OooCore {
                 inst: f.inst,
                 uop,
                 state: if eliminated { RobState::Completed } else { RobState::Dispatched },
-                complete_at: if eliminated { self.cycle } else { 0 },
                 prediction: f.prediction,
                 mispredicted: f.mispredicted,
                 renamed_at: self.cycle,
@@ -728,7 +727,6 @@ impl OooCore {
 
         let entry = self.rob.get_mut(id).expect("entry exists");
         entry.state = RobState::Issued;
-        entry.complete_at = complete_at;
         entry.mem_level = mem_level;
         self.completions.push(complete_at, id);
         self.renamer.on_issue(&psrcs, self.cycle);

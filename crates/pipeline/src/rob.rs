@@ -27,8 +27,6 @@ pub struct RobEntry {
     pub uop: RenamedUop,
     /// Execution state.
     pub state: RobState,
-    /// Cycle the result becomes available (valid once issued).
-    pub complete_at: u64,
     /// Frontend prediction for control-flow instructions.
     pub prediction: Option<Prediction>,
     /// Direction/target misprediction, known to the simulator at fetch,
@@ -333,11 +331,9 @@ mod tests {
                 prev_ptag: None,
                 atr_freed_prev: false,
                 prev_event: None,
-                dst_event: None,
                 alias: None,
             },
             state: RobState::Dispatched,
-            complete_at: 0,
             prediction: None,
             mispredicted: false,
             renamed_at: 0,

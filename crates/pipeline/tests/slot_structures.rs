@@ -40,11 +40,9 @@ fn entry(seq: InstSeq) -> RobEntry {
             prev_ptag: None,
             atr_freed_prev: false,
             prev_event: None,
-            dst_event: None,
             alias: None,
         },
         state: RobState::Dispatched,
-        complete_at: 0,
         prediction: None,
         mispredicted: false,
         renamed_at: 0,

@@ -1,7 +1,8 @@
 //! The paper's evaluation, one record per artifact: [`FIGURES`].
 //!
 //! Every figure is a pure `points → assemble` pair: `figNN_points`
-//! declares the exact [`SimPoint`]s the figure needs and
+//! (for Figs 4/6/12/14 the shared [`events_points`]) declares the exact
+//! [`SimPoint`]s the figure needs and
 //! `figNN_assemble` folds cached results into rows. A [`Figure`] entry
 //! adds the table layout and the headlines beside the paper's values,
 //! and the tables and the §4.4 analysis join the registry as entries
@@ -18,7 +19,7 @@ use crate::matrix::{CoreTweak, RunMatrix, SimPoint};
 use crate::report::{coverage_marker, cpi_table, gain, pct, render_table};
 use crate::runner::geomean;
 use crate::session::Session;
-use atr_analysis::{BulkReleaseLogic, CorePowerModel};
+use atr_analysis::{BulkReleaseLogic, CorePowerModel, LifetimeSummary};
 use atr_core::ReleaseScheme;
 use atr_json::{json_record, Json, ToJson};
 use atr_telemetry::CpiStack;
@@ -47,6 +48,26 @@ fn pt(sim: &SimConfig, profile: &'static str, scheme: ReleaseScheme, rf: usize) 
 /// the baseline scheme at the paper's 280-register design point.
 fn events_point(sim: &SimConfig, profile: &'static str) -> SimPoint {
     pt(sim, profile, ReleaseScheme::Baseline, 280).with_events()
+}
+
+/// The simulation points Figs 4, 6, 12 and 14 share: one events point
+/// per profile.
+#[must_use]
+pub fn events_points(sim: &SimConfig) -> Vec<SimPoint> {
+    all_profiles().iter().map(|p| events_point(sim, p.name)).collect()
+}
+
+/// Each profile with the summary of its own register class at its
+/// events point, skipping failed points.
+fn summaries<'m>(
+    sim: &SimConfig,
+    matrix: &'m RunMatrix,
+) -> Vec<(SpecProfile, &'m LifetimeSummary)> {
+    let summary = |p: &SpecProfile| {
+        let r = matrix.try_get(&events_point(sim, p.name))?;
+        Some(r.lifetime.as_ref().expect("events points are summarized").get(reg_class_of(p)))
+    };
+    all_profiles().into_iter().filter_map(|p| summary(&p).map(|s| (p, s))).collect()
 }
 
 fn class_of(p: &SpecProfile) -> &'static str {
@@ -145,29 +166,19 @@ pub struct Fig04Row {
 }
 json_record!(Fig04Row { benchmark, class, in_use, unused, verified_unused });
 
-/// The simulation points Fig 4 needs (shared with Figs 6/12/14).
-#[must_use]
-pub fn fig04_points(sim: &SimConfig) -> Vec<SimPoint> {
-    all_profiles().iter().map(|p| events_point(sim, p.name)).collect()
-}
-
 /// Assembles Fig 4 rows from an ensured matrix.
 #[must_use]
 pub fn fig04_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig04Row> {
-    let mut rows = Vec::new();
-    for p in all_profiles() {
-        let Some(r) = matrix.try_get(&events_point(sim, p.name)) else {
-            continue;
-        };
-        let b = atr_analysis::lifecycle_breakdown(&r.lifetimes, reg_class_of(&p));
-        rows.push(Fig04Row {
+    let mut rows: Vec<Fig04Row> = summaries(sim, matrix)
+        .into_iter()
+        .map(|(p, s)| Fig04Row {
             benchmark: p.name.to_owned(),
             class: class_of(&p).to_owned(),
-            in_use: b.in_use,
-            unused: b.unused,
-            verified_unused: b.verified_unused,
-        });
-    }
+            in_use: s.in_use,
+            unused: s.unused,
+            verified_unused: s.verified_unused,
+        })
+        .collect();
     for class in ["int", "fp"] {
         let members: Vec<&Fig04Row> = rows.iter().filter(|r| r.class == class).collect();
         let n = members.len().max(1) as f64;
@@ -201,29 +212,19 @@ pub struct Fig06Row {
 }
 json_record!(Fig06Row { benchmark, class, non_branch, non_except, atomic });
 
-/// The simulation points Fig 6 needs (shared with Figs 4/12/14).
-#[must_use]
-pub fn fig06_points(sim: &SimConfig) -> Vec<SimPoint> {
-    fig04_points(sim)
-}
-
 /// Assembles Fig 6 rows from an ensured matrix.
 #[must_use]
 pub fn fig06_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig06Row> {
-    let mut rows = Vec::new();
-    for p in all_profiles() {
-        let Some(r) = matrix.try_get(&events_point(sim, p.name)) else {
-            continue;
-        };
-        let ratios = atr_analysis::region_ratios(&r.lifetimes, reg_class_of(&p), true);
-        rows.push(Fig06Row {
+    let mut rows: Vec<Fig06Row> = summaries(sim, matrix)
+        .into_iter()
+        .map(|(p, s)| Fig06Row {
             benchmark: p.name.to_owned(),
             class: class_of(&p).to_owned(),
-            non_branch: ratios.non_branch,
-            non_except: ratios.non_except,
-            atomic: ratios.atomic,
-        });
-    }
+            non_branch: s.non_branch,
+            non_except: s.non_except,
+            atomic: s.atomic,
+        })
+        .collect();
     for class in ["int", "fp"] {
         let members: Vec<&Fig06Row> = rows.iter().filter(|r| r.class == class).collect();
         let n = members.len().max(1) as f64;
@@ -388,29 +389,18 @@ pub struct Fig12Row {
 }
 json_record!(Fig12Row { benchmark, class, buckets, mean });
 
-/// The simulation points Fig 12 needs (shared with Figs 4/6/14).
-#[must_use]
-pub fn fig12_points(sim: &SimConfig) -> Vec<SimPoint> {
-    fig04_points(sim)
-}
-
 /// Assembles Fig 12 rows from an ensured matrix.
 #[must_use]
 pub fn fig12_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig12Row> {
-    let mut rows = Vec::new();
-    for p in all_profiles() {
-        let Some(r) = matrix.try_get(&events_point(sim, p.name)) else {
-            continue;
-        };
-        let h = atr_analysis::consumer_histogram(&r.lifetimes, reg_class_of(&p), 7);
-        rows.push(Fig12Row {
+    summaries(sim, matrix)
+        .into_iter()
+        .map(|(p, s)| Fig12Row {
             benchmark: p.name.to_owned(),
             class: class_of(&p).to_owned(),
-            buckets: h.buckets,
-            mean: h.mean,
-        });
-    }
-    rows
+            buckets: s.consumer_buckets.to_vec(),
+            mean: s.mean_consumers,
+        })
+        .collect()
 }
 
 // ------------------------------------------------------------ Fig 13
@@ -495,30 +485,19 @@ json_record!(Fig14Row {
     rename_to_commit,
 });
 
-/// The simulation points Fig 14 needs (shared with Figs 4/6/12).
-#[must_use]
-pub fn fig14_points(sim: &SimConfig) -> Vec<SimPoint> {
-    fig04_points(sim)
-}
-
 /// Assembles Fig 14 rows from an ensured matrix.
 #[must_use]
 pub fn fig14_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig14Row> {
-    let mut rows = Vec::new();
-    for p in all_profiles() {
-        let Some(r) = matrix.try_get(&events_point(sim, p.name)) else {
-            continue;
-        };
-        let g = atr_analysis::atomic_region_gaps(&r.lifetimes, reg_class_of(&p));
-        rows.push(Fig14Row {
+    summaries(sim, matrix)
+        .into_iter()
+        .map(|(p, s)| Fig14Row {
             benchmark: p.name.to_owned(),
             class: class_of(&p).to_owned(),
-            rename_to_redefine: g.rename_to_redefine,
-            rename_to_consume: g.rename_to_consume,
-            rename_to_commit: g.rename_to_commit,
-        });
-    }
-    rows
+            rename_to_redefine: s.rename_to_redefine,
+            rename_to_consume: s.rename_to_consume,
+            rename_to_commit: s.rename_to_commit,
+        })
+        .collect()
 }
 
 // ------------------------------------------------------------ Fig 15
@@ -835,14 +814,14 @@ pub static FIGURES: &[Figure] = &[
         name: "fig04",
         title: "Fig 4: Register lifecycle distribution",
         headers: &["benchmark", "suite", "in-use", "unused", "verified-unused"],
-        points: fig04_points,
+        points: events_points,
         assemble: fig04_output,
     },
     Figure {
         name: "fig06",
         title: "Fig 6: Atomic register ratio",
         headers: &["benchmark", "suite", "non-branch", "non-except", "atomic"],
-        points: fig06_points,
+        points: events_points,
         assemble: fig06_output,
     },
     Figure {
@@ -870,7 +849,7 @@ pub static FIGURES: &[Figure] = &[
         name: "fig12",
         title: "Fig 12: Consumers per atomic region",
         headers: &["benchmark", "suite", "mean", "0", "1", "2", "3", "4", "5", "6", ">=7"],
-        points: fig12_points,
+        points: events_points,
         assemble: fig12_output,
     },
     Figure {
@@ -884,7 +863,7 @@ pub static FIGURES: &[Figure] = &[
         name: "fig14",
         title: "Fig 14: Mean cycles from rename within atomic regions",
         headers: &["benchmark", "suite", "to redefine", "to last consume", "to redefiner commit"],
-        points: fig14_points,
+        points: events_points,
         assemble: fig14_output,
     },
     Figure {
@@ -1381,13 +1360,13 @@ mod tests {
         // perfbench's sim_digest hashes this plan in order.
         let sim = tiny(1, 2);
         let mut expected = fig01_points(&sim);
-        expected.extend(fig04_points(&sim));
-        expected.extend(fig06_points(&sim));
+        expected.extend(events_points(&sim));
+        expected.extend(events_points(&sim));
         expected.extend(fig10_points(&sim, &[64, 224]));
         expected.extend(fig11_points(&sim));
-        expected.extend(fig12_points(&sim));
+        expected.extend(events_points(&sim));
         expected.extend(fig13_points(&sim));
-        expected.extend(fig14_points(&sim));
+        expected.extend(events_points(&sim));
         expected.extend(fig15_points(&sim));
         expected.extend(ablation_move_elimination_points(&sim));
         expected.extend(ablation_counter_width_points(&sim));

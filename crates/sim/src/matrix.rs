@@ -153,14 +153,14 @@ impl SimPoint {
 /// a baseline point requested by four figures simulates once.
 #[derive(Debug, Default)]
 pub struct RunMatrix {
-    cache: HashMap<SimPoint, RunResult>,
+    /// Every attempted point's outcome: its result, or the failure of a
+    /// point that panicked (an unknown profile panics too), kept so
+    /// assemblies can degrade to the surviving set and reports can say
+    /// `n/m failed`.
+    outcomes: HashMap<SimPoint, Result<RunResult, PointFailure>>,
     /// Requested keys served by a different cached key (canonicalized
     /// tweaks, events-superset runs).
     alias: HashMap<SimPoint, SimPoint>,
-    /// Points that panicked instead of producing a result (an unknown
-    /// profile panics too). Kept so assemblies can degrade to the
-    /// surviving set and reports can say `n/m failed`.
-    failures: HashMap<SimPoint, PointFailure>,
     requested: usize,
     executed: usize,
 }
@@ -172,8 +172,8 @@ impl RunMatrix {
         RunMatrix::default()
     }
 
-    /// Makes every point in `points` available in the cache, executing
-    /// the not-yet-cached unique subset in parallel under `session` (the
+    /// Makes every point in `points` available in the outcome map,
+    /// executing the not-yet-attempted unique subset in parallel under `session` (the
     /// environment is consulted exactly zero times; drivers resolve
     /// `Session::from_env()` once at entry). Results are stored by key,
     /// so the outcome is independent of execution order and of the
@@ -190,16 +190,16 @@ impl RunMatrix {
     ///   `executor::tests::event_collection_does_not_change_timing`).
     ///
     /// A point that panics (an unknown profile panics too) is recorded
-    /// in the failure set instead of aborting the batch; it is not
+    /// as a failed outcome instead of aborting the batch; it is not
     /// retried by later `ensure_with` calls in the same process (the
     /// simulator is deterministic — it would fail again).
     pub fn ensure_with(&mut self, session: &Session, core: &CoreConfig, points: &[SimPoint]) {
         self.requested += points.len();
         // Events-enabled keys that will exist after this call, from the
-        // cache and from this batch.
+        // outcome map and from this batch.
         let canon: Vec<SimPoint> = points.iter().map(|p| p.canonical(core)).collect();
         let mut with_events: std::collections::HashSet<SimPoint> =
-            self.cache.keys().filter(|k| k.collect_events).cloned().collect();
+            self.outcomes.keys().filter(|k| k.collect_events).cloned().collect();
         with_events.extend(canon.iter().filter(|p| p.collect_events).cloned());
 
         let mut missing: Vec<SimPoint> = Vec::new();
@@ -211,10 +211,7 @@ impl RunMatrix {
             if *orig != key {
                 self.alias.insert(orig.clone(), key.clone());
             }
-            if !self.cache.contains_key(&key)
-                && !self.failures.contains_key(&key)
-                && seen.insert(key.clone())
-            {
+            if !self.outcomes.contains_key(&key) && seen.insert(key.clone()) {
                 missing.push(key);
             }
         }
@@ -223,16 +220,7 @@ impl RunMatrix {
         }
         let outcomes = executor::execute_session(session, core, &missing);
         self.executed += missing.len();
-        for (point, outcome) in missing.into_iter().zip(outcomes) {
-            match outcome {
-                Ok(result) => {
-                    self.cache.insert(point, result);
-                }
-                Err(failure) => {
-                    self.failures.insert(point, failure);
-                }
-            }
-        }
+        self.outcomes.extend(missing.into_iter().zip(outcomes));
     }
 
     /// The cached result for a point, or `None` if the point was
@@ -246,14 +234,7 @@ impl RunMatrix {
     /// runtime failure, so it stays loud.
     #[must_use]
     pub fn try_get(&self, point: &SimPoint) -> Option<&RunResult> {
-        let key = self.alias.get(point).unwrap_or(point);
-        if let Some(result) = self.cache.get(key) {
-            return Some(result);
-        }
-        if self.failures.contains_key(key) {
-            return None;
-        }
-        panic!("point not ensured before assembly: {}", point.label())
+        self.outcome(point).ok()
     }
 
     /// Convenience: the cached IPC of a point, `None` if it failed.
@@ -270,10 +251,16 @@ impl RunMatrix {
     /// failed — callers that can degrade use [`RunMatrix::try_get`].
     #[must_use]
     pub fn get(&self, point: &SimPoint) -> &RunResult {
-        self.try_get(point).unwrap_or_else(|| {
-            let key = self.alias.get(point).unwrap_or(point);
-            panic!("point failed: {}", self.failures[key])
-        })
+        self.outcome(point).unwrap_or_else(|failure| panic!("point failed: {failure}"))
+    }
+
+    /// The outcome the point's key resolved to.
+    fn outcome(&self, point: &SimPoint) -> Result<&RunResult, &PointFailure> {
+        let key = self.alias.get(point).unwrap_or(point);
+        let Some(outcome) = self.outcomes.get(key) else {
+            panic!("point not ensured before assembly: {}", point.label())
+        };
+        outcome.as_ref()
     }
 
     /// Convenience: the cached IPC of a point.
@@ -285,12 +272,12 @@ impl RunMatrix {
     /// Number of ensured points that failed.
     #[must_use]
     pub fn failed(&self) -> usize {
-        self.failures.len()
+        self.failures().count()
     }
 
     /// The failure records, for reporting.
     pub fn failures(&self) -> impl Iterator<Item = (&SimPoint, &PointFailure)> {
-        self.failures.iter()
+        self.outcomes.iter().filter_map(|(point, outcome)| Some((point, outcome.as_ref().err()?)))
     }
 
     /// Points requested across all `ensure_with` calls, duplicates
@@ -317,8 +304,9 @@ impl RunMatrix {
             self.requested - self.executed,
             self.requested as f64 / self.executed.max(1) as f64
         );
-        if !self.failures.is_empty() {
-            s.push_str(&format!(", {} FAILED", self.failures.len()));
+        let failed = self.failed();
+        if failed > 0 {
+            s.push_str(&format!(", {failed} FAILED"));
         }
         s
     }
@@ -439,7 +427,7 @@ mod tests {
         m.ensure_with(&quiet(), &core, &[plain.clone(), events.clone()]);
         assert_eq!(m.executed(), 1, "the events run subsumes the plain one");
         assert_eq!(m.ipc(&plain).to_bits(), m.ipc(&events).to_bits());
-        assert!(!m.get(&events).lifetimes.is_empty());
+        assert!(m.get(&events).lifetime.is_some());
         // The upgrade also applies across ensure calls (twin cached first).
         let plain2 = SimPoint::new("548.exchange2_r", ReleaseScheme::Baseline, 64, 50, 200);
         m.ensure_with(&quiet(), &core, &[plain2.clone().with_events()]);

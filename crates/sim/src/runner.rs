@@ -1,6 +1,7 @@
 //! The measurement runner: warmup + measured window over one workload.
 
-use atr_core::{RegLifetime, ReleaseKind};
+use atr_analysis::LifetimeSummary;
+use atr_core::{PerClass, RegLifetime, ReleaseKind};
 use atr_pipeline::telemetry::hist_names;
 use atr_pipeline::{CoreConfig, CoreStats, CoreTelemetry, OooCore};
 use atr_telemetry::{CpiStack, Log2Hist, RunTelemetry};
@@ -12,18 +13,16 @@ use std::sync::Arc;
 pub struct RunResult {
     /// IPC over the measured window (warmup excluded).
     pub ipc: f64,
-    /// Mean allocated integer registers per cycle over the window.
-    pub avg_int_occupancy: f64,
-    /// Mean allocated FP registers per cycle over the window.
-    pub avg_fp_occupancy: f64,
     /// Cumulative whole-run statistics.
     pub stats: CoreStats,
     /// The run's CPI stack, accounted at every telemetry level. Unlike
     /// `ipc` it spans warmup plus the measured window: the core's cycle
     /// counter starts at 1, so `cpi.cycles + 1 == stats.cycles`.
     pub cpi: CpiStack,
-    /// Lifetime records (empty unless `rename.collect_events` was set).
-    pub lifetimes: Vec<RegLifetime>,
+    /// Both register classes' lifetime summaries over the whole run
+    /// (`None` unless `rename.collect_events` was set). The raw log
+    /// they reduce dies with the core.
+    pub lifetime: Option<PerClass<LifetimeSummary>>,
     /// The histograms the observer recorded (empty below
     /// `ATR_TELEMETRY=stats`).
     pub telemetry: RunTelemetry,
@@ -41,25 +40,41 @@ pub fn run(cfg: CoreConfig, program: Arc<Program>, warmup: u64, measure: u64) ->
     let s1 = core.run(measure);
     let cycles = (s1.cycles - s0.cycles).max(1);
     let ipc = (s1.retired - s0.retired) as f64 / cycles as f64;
-    let avg_int = (s1.int_prf_occupancy_sum - s0.int_prf_occupancy_sum) as f64 / cycles as f64;
-    let avg_fp = (s1.fp_prf_occupancy_sum - s0.fp_prf_occupancy_sum) as f64 / cycles as f64;
-    let lifetimes = core.lifetime_log().to_vec();
-    let (cpi, telemetry) = observations(core.into_telemetry(), events.then_some(&lifetimes[..]));
-    RunResult {
-        ipc,
-        avg_int_occupancy: avg_int,
-        avg_fp_occupancy: avg_fp,
-        stats: s1,
-        cpi,
-        lifetimes,
-        telemetry,
+    let log = core.lifetime_log();
+    let lifetime = events.then(|| PerClass::from_fn(|class| LifetimeSummary::of(log, class)));
+    let log_hists = (events && core.telemetry().is_some()).then(|| lifetime_hists(log));
+    let (cpi, telemetry) = observations(core.into_telemetry(), log_hists);
+    RunResult { ipc, stats: s1, cpi, lifetime, telemetry }
+}
+
+/// The `reg_lifetime` and `claim_duration` histograms of a lifetime log.
+fn lifetime_hists(log: &[RegLifetime]) -> [(String, Log2Hist); 2] {
+    let mut lifetime = Log2Hist::new();
+    let mut claim = Log2Hist::new();
+    for rec in log {
+        let Some(released) = rec.release_cycle else {
+            continue;
+        };
+        lifetime.record(released.saturating_sub(rec.alloc_cycle));
+        if rec.release_kind == Some(ReleaseKind::Atomic) {
+            if let Some(redefined) = rec.redefine_cycle {
+                claim.record(released.saturating_sub(redefined));
+            }
+        }
     }
+    [
+        (hist_names::REG_LIFETIME.to_owned(), lifetime),
+        (hist_names::CLAIM_DURATION.to_owned(), claim),
+    ]
 }
 
 /// Splits a finished run's observer into its CPI stack and what it
-/// recorded at `stats`: the histograms, plus — when the
-/// run collected a lifetime log — the histograms derived from it.
-fn observations(t: CoreTelemetry, lifetimes: Option<&[RegLifetime]>) -> (CpiStack, RunTelemetry) {
+/// recorded at `stats`: the histograms, plus `log_hists` — the
+/// histograms derived from the lifetime log, when the run collected one.
+fn observations(
+    t: CoreTelemetry,
+    log_hists: Option<[(String, Log2Hist); 2]>,
+) -> (CpiStack, RunTelemetry) {
     if !t.stats_enabled() {
         return (t.cpi, RunTelemetry::default());
     }
@@ -70,23 +85,7 @@ fn observations(t: CoreTelemetry, lifetimes: Option<&[RegLifetime]>) -> (CpiStac
         (hist_names::FLUSH_WALK_LEN.to_owned(), t.flush_walk_len),
         (hist_names::BRANCH_RESOLUTION.to_owned(), t.branch_resolution),
     ];
-    if let Some(lifetimes) = lifetimes {
-        let mut lifetime = Log2Hist::new();
-        let mut claim = Log2Hist::new();
-        for rec in lifetimes {
-            let Some(released) = rec.release_cycle else {
-                continue;
-            };
-            lifetime.record(released.saturating_sub(rec.alloc_cycle));
-            if rec.release_kind == Some(ReleaseKind::Atomic) {
-                if let Some(redefined) = rec.redefine_cycle {
-                    claim.record(released.saturating_sub(redefined));
-                }
-            }
-        }
-        hists.push((hist_names::REG_LIFETIME.to_owned(), lifetime));
-        hists.push((hist_names::CLAIM_DURATION.to_owned(), claim));
-    }
+    hists.extend(log_hists.into_iter().flatten());
     (t.cpi, RunTelemetry { hists })
 }
 
@@ -143,7 +142,7 @@ mod tests {
         assert!(r.telemetry.hist("rob_occupancy").unwrap().count > 0);
         assert!(r.telemetry.hist("reg_lifetime").is_none(), "no log, no lifetime histogram");
         assert!(r.telemetry.hist("claim_duration").is_none(), "no log, no claim histogram");
-        assert!(r.lifetimes.is_empty());
+        assert!(r.lifetime.is_none());
 
         // The observer never perturbs the simulated result, and `off`
         // still accounts the same CPI stack.
@@ -165,7 +164,8 @@ mod tests {
         let claim = r.telemetry.hist("claim_duration").unwrap();
         assert!(claim.count > 0, "ATR runs must record atomic claim durations");
         assert!(claim.count <= lifetime.count);
-        assert!(!r.lifetimes.is_empty(), "the requested log is surfaced");
+        let summary = r.lifetime.expect("the requested log is summarized");
+        assert!(summary.int.allocations > 0);
     }
 
     #[test]
@@ -174,7 +174,8 @@ mod tests {
         let r = run(quick(ReleaseScheme::Baseline, 128), program, WARMUP, MEASURE);
         assert!(r.ipc > 0.05, "ipc {}", r.ipc);
         assert!(r.stats.retired >= 12_000);
-        assert!(r.avg_int_occupancy > 16.0, "occupancy {}", r.avg_int_occupancy);
+        let occupancy = r.stats.avg_int_prf_occupancy();
+        assert!(occupancy > 16.0, "occupancy {occupancy}");
     }
 
     #[test]
@@ -193,7 +194,7 @@ mod tests {
         let mut cfg = quick(ReleaseScheme::Baseline, 128);
         cfg.rename.collect_events = true;
         let r = run(cfg, program, WARMUP, 5_000);
-        assert!(!r.lifetimes.is_empty());
+        assert!(r.lifetime.is_some_and(|s| s.int.allocations > 0));
     }
 
     #[test]

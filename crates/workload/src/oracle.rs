@@ -56,7 +56,6 @@ pub struct Oracle {
     base_idx: u64,
     next_idx: u64,
     exception_rate: f64,
-    generated: u64,
 }
 
 impl Oracle {
@@ -83,7 +82,6 @@ impl Oracle {
             base_idx: 0,
             next_idx: 0,
             exception_rate: rate.clamp(0.0, 1.0),
-            generated: 0,
         }
     }
 
@@ -91,12 +89,6 @@ impl Oracle {
     #[must_use]
     pub fn program(&self) -> &Arc<Program> {
         &self.program
-    }
-
-    /// Total entries generated so far (diagnostics).
-    #[must_use]
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Returns the dynamic instruction at oracle index `idx`, generating
@@ -209,7 +201,6 @@ impl Oracle {
         }
 
         self.pc = outcome.next_pc;
-        self.generated += 1;
         DynInst { seq: idx, sinst: inst, outcome, on_wrong_path: false, oracle_idx: idx }
     }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example region_analysis [benchmark-substring]
 //! ```
 
-use atr::analysis::{atomic_region_gaps, consumer_histogram, lifecycle_breakdown, region_ratios};
+use atr::analysis::{LifetimeSummary, CONSUMER_OVERFLOW};
 use atr::isa::RegClass;
 use atr::pipeline::{CoreConfig, OooCore};
 use atr::workload::{spec, Oracle, WorkloadClass};
@@ -27,39 +27,33 @@ fn main() {
     let records = core.lifetime_log();
     println!("{}: {} register allocations analyzed\n", profile.name, records.len());
 
-    let ratios = region_ratios(records, class, true);
+    let s = LifetimeSummary::of(records, class);
     println!("region classification (Fig 6):");
-    println!("  non-branch  {:>6.2}%", ratios.non_branch * 100.0);
-    println!("  non-except  {:>6.2}%", ratios.non_except * 100.0);
+    println!("  non-branch  {:>6.2}%", s.non_branch * 100.0);
+    println!("  non-except  {:>6.2}%", s.non_except * 100.0);
     println!(
         "  atomic      {:>6.2}%   (paper averages: 17.04% int / 13.14% fp)\n",
-        ratios.atomic * 100.0
+        s.atomic * 100.0
     );
 
-    let life = lifecycle_breakdown(records, class);
-    println!("lifecycle cycle fractions (Fig 4, {} samples):", life.samples);
-    println!("  in-use           {:>6.2}%", life.in_use * 100.0);
-    println!(
-        "  unused           {:>6.2}%   (speculative-release opportunity)",
-        life.unused * 100.0
-    );
+    println!("lifecycle cycle fractions (Fig 4, {} samples):", s.lifecycle_samples);
+    println!("  in-use           {:>6.2}%", s.in_use * 100.0);
+    println!("  unused           {:>6.2}%   (speculative-release opportunity)", s.unused * 100.0);
     println!(
         "  verified-unused  {:>6.2}%   (non-speculative opportunity)\n",
-        life.verified_unused * 100.0
+        s.verified_unused * 100.0
     );
 
-    let hist = consumer_histogram(records, class, 7);
-    println!("consumers per atomic region (Fig 12, mean {:.2}):", hist.mean);
-    for (i, frac) in hist.buckets.iter().enumerate() {
-        let label = if i == hist.buckets.len() - 1 { format!(">={i}") } else { i.to_string() };
+    println!("consumers per atomic region (Fig 12, mean {:.2}):", s.mean_consumers);
+    for (i, frac) in s.consumer_buckets.iter().enumerate() {
+        let label = if i == CONSUMER_OVERFLOW { format!(">={i}") } else { i.to_string() };
         println!("  {label:>3}: {:>6.2}%  {}", frac * 100.0, "#".repeat((frac * 60.0) as usize));
     }
 
-    let gaps = atomic_region_gaps(records, class);
     println!("\nmean cycles after rename, within atomic regions (Fig 14):");
-    println!("  to redefinition    {:>8.1}", gaps.rename_to_redefine);
-    println!("  to last consume    {:>8.1}", gaps.rename_to_consume);
-    println!("  to redefiner commit{:>8.1}", gaps.rename_to_commit);
+    println!("  to redefinition    {:>8.1}", s.rename_to_redefine);
+    println!("  to last consume    {:>8.1}", s.rename_to_consume);
+    println!("  to redefiner commit{:>8.1}", s.rename_to_commit);
     println!(
         "\nATR holds these registers only until the consume point instead of the\n\
          commit point — the gap between those two lines is the win."

@@ -146,22 +146,24 @@ for table in "$audit_results"/*.txt; do
 done
 echo "observation gate OK: observed passes match the pin, and their tables are identical"
 
-echo "== all_experiments --only: one entry, the same bytes"
-# A pass over one registry entry ensures only that entry's points; its
-# files must equal the audited full pass's byte for byte (results are
-# keyed by point, not by what else the pass simulated, and the auditor
-# observes without perturbing): fig10.txt's CPI stacks included.
+echo "== all_experiments --only: two entries, the same bytes"
+# A pass over some registry entries ensures only those entries' points;
+# their files must equal the audited full pass's byte for byte (results
+# are keyed by point, not by what else the pass simulated, and the
+# auditor observes without perturbing): fig10.txt's CPI stacks and
+# fig06's lifetime summaries included.
 only_results="$scratch/only_results"
 env $tiny ATR_RESULTS_DIR="$only_results" \
-    target/release/all_experiments --only fig10 >/dev/null
-for file in fig10.json fig10.txt; do
+    target/release/all_experiments --only fig06,fig10 >/dev/null
+only_files="fig06.json fig06.txt fig10.json fig10.txt"
+for file in $only_files; do
     if ! cmp "$only_results/$file" "$audit_results/$file"; then
-        echo "FAIL: --only fig10 diverged from the audited full pass's $file" >&2
+        echo "FAIL: --only fig06,fig10 diverged from the audited full pass's $file" >&2
         exit 1
     fi
 done
-if [ "$(ls "$only_results")" != "$(printf 'fig10.json\nfig10.txt')" ]; then
-    echo "FAIL: --only fig10 wrote more than fig10's files: $(ls "$only_results")" >&2
+if [ "$(ls "$only_results" | tr '\n' ' ')" != "$only_files " ]; then
+    echo "FAIL: --only fig06,fig10 wrote other files: $(ls "$only_results")" >&2
     exit 1
 fi
 only_err="$scratch/only.err"
@@ -172,7 +174,7 @@ if [ "$status" -ne 2 ] || ! grep -q "valid names: .*fig13" "$only_err"; then
     cat "$only_err" >&2
     exit 1
 fi
-echo "--only OK: fig10 identical, an unknown name exits 2"
+echo "--only OK: fig06 and fig10 identical, an unknown name exits 2"
 
 echo "== panic isolation: a fault-injected pass thins, says so and exits 1"
 # ATR_FAULT_INJECT panics every point whose label contains the needle.

@@ -1,10 +1,12 @@
 //! Cross-crate integration tests: workload → frontend → memory → core →
 //! pipeline → analysis, through the umbrella crate's public API.
 
+use atr::analysis::LifetimeSummary;
 use atr::core::ReleaseScheme;
 use atr::isa::RegClass;
 use atr::pipeline::{CoreConfig, OooCore};
-use atr::sim::run;
+use atr::sim::experiments::events_points;
+use atr::sim::{run, RunMatrix, Session, SimConfig};
 use atr::workload::{spec, Oracle, ProfileParams};
 
 const WARMUP: u64 = 3_000;
@@ -38,8 +40,7 @@ fn fig6_pipeline_agrees_with_paper_band() {
     let mut n = 0.0;
     for p in spec::spec2017_int().iter().take(4) {
         let r = run(with_events(), p.build(), WARMUP, MEASURE);
-        let ratios = atr::analysis::region_ratios(&r.lifetimes, RegClass::Int, true);
-        int_sum += ratios.atomic;
+        int_sum += r.lifetime.expect("events run").int.atomic;
         n += 1.0;
     }
     let avg = int_sum / n;
@@ -65,15 +66,37 @@ fn scheme_ordering_holds_under_pressure_across_profiles() {
 fn lifetime_analysis_composes_with_simulation() {
     let program = ProfileParams { seed: 77, ..ProfileParams::default() }.build();
     let r = run(with_events(), program, WARMUP, MEASURE);
-    let life = atr::analysis::lifecycle_breakdown(&r.lifetimes, RegClass::Int);
-    assert!(life.samples > 500);
+    let life = r.lifetime.expect("events run").int;
+    assert!(life.lifecycle_samples > 500);
     let total = life.in_use + life.unused + life.verified_unused;
     assert!((total - 1.0).abs() < 1e-9, "fractions must partition: {total}");
-    let gaps = atr::analysis::atomic_region_gaps(&r.lifetimes, RegClass::Int);
     assert!(
-        gaps.rename_to_commit > gaps.rename_to_redefine,
+        life.rename_to_commit > life.rename_to_redefine,
         "commit must come after redefinition on average"
     );
+}
+
+#[test]
+fn events_point_summary_is_the_summary_of_the_core_log() {
+    // The matrix keeps only the summaries; each must be exactly the
+    // reduction of the log a directly driven core of the same point
+    // collects.
+    let sim = SimConfig { core: CoreConfig::default(), warmup: WARMUP, measure: MEASURE };
+    let point = events_points(&sim).into_iter().find(|p| p.profile == "508.namd_r").unwrap();
+    let mut matrix = RunMatrix::new();
+    matrix.ensure_with(&Session::default().quiet(), &sim.core, std::slice::from_ref(&point));
+    let summary = matrix.get(&point).lifetime.as_ref().expect("events points are summarized");
+
+    let program = spec::find_profile(point.profile).unwrap().build();
+    let mut core = OooCore::new(with_events(), Oracle::new(program));
+    let _ = core.run(WARMUP);
+    let _ = core.run(MEASURE);
+    for class in [RegClass::Int, RegClass::Fp] {
+        let direct = LifetimeSummary::of(core.lifetime_log(), class);
+        assert!(direct.allocations > 0 && direct.atomic_regions > 0, "{class:?}: {direct:?}");
+        // `{:?}` prints each f64 in its shortest round-trip form.
+        assert_eq!(format!("{:?}", summary.get(class)), format!("{direct:?}"), "{class:?}");
+    }
 }
 
 #[test]
