@@ -38,7 +38,7 @@
 //! let cfg = RenameConfig { scheme: ReleaseScheme::Atr { redefine_delay: 0 }, ..RenameConfig::default() };
 //! let mut renamer = Renamer::new(&cfg);
 //! let add = StaticInst::alu(0x40, ArchReg::int(5), &[ArchReg::int(6)]);
-//! let uop = renamer.rename(&add, 0, 100, false);
+//! let uop = renamer.rename(&add, 100, false);
 //! assert!(uop.pdst.is_some());
 //! ```
 
@@ -52,7 +52,7 @@ pub mod scheme;
 pub mod srt;
 
 pub use audit::{AuditViolation, RenameAuditor};
-pub use events::{LifetimeLog, RegLifetime, ReleaseKind};
+pub use events::{LifetimeLog, LifetimeSummary, LifetimeTotals, ReleaseKind, CONSUMER_OVERFLOW};
 pub use freelist::FreeList;
 pub use prf::{PhysRegFile, PrfStats};
 pub use ptag::{PTag, PerClass};

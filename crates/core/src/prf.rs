@@ -42,7 +42,7 @@ pub struct PhysReg {
     /// aliasing it. The register returns to the free list only when the
     /// count reaches zero.
     pub refs: u32,
-    /// Lifetime-log handle for this allocation.
+    /// Lifetime-log handle for this allocation, cleared at its release.
     pub event: Option<EventHandle>,
 }
 
@@ -198,6 +198,7 @@ impl PhysRegFile {
         r.allocated = false;
         r.armed_precommit = false;
         r.redefined_effective = false;
+        r.event = None;
     }
 
     /// Registers one consumer; returns `true` if the counter overflowed
@@ -246,6 +247,7 @@ impl PhysRegFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::LifetimeLog;
 
     fn file() -> PhysRegFile {
         PhysRegFile::new(RegClass::Int, 64, 16, 6)
@@ -268,7 +270,8 @@ mod tests {
     fn alloc_resets_state() {
         let mut f = file();
         let t = tag(20);
-        f.on_alloc(t, Some(3));
+        let event = LifetimeLog::new(true, false).on_alloc(RegClass::Int, 0, false);
+        f.on_alloc(t, event);
         {
             let r = f.get_mut(t);
             r.count = 5;
@@ -276,7 +279,7 @@ mod tests {
         }
         assert_eq!(f.occupancy(), 17);
         f.on_release(t);
-        assert_eq!(f.occupancy(), 16);
+        assert_eq!((f.occupancy(), f.get(t).event), (16, None), "release clears the handle");
         f.on_alloc(t, None);
         assert_eq!((f.occupancy(), f.recount_occupancy()), (17, 17));
         let r = f.get(t);

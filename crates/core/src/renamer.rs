@@ -93,7 +93,8 @@ pub struct RenamedUop {
     /// happens out of order; the flush walk must skip it).
     pub atr_freed_prev: bool,
     /// Lifetime-log handle of the *previous* allocation (for recording
-    /// the redefiner's precommit/commit timestamps).
+    /// the redefiner's precommit/commit timestamps), held until the uop
+    /// commits or is squashed.
     pub prev_event: Option<EventHandle>,
     /// Move elimination (§6): the uop allocated no register; its
     /// destination aliases this (source) physical register, whose
@@ -127,6 +128,7 @@ impl RenamedUop {
             dst_arch: self.dst_arch,
             pdst: self.pdst,
             atr_freed_prev: self.atr_freed_prev,
+            prev_event: self.prev_event,
             alias: self.alias,
             srcs,
             issued,
@@ -144,6 +146,9 @@ pub struct FlushRecord {
     pub pdst: Option<PTag>,
     /// The uop's previous ptag was invalidated by ATR at rename.
     pub atr_freed_prev: bool,
+    /// The squashed redefiner's hold on the previous allocation's
+    /// lifetime record, which the walk lets go.
+    pub prev_event: Option<EventHandle>,
     /// Eliminated move: the reference this squashed uop added must be
     /// dropped by the walk (§6's modified flush walk).
     pub alias: Option<PTag>,
@@ -213,7 +218,7 @@ impl Renamer {
             }),
             pending_redefines: VecDeque::new(),
             redefine_delay: cfg.scheme.redefine_delay(),
-            log: if cfg.collect_events { LifetimeLog::enabled() } else { LifetimeLog::disabled() },
+            log: LifetimeLog::new(cfg.collect_events, cfg.audit),
             markings: 0,
             open_claims: 0,
             move_elimination: cfg.move_elimination,
@@ -267,7 +272,7 @@ impl Renamer {
         self.open_claims
     }
 
-    /// The lifetime event log.
+    /// The lifetime log: live-record count and end-of-run totals.
     #[must_use]
     pub fn log(&self) -> &LifetimeLog {
         &self.log
@@ -344,13 +349,7 @@ impl Renamer {
     ///
     /// Panics if a destination is needed and the free list is empty; the
     /// pipeline must check [`Renamer::can_rename`] first.
-    pub fn rename(
-        &mut self,
-        inst: &StaticInst,
-        seq: u64,
-        cycle: u64,
-        wrong_path: bool,
-    ) -> RenamedUop {
+    pub fn rename(&mut self, inst: &StaticInst, cycle: u64, wrong_path: bool) -> RenamedUop {
         let tracks = self.scheme.tracks_consumers();
 
         // Move elimination (§6): a register-to-register move renames its
@@ -411,11 +410,12 @@ impl Renamer {
                 .get_mut(class)
                 .allocate()
                 .expect("rename with empty free list: pipeline must check can_rename()");
-            let dst_event = self.log.on_alloc(class, cycle, seq, wrong_path);
+            let dst_event = self.log.on_alloc(class, cycle, wrong_path);
             self.prf.get_mut(class).on_alloc(pdst, dst_event);
             let prev = self.srt.set(a, pdst);
             let prev_event = self.prf.get(class).get(prev).event;
             self.log.update(prev_event, |r| r.redefine_cycle = Some(cycle));
+            self.log.hold(prev_event);
             uop.pdst = Some(pdst);
             uop.prev_event = prev_event;
             self.claim_or_keep_prev(&mut uop, prev, cycle);
@@ -446,6 +446,7 @@ impl Renamer {
         let prev = self.srt.set(dst, p);
         let prev_event = self.prf.get(class).get(prev).event;
         self.log.update(prev_event, |r| r.redefine_cycle = Some(cycle));
+        self.log.hold(prev_event);
         let mut uop = RenamedUop {
             psrcs: [None; MAX_SRCS],
             pdst: None,
@@ -632,6 +633,7 @@ impl Renamer {
         if let (Some(a), Some(p)) = (uop.dst_arch, uop.result_ptag()) {
             self.committed.set(a, p);
         }
+        self.log.drop_hold(uop.prev_event);
     }
 
     /// Release-time legality: each mechanism may only fire with its
@@ -721,6 +723,7 @@ impl Renamer {
             r.release_cycle = Some(cycle);
             r.release_kind = Some(kind);
         });
+        self.log.drop_hold(ev);
     }
 
     /// Reclaims the physical destinations of squashed instructions.
@@ -741,6 +744,7 @@ impl Renamer {
                 debug_assert!(self.open_claims > 0, "claim imbalance at flush");
                 self.open_claims -= 1;
             }
+            self.log.drop_hold(rec.prev_event);
             // (1) Decide whether this instruction's pdst was already
             //     ATR-released, then clear the flags.
             let mut skip_pdst = false;

@@ -31,7 +31,7 @@ fn drive_clean(scheme: ReleaseScheme, n: usize) -> RenameAuditor {
         let dst = ArchReg::int((i % 7) as u8);
         let src = ArchReg::int(((i + 3) % 7) as u8);
         let inst = StaticInst::alu(0x1000 + 4 * i as u64, dst, &[src]);
-        let uop = renamer.rename(&inst, i as u64, cycle, false);
+        let uop = renamer.rename(&inst, cycle, false);
         window.push((uop, false));
         let violations = auditor.check_cycle(&renamer, window.iter().map(|(u, s)| (u, *s)), cycle);
         assert!(violations.is_empty(), "after rename {i}: {violations:?}");
@@ -85,8 +85,8 @@ fn injected_early_release_is_caught_on_the_next_check() {
     let mut auditor = RenameAuditor::new();
     let i0 = StaticInst::alu(0x1000, ArchReg::int(1), &[ArchReg::int(2)]);
     let i1 = StaticInst::alu(0x1004, ArchReg::int(3), &[ArchReg::int(1)]);
-    let u0 = renamer.rename(&i0, 0, 1, false);
-    let u1 = renamer.rename(&i1, 1, 1, false);
+    let u0 = renamer.rename(&i0, 1, false);
+    let u1 = renamer.rename(&i1, 1, false);
     let window = [(u0, false), (u1, false)];
     let clean = auditor.check_cycle(&renamer, window.iter().map(|(u, s)| (u, *s)), 1);
     assert!(clean.is_empty(), "pre-injection state must be clean: {clean:?}");

@@ -8,14 +8,17 @@
 //!   free — the free list panics on double frees);
 //! * after draining, only the architectural mappings stay allocated;
 //! * ATR never releases a register whose region saw a branch or
-//!   exception-capable instruction.
+//!   exception-capable instruction (the audited lifetime log asserts
+//!   it as it folds each record);
+//! * after draining, the only live lifetime records are those of the
+//!   allocated registers, so no holder was forgotten.
 //!
 //! Randomness comes from the in-tree `atr-rng` (the container has no
 //! registry access for proptest): every case is seeded deterministically,
 //! so a failure message's seed reproduces the exact action sequence.
 
 use atr_core::{FlushRecord, ReleaseScheme, RenameConfig, RenamedUop, Renamer};
-use atr_isa::{ArchReg, OpClass, StaticInst};
+use atr_isa::{ArchReg, OpClass, RegClass, StaticInst};
 use atr_rng::{RngExt, SeedableRng, SmallRng};
 
 #[derive(Debug, Clone)]
@@ -90,7 +93,9 @@ impl Model {
             move_elimination,
             // Run the randomized protocol fuzz with the release-path
             // audit asserts armed: every release the model drives must
-            // also be legal by the auditor's book.
+            // also be legal by the auditor's book, and every record the
+            // lifetime log folds after an atomic release must have seen
+            // no region hazard.
             audit: true,
         };
         Model { renamer: Renamer::new(&cfg), rob: Vec::new(), cycle: 1, seq: 0 }
@@ -119,7 +124,7 @@ impl Model {
                     return;
                 }
                 let inst = self.build_inst(*kind, *dst, *src);
-                let uop = self.renamer.rename(&inst, self.seq, self.cycle, false);
+                let uop = self.renamer.rename(&inst, self.cycle, false);
                 self.seq += 1;
                 self.rob.push(Slot { inst, uop, issued: false, precommitted: false });
             }
@@ -223,16 +228,19 @@ fn run_model_full(scheme: ReleaseScheme, counter_width: u32, move_elim: bool, ac
         distinct_live.len(),
         "{scheme}: leaked registers after drain"
     );
-    // ATR must never have released across a region hazard: every
-    // atomically-released allocation's log record must be atomic.
-    for r in m.renamer.log().records() {
-        if r.release_kind == Some(atr_core::ReleaseKind::Atomic) {
-            assert!(
-                !r.saw_branch && !r.saw_exception && !r.overflowed,
-                "atomic release of a non-atomic region: {r:?}"
-            );
-        }
-    }
+    // Nothing is in flight after the drain, so the register file holds
+    // every record still live: a redefiner that committed or was
+    // squashed without letting go of its record would show here.
+    let recorded = RegClass::ALL
+        .into_iter()
+        .flat_map(|class| m.renamer.prf_file(class).iter())
+        .filter(|(_, r)| r.allocated && r.event.is_some())
+        .count();
+    assert_eq!(
+        m.renamer.log().live(),
+        recorded,
+        "{scheme}: lifetime records outlive their holders"
+    );
 }
 
 const CASES: u64 = 96;

@@ -2,7 +2,7 @@
 //! the same protocol the pipeline uses. Each named scenario corresponds
 //! to a figure or subsection of the paper.
 
-use atr_core::{FlushRecord, ReleaseScheme, RenameConfig, RenamedUop, Renamer};
+use atr_core::{FlushRecord, LifetimeSummary, ReleaseScheme, RenameConfig, RenamedUop, Renamer};
 use atr_isa::{ArchReg, OpClass, RegClass, StaticInst};
 
 fn r(i: u8) -> ArchReg {
@@ -45,7 +45,6 @@ struct Driver {
     renamer: Renamer,
     rob: Vec<Entry>,
     cycle: u64,
-    seq: u64,
 }
 
 impl Driver {
@@ -54,14 +53,13 @@ impl Driver {
     }
 
     fn from_config(cfg: &RenameConfig) -> Self {
-        Driver { renamer: Renamer::new(cfg), rob: Vec::new(), cycle: 10, seq: 0 }
+        Driver { renamer: Renamer::new(cfg), rob: Vec::new(), cycle: 10 }
     }
 
     fn rename(&mut self, inst: StaticInst) -> usize {
         self.cycle += 1;
         self.renamer.tick(self.cycle);
-        let uop = self.renamer.rename(&inst, self.seq, self.cycle, false);
-        self.seq += 1;
+        let uop = self.renamer.rename(&inst, self.cycle, false);
         self.rob.push(Entry { inst, uop, issued: false, committed: false });
         self.rob.len() - 1
     }
@@ -545,34 +543,43 @@ fn surviving_eliminated_move_maps_to_its_alias_after_a_flush() {
     d.renamer.check_invariants();
 }
 
+/// The integer class's lifetime summary of everything `d` renamed.
+fn int_summary(d: &Driver) -> LifetimeSummary {
+    d.renamer.log().totals().expect("events collected").summary(RegClass::Int)
+}
+
 #[test]
-fn lifetime_log_records_region_classification() {
+fn lifetime_summary_classifies_regions() {
     let mut d = Driver::new(ReleaseScheme::Baseline);
-    let i1 = d.rename(alu(0x00, 1, &[2])); // atomic region candidate
+    let _i1 = d.rename(alu(0x00, 1, &[2])); // atomic region candidate
     let _i2 = d.rename(alu(0x04, 1, &[3])); // redefine, clean region
-    let j1 = d.rename(alu(0x08, 4, &[2]));
+    let _j1 = d.rename(alu(0x08, 4, &[2]));
     let _jb = d.rename(load(0x0c, 5, 0));
     let _j2 = d.rename(alu(0x10, 4, &[3])); // redefine across a load
-    let _ = (i1, j1);
-    let log = d.renamer.log();
-    let recs = log.records();
-    // Record 0 = i1's allocation: atomic. Record for j1: non-branch but
-    // not non-except.
-    let rec_i1 = recs.iter().find(|r| r.alloc_seq == 0).unwrap();
-    assert!(rec_i1.is_atomic());
-    let rec_j1 = recs.iter().find(|r| r.alloc_seq == 2).unwrap();
-    assert!(rec_j1.is_non_branch());
-    assert!(!rec_j1.is_non_except());
-    assert!(!rec_j1.is_atomic());
+
+    // Five allocations, two of them redefined: i1's is atomic, j1's is
+    // non-branch but neither non-except nor atomic.
+    let s = int_summary(&d);
+    assert_eq!((s.allocations, s.atomic_regions), (5, 1));
+    assert_eq!([s.atomic, s.non_branch, s.non_except], [0.2, 0.4, 0.2]);
+    assert_eq!(s.consumer_buckets[0], 1.0, "i1's region has no consumer");
 }
 
 #[test]
 fn wrong_path_allocations_are_tagged_in_the_log() {
-    let mut d = Driver::new(ReleaseScheme::Baseline);
-    d.cycle += 1;
-    let cycle = d.cycle;
-    let _ = d.renamer.rename(&alu(0x00, 1, &[2]), 99, cycle, true);
-    assert!(d.renamer.log().records().iter().any(|r| r.wrong_path));
+    // The same allocate-then-redefine schedule on each path: both
+    // allocations count in Fig 6, only the correct-path one in Fig 4.
+    for wrong_path in [false, true] {
+        let mut d = Driver::new(ReleaseScheme::Baseline);
+        d.cycle += 1;
+        let _ = d.renamer.rename(&alu(0x00, 1, &[2]), d.cycle, wrong_path);
+        let i2 = d.rename(alu(0x04, 1, &[3]));
+        d.precommit(i2);
+        d.commit(i2);
+        let s = int_summary(&d);
+        assert_eq!(s.allocations, 2, "wrong path {wrong_path}");
+        assert_eq!(s.lifecycle_samples, u64::from(!wrong_path), "wrong path {wrong_path}");
+    }
 }
 
 #[test]
@@ -634,7 +641,7 @@ fn move_elimination_aliases_instead_of_allocating() {
     let mut rn = Renamer::new(&cfg);
     let free0 = rn.free_count(RegClass::Int);
     let mv = StaticInst::new(0x0, OpClass::Mov, Some(r(2)), &[r(4)]);
-    let uop = rn.rename(&mv, 0, 1, false);
+    let uop = rn.rename(&mv, 1, false);
     assert_eq!(rn.free_count(RegClass::Int), free0, "no allocation for an eliminated move");
     assert_eq!(uop.pdst, None);
     assert_eq!(uop.alias, Some(rn.current_mapping(r(4))));
@@ -657,11 +664,11 @@ fn shared_register_frees_only_after_both_aliases_redefined() {
     let mv = StaticInst::new(0x4, OpClass::Mov, Some(r(2)), &[r(1)]);
     let j1 = StaticInst::alu(0x8, r(1), &[]);
     let j2 = StaticInst::alu(0xc, r(2), &[]);
-    let u1 = rn.rename(&i1, 0, 1, false);
+    let u1 = rn.rename(&i1, 1, false);
     let p = u1.pdst.unwrap();
-    let um = rn.rename(&mv, 1, 2, false);
-    let uj1 = rn.rename(&j1, 2, 3, false);
-    let uj2 = rn.rename(&j2, 3, 4, false);
+    let um = rn.rename(&mv, 2, false);
+    let uj1 = rn.rename(&j1, 3, false);
+    let uj2 = rn.rename(&j2, 4, false);
     let free_after_renames = rn.free_count(RegClass::Int);
     rn.on_commit(&u1, 5); // frees r1's initial mapping
     rn.on_commit(&um, 6); // frees r2's initial mapping

@@ -104,11 +104,6 @@ impl PathHistory {
         PathHistory::default()
     }
 
-    /// Shifts in two address bits of a taken target.
-    pub fn push_target(&mut self, target: u64) {
-        self.bits = (self.bits << 2) | ((target >> 2) & 0b11);
-    }
-
     /// Shifts in two bits of a control-flow *edge* (source PC and
     /// target mixed), so different branches reaching the same target
     /// remain distinguishable — what indirect prediction relies on.
@@ -247,10 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn path_history_tracks_targets() {
+    fn path_history_tracks_edges() {
         let mut p = PathHistory::new();
-        p.push_target(0x1004); // bits (0x1004 >> 2) & 3 = 1
-        p.push_target(0x1008); // bits = 2
+        p.push_edge(0x1000, 0x1004); // (0x400 ^ 0x401 ^ 0x20) & 3 = 1
+        p.push_edge(0x2000, 0x2008); // (0x800 ^ 0x802 ^ 0x40) & 3 = 2
         assert_eq!(p.low(4), 0b0110);
     }
 

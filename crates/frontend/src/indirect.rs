@@ -117,9 +117,9 @@ mod tests {
     fn path_disambiguates_polymorphic_site() {
         let mut p = IndirectPredictor::new(12, 16);
         let mut path_a = PathHistory::new();
-        path_a.push_target(0x1111_0004);
+        path_a.push_edge(0x400, 0x1111_0004);
         let mut path_b = PathHistory::new();
-        path_b.push_target(0x2222_0008);
+        path_b.push_edge(0x400, 0x2222_0008);
         for _ in 0..8 {
             p.update(0x500, &path_a, 0xa000);
             p.update(0x500, &path_b, 0xb000);

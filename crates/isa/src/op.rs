@@ -114,12 +114,6 @@ impl OpClass {
         matches!(self, OpClass::CondBranch)
     }
 
-    /// Can this instruction's *target* be mispredicted?
-    #[must_use]
-    pub fn has_predicted_target(self) -> bool {
-        matches!(self, OpClass::IndirectJump | OpClass::Return)
-    }
-
     /// Does renaming this instruction terminate atomic commit regions
     /// because of control flow? Per §3.2 this is conditional branches and
     /// indirect jumps (returns are indirect). Unconditional direct jumps
@@ -290,9 +284,6 @@ mod tests {
     fn conditional_and_indirect_predicates() {
         assert!(OpClass::CondBranch.is_conditional());
         assert!(!OpClass::Return.is_conditional());
-        assert!(OpClass::Return.has_predicted_target());
-        assert!(OpClass::IndirectJump.has_predicted_target());
-        assert!(!OpClass::DirectJump.has_predicted_target());
     }
 
     #[test]

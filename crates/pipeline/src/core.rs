@@ -18,7 +18,7 @@ use crate::lsq::{LoadCheck, Lsq};
 use crate::rob::{CompletionQueue, Rob, RobEntry, RobId, RobState};
 use crate::stats::CoreStats;
 use crate::telemetry::{CoreTelemetry, CycleView};
-use atr_core::{FlushRecord, RegLifetime, RenameAuditor, Renamer};
+use atr_core::{FlushRecord, RenameAuditor, Renamer};
 use atr_frontend::{Bpu, Prediction};
 use atr_isa::{DynInst, FuKind, InstSeq, OpClass, RegClass};
 use atr_mem::{AccessKind, MemoryHierarchy, ServiceLevel};
@@ -231,12 +231,6 @@ impl OooCore {
         s.dram = self.mem.dram_stats();
         s.markings = self.renamer.markings();
         s
-    }
-
-    /// The register lifetime log (when the rename config enables it).
-    #[must_use]
-    pub fn lifetime_log(&self) -> &[RegLifetime] {
-        self.renamer.log().records()
     }
 
     /// Simulated cycles so far.
@@ -611,7 +605,7 @@ impl OooCore {
             let f = self.frontend.pop_front().expect("checked front");
             active = true;
             let seq = f.inst.seq;
-            let uop = self.renamer.rename(&f.inst.sinst, seq, self.cycle, f.inst.on_wrong_path);
+            let uop = self.renamer.rename(&f.inst.sinst, self.cycle, f.inst.on_wrong_path);
             if f.inst.on_wrong_path {
                 self.stats.wrong_path_renamed += 1;
             }

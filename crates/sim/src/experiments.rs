@@ -19,8 +19,8 @@ use crate::matrix::{CoreTweak, RunMatrix, SimPoint};
 use crate::report::{coverage_marker, cpi_table, gain, pct, render_table};
 use crate::runner::geomean;
 use crate::session::Session;
-use atr_analysis::{BulkReleaseLogic, CorePowerModel, LifetimeSummary};
-use atr_core::ReleaseScheme;
+use atr_analysis::{BulkReleaseLogic, CorePowerModel};
+use atr_core::{LifetimeSummary, ReleaseScheme};
 use atr_json::{json_record, Json, ToJson};
 use atr_telemetry::CpiStack;
 use atr_workload::spec::{all_profiles, spec2017_fp, spec2017_int, SpecProfile, WorkloadClass};

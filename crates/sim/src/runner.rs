@@ -1,10 +1,9 @@
 //! The measurement runner: warmup + measured window over one workload.
 
-use atr_analysis::LifetimeSummary;
-use atr_core::{PerClass, RegLifetime, ReleaseKind};
+use atr_core::{LifetimeSummary, LifetimeTotals, PerClass};
 use atr_pipeline::telemetry::hist_names;
 use atr_pipeline::{CoreConfig, CoreStats, CoreTelemetry, OooCore};
-use atr_telemetry::{CpiStack, Log2Hist, RunTelemetry};
+use atr_telemetry::{CpiStack, RunTelemetry};
 use atr_workload::{Oracle, Program};
 use std::sync::Arc;
 
@@ -20,8 +19,7 @@ pub struct RunResult {
     /// counter starts at 1, so `cpi.cycles + 1 == stats.cycles`.
     pub cpi: CpiStack,
     /// Both register classes' lifetime summaries over the whole run
-    /// (`None` unless `rename.collect_events` was set). The raw log
-    /// they reduce dies with the core.
+    /// (`None` unless `rename.collect_events` was set).
     pub lifetime: Option<PerClass<LifetimeSummary>>,
     /// The histograms the observer recorded (empty below
     /// `ATR_TELEMETRY=stats`).
@@ -34,47 +32,21 @@ pub struct RunResult {
 /// telemetry included.
 #[must_use]
 pub fn run(cfg: CoreConfig, program: Arc<Program>, warmup: u64, measure: u64) -> RunResult {
-    let events = cfg.rename.collect_events;
     let mut core = OooCore::new(cfg, Oracle::new(program));
     let s0 = if warmup > 0 { core.run(warmup) } else { core.snapshot_stats() };
     let s1 = core.run(measure);
     let cycles = (s1.cycles - s0.cycles).max(1);
     let ipc = (s1.retired - s0.retired) as f64 / cycles as f64;
-    let log = core.lifetime_log();
-    let lifetime = events.then(|| PerClass::from_fn(|class| LifetimeSummary::of(log, class)));
-    let log_hists = (events && core.telemetry().is_some()).then(|| lifetime_hists(log));
-    let (cpi, telemetry) = observations(core.into_telemetry(), log_hists);
+    let totals = core.renamer().log().totals();
+    let lifetime = totals.as_ref().map(|t| PerClass::from_fn(|class| t.summary(class)));
+    let (cpi, telemetry) = observations(core.into_telemetry(), totals);
     RunResult { ipc, stats: s1, cpi, lifetime, telemetry }
 }
 
-/// The `reg_lifetime` and `claim_duration` histograms of a lifetime log.
-fn lifetime_hists(log: &[RegLifetime]) -> [(String, Log2Hist); 2] {
-    let mut lifetime = Log2Hist::new();
-    let mut claim = Log2Hist::new();
-    for rec in log {
-        let Some(released) = rec.release_cycle else {
-            continue;
-        };
-        lifetime.record(released.saturating_sub(rec.alloc_cycle));
-        if rec.release_kind == Some(ReleaseKind::Atomic) {
-            if let Some(redefined) = rec.redefine_cycle {
-                claim.record(released.saturating_sub(redefined));
-            }
-        }
-    }
-    [
-        (hist_names::REG_LIFETIME.to_owned(), lifetime),
-        (hist_names::CLAIM_DURATION.to_owned(), claim),
-    ]
-}
-
 /// Splits a finished run's observer into its CPI stack and what it
-/// recorded at `stats`: the histograms, plus `log_hists` — the
-/// histograms derived from the lifetime log, when the run collected one.
-fn observations(
-    t: CoreTelemetry,
-    log_hists: Option<[(String, Log2Hist); 2]>,
-) -> (CpiStack, RunTelemetry) {
+/// recorded at `stats`: the histograms, plus the two lifetime
+/// histograms of `totals`, when the run collected events.
+fn observations(t: CoreTelemetry, totals: Option<LifetimeTotals>) -> (CpiStack, RunTelemetry) {
     if !t.stats_enabled() {
         return (t.cpi, RunTelemetry::default());
     }
@@ -85,7 +57,10 @@ fn observations(
         (hist_names::FLUSH_WALK_LEN.to_owned(), t.flush_walk_len),
         (hist_names::BRANCH_RESOLUTION.to_owned(), t.branch_resolution),
     ];
-    hists.extend(log_hists.into_iter().flatten());
+    if let Some(l) = totals {
+        hists.push((hist_names::REG_LIFETIME.to_owned(), l.reg_lifetime));
+        hists.push((hist_names::CLAIM_DURATION.to_owned(), l.claim_duration));
+    }
     (t.cpi, RunTelemetry { hists })
 }
 

@@ -7,7 +7,7 @@
 //! * [`hist`] — mergeable log2-bucketed streaming histograms, recorded
 //!   only at `stats`;
 //! * [`log`] — the tiny leveled stderr logger (`ATR_LOG`) behind the
-//!   [`info!`]/[`debug!`]/[`warn!`] macros.
+//!   [`info!`]/[`warn!`] macros.
 //!
 //! [`RunTelemetry`] holds the histograms one simulation run recorded at
 //! `stats` level, for the run-matrix executor to emit as

@@ -6,24 +6,20 @@
 //! `ATR_LOG`:
 //!
 //! * `quiet` — suppress everything, including warnings;
-//! * `info` (default) — warnings plus one-line progress/narrative;
-//! * `debug` — everything, including per-point diagnostics.
+//! * `info` (default) — warnings plus one-line progress/narrative.
 //!
-//! Use the [`crate::info!`], [`crate::debug!`], and [`crate::warn!`]
-//! macros; they skip the formatting work entirely when the level is
-//! disabled.
+//! Use the [`crate::info!`] and [`crate::warn!`] macros; they skip the
+//! formatting work entirely under `quiet`.
 
 use std::sync::OnceLock;
 
-/// Verbosity levels, ordered: `Quiet < Info < Debug`.
+/// Verbosity levels, ordered: `Quiet < Info`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
     /// Nothing at all (scripted runs that only want stdout).
     Quiet = 0,
     /// Warnings and one-line narrative (the default).
     Info = 1,
-    /// Everything.
-    Debug = 2,
 }
 
 impl LogLevel {
@@ -33,7 +29,6 @@ impl LogLevel {
         match raw.trim().to_ascii_lowercase().as_str() {
             "quiet" | "0" => Some(LogLevel::Quiet),
             "info" | "1" => Some(LogLevel::Info),
-            "debug" | "2" => Some(LogLevel::Debug),
             _ => None,
         }
     }
@@ -49,7 +44,7 @@ pub fn level() -> LogLevel {
         Ok(raw) => LogLevel::parse(&raw).unwrap_or_else(|| {
             eprintln!(
                 "warning: ignoring malformed ATR_LOG={raw:?} \
-                 (expected quiet|info|debug); using info"
+                 (expected quiet|info); using info"
             );
             LogLevel::Info
         }),
@@ -79,16 +74,6 @@ macro_rules! info {
     };
 }
 
-/// Verbose diagnostic (stderr, `debug` level).
-#[macro_export]
-macro_rules! debug {
-    ($($arg:tt)*) => {
-        if $crate::log::enabled($crate::log::LogLevel::Debug) {
-            $crate::log::emit(format_args!($($arg)*));
-        }
-    };
-}
-
 /// Warning (stderr, suppressed only by `ATR_LOG=quiet`). Prefixes the
 /// line with `warning:` so existing greps keep working.
 #[macro_export]
@@ -108,13 +93,13 @@ mod tests {
     fn parse_accepts_names_and_digits() {
         assert_eq!(LogLevel::parse("quiet"), Some(LogLevel::Quiet));
         assert_eq!(LogLevel::parse(" INFO "), Some(LogLevel::Info));
-        assert_eq!(LogLevel::parse("2"), Some(LogLevel::Debug));
+        assert_eq!(LogLevel::parse("1"), Some(LogLevel::Info));
+        assert_eq!(LogLevel::parse("debug"), None, "the removed level is malformed");
         assert_eq!(LogLevel::parse("verbose"), None);
     }
 
     #[test]
     fn levels_are_ordered() {
         assert!(LogLevel::Quiet < LogLevel::Info);
-        assert!(LogLevel::Info < LogLevel::Debug);
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example region_analysis [benchmark-substring]
 //! ```
 
-use atr::analysis::{LifetimeSummary, CONSUMER_OVERFLOW};
+use atr::core::CONSUMER_OVERFLOW;
 use atr::isa::RegClass;
 use atr::pipeline::{CoreConfig, OooCore};
 use atr::workload::{spec, Oracle, WorkloadClass};
@@ -24,10 +24,9 @@ fn main() {
     cfg.rename.collect_events = true;
     let mut core = OooCore::new(cfg, Oracle::new(profile.build()));
     let _ = core.run(200_000);
-    let records = core.lifetime_log();
-    println!("{}: {} register allocations analyzed\n", profile.name, records.len());
+    let s = core.renamer().log().totals().expect("events collected").summary(class);
+    println!("{}: {} register allocations analyzed\n", profile.name, s.allocations);
 
-    let s = LifetimeSummary::of(records, class);
     println!("region classification (Fig 6):");
     println!("  non-branch  {:>6.2}%", s.non_branch * 100.0);
     println!("  non-except  {:>6.2}%", s.non_except * 100.0);

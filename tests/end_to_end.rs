@@ -1,7 +1,6 @@
 //! Cross-crate integration tests: workload → frontend → memory → core →
 //! pipeline → analysis, through the umbrella crate's public API.
 
-use atr::analysis::LifetimeSummary;
 use atr::core::ReleaseScheme;
 use atr::isa::RegClass;
 use atr::pipeline::{CoreConfig, OooCore};
@@ -16,7 +15,7 @@ fn quick(scheme: ReleaseScheme, rf: usize) -> CoreConfig {
     CoreConfig::default().with_rf_size(rf).with_scheme(scheme)
 }
 
-/// A baseline core at 280 registers that records the lifetime log.
+/// A baseline core at 280 registers that collects lifetime records.
 fn with_events() -> CoreConfig {
     let mut cfg = quick(ReleaseScheme::Baseline, 280);
     cfg.rename.collect_events = true;
@@ -79,8 +78,7 @@ fn lifetime_analysis_composes_with_simulation() {
 #[test]
 fn events_point_summary_is_the_summary_of_the_core_log() {
     // The matrix keeps only the summaries; each must be exactly the
-    // reduction of the log a directly driven core of the same point
-    // collects.
+    // summary a directly driven core of the same point reports.
     let sim = SimConfig { core: CoreConfig::default(), warmup: WARMUP, measure: MEASURE };
     let point = events_points(&sim).into_iter().find(|p| p.profile == "508.namd_r").unwrap();
     let mut matrix = RunMatrix::new();
@@ -91,12 +89,33 @@ fn events_point_summary_is_the_summary_of_the_core_log() {
     let mut core = OooCore::new(with_events(), Oracle::new(program));
     let _ = core.run(WARMUP);
     let _ = core.run(MEASURE);
+    let totals = core.renamer().log().totals().expect("events collected");
     for class in [RegClass::Int, RegClass::Fp] {
-        let direct = LifetimeSummary::of(core.lifetime_log(), class);
+        let direct = totals.summary(class);
         assert!(direct.allocations > 0 && direct.atomic_regions > 0, "{class:?}: {direct:?}");
         // `{:?}` prints each f64 in its shortest round-trip form.
         assert_eq!(format!("{:?}", summary.get(class)), format!("{direct:?}"), "{class:?}");
     }
+}
+
+#[test]
+fn lifetime_records_are_bounded_by_the_machine() {
+    // A record lives only while its register or an in-flight redefiner
+    // holds it, so however long the run, the live records never exceed
+    // one per physical register plus one per ROB entry.
+    let cfg = with_events();
+    let bound = cfg.rename.int_prf_size + cfg.rename.fp_prf_size + cfg.rob_size;
+    let program = spec::find_profile("508.namd_r").unwrap().build();
+    let mut core = OooCore::new(cfg, Oracle::new(program));
+    let mut peak = 0;
+    for _ in 0..20 {
+        let _ = core.run(10_000);
+        peak = peak.max(core.renamer().log().live());
+        assert!(peak <= bound, "{peak} live lifetime records exceed the machine's {bound}");
+    }
+    let totals = core.renamer().log().totals().expect("events collected");
+    let allocations: u64 = RegClass::ALL.map(|c| totals.summary(c).allocations).iter().sum();
+    assert!(allocations > 100 * bound as u64, "only {allocations} allocations over the run");
 }
 
 #[test]
