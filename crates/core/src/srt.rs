@@ -56,11 +56,6 @@ impl RenameTable {
                 .map(move |(i, &t)| (ArchReg::new(class, i as u8), PTag::new(class, t.into())))
         })
     }
-
-    /// The live mappings of one class only.
-    pub fn live_class(&self, class: RegClass) -> impl Iterator<Item = PTag> + '_ {
-        self.map.get(class).iter().map(move |&t| PTag::new(class, t.into()))
-    }
 }
 
 impl Default for RenameTable {
@@ -72,7 +67,7 @@ impl Default for RenameTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atr_isa::{NUM_ARCH_REGS, NUM_INT_ARCH_REGS};
+    use atr_isa::NUM_ARCH_REGS;
 
     #[test]
     fn identity_maps_arch_to_same_index() {
@@ -97,7 +92,6 @@ mod tests {
     fn live_covers_all_arch_regs() {
         let t = RenameTable::identity();
         assert_eq!(t.live().count(), NUM_ARCH_REGS);
-        assert_eq!(t.live_class(RegClass::Int).count(), NUM_INT_ARCH_REGS);
     }
 
     #[test]

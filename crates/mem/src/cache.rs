@@ -58,16 +58,6 @@ impl CacheStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Miss ratio over demand accesses (0 when idle).
-    #[must_use]
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses() as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -251,12 +241,6 @@ impl Cache {
     pub fn mshr_commit(&mut self, done: u64) {
         self.inflight.push(done);
     }
-
-    /// Outstanding fills at `cycle` (diagnostics).
-    #[must_use]
-    pub fn mshr_occupancy(&self, cycle: u64) -> usize {
-        self.inflight.iter().filter(|&&d| d > cycle).count()
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +327,6 @@ mod tests {
         c.mshr_commit(100);
         assert_eq!(c.mshr_admit(10), 10);
         c.mshr_commit(200);
-        assert_eq!(c.mshr_occupancy(50), 2);
         // Third miss at cycle 20 waits for the 100-cycle completion.
         assert_eq!(c.mshr_admit(20), 100);
     }
@@ -370,14 +353,5 @@ mod tests {
             latency: 1,
             mshrs: 1,
         });
-    }
-
-    #[test]
-    fn miss_ratio_computation() {
-        let mut c = small();
-        let _ = c.probe(0, 1, false);
-        c.fill(0, 2, false);
-        let _ = c.probe(0, 3, false);
-        assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-9);
     }
 }

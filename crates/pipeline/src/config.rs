@@ -60,8 +60,6 @@ pub struct CoreConfig {
     /// Pure observation — never affects timing — and, like `audit`,
     /// excluded from result-memoization keys.
     pub telemetry: TelemetryConfig,
-    /// Hard cap on simulated cycles (deadlock guard in tests).
-    pub max_cycles: u64,
 }
 
 impl Default for CoreConfig {
@@ -89,7 +87,6 @@ impl Default for CoreConfig {
             bpu: BpuConfig::default(),
             mem: MemConfig::golden_cove(),
             telemetry: TelemetryConfig::default(),
-            max_cycles: u64::MAX,
         }
     }
 }

@@ -9,15 +9,16 @@
 //! queue and broadcasts their tags, and issue walks only the ready set.
 //! A cycle that changes nothing beyond the per-cycle counters is
 //! *quiet*; [`OooCore::tick`] then skips straight to the next timed
-//! event and credits the skipped cycles in bulk (DESIGN.md "Cycle
-//! loop").
+//! event and credits the skipped cycles with the quiet cycle's record,
+//! through the same function that credits every simulated cycle
+//! (DESIGN.md "Cycle loop").
 
 use crate::config::CoreConfig;
 use crate::iq::IssueQueue;
 use crate::lsq::{LoadCheck, Lsq};
 use crate::rob::{CompletionQueue, Rob, RobEntry, RobId, RobState};
 use crate::stats::CoreStats;
-use crate::telemetry::{CoreTelemetry, CycleView};
+use crate::telemetry::{CoreTelemetry, CycleRecord};
 use atr_core::{FlushRecord, RenameAuditor, Renamer};
 use atr_frontend::{Bpu, Prediction};
 use atr_isa::{DynInst, FuKind, InstSeq, OpClass, RegClass};
@@ -123,6 +124,9 @@ pub struct OooCore {
     /// The observer ([`crate::telemetry`]): its CPI stack is accounted
     /// on every run; its histograms record only at `stats`.
     telemetry: CoreTelemetry,
+    /// What the current (or, between ticks, the last simulated) cycle
+    /// did; [`OooCore::account`] credits it.
+    record: CycleRecord,
     /// End of the current exception/interrupt serialization window (CPI
     /// attribution only — timing uses `fetch_stall_until`).
     serialize_until: u64,
@@ -170,6 +174,7 @@ impl OooCore {
             auditor: cfg.rename.audit.then(RenameAuditor::new),
             retire_log: None,
             telemetry: CoreTelemetry::new(&cfg.telemetry, cfg.retire_width as u64),
+            record: CycleRecord::default(),
             serialize_until: 0,
             badspec_until: 0,
             cycle: 1,
@@ -179,8 +184,8 @@ impl OooCore {
         }
     }
 
-    /// Runs until `max_insts` instructions retire (or the configured
-    /// cycle cap). Returns the accumulated statistics.
+    /// Runs until `max_insts` more instructions retire. Returns the
+    /// accumulated statistics.
     ///
     /// # Panics
     ///
@@ -202,7 +207,7 @@ impl OooCore {
 
     fn run_with(&mut self, max_insts: u64, mut advance: impl FnMut(&mut Self)) -> CoreStats {
         let target = self.stats.retired + max_insts;
-        while self.stats.retired < target && self.cycle < self.cfg.max_cycles {
+        while self.stats.retired < target {
             advance(self);
             assert!(
                 self.cycle - self.last_commit_cycle < DEADLOCK_CYCLES,
@@ -297,34 +302,31 @@ impl OooCore {
     /// Advances the model by at least one cycle.
     ///
     /// The cycle at [`OooCore::cycles`] runs through every stage. If it
-    /// was *quiet* — it changed no state beyond the per-cycle counters
-    /// (stall counts, PRF occupancy sums, CPI slots, occupancy
-    /// histograms, audited cycles) — then every cycle up to
-    /// the next timed event would repeat it exactly, so `tick` jumps
-    /// straight to that event and credits the skipped cycles in bulk.
-    /// The events are the next completion, a pending redefine, the end
-    /// of a fetch stall, the frontend head's arrival at rename, the
-    /// divider freeing, the end of a serialization or redirect window,
-    /// the `max_cycles` cap and the deadlock horizon (DESIGN.md "Cycle
-    /// loop"). Every result is bit-identical to stepping one cycle at a
-    /// time, whether telemetry and audit are on or off. A quiet cycle
-    /// retires nothing, so at most `retire_width` instructions retire
-    /// per call.
+    /// was *quiet* — it changed no state beyond what its
+    /// [`CycleRecord`] credits (stall counts, PRF occupancy sums, CPI
+    /// slots, occupancy histograms) and the audited-cycle count — then
+    /// every cycle up to the next timed event would repeat it exactly,
+    /// so `tick` jumps straight to that event and credits the same
+    /// record once per skipped cycle. The events are the next
+    /// completion, a pending redefine, the end of a fetch stall, the
+    /// frontend head's arrival at rename, the divider freeing, the end
+    /// of a serialization or redirect window, and the deadlock horizon
+    /// (DESIGN.md "Cycle loop"). Every result is bit-identical to
+    /// stepping one cycle at a time, whether telemetry and audit are on
+    /// or off. A quiet cycle retires nothing, so at most `retire_width`
+    /// instructions retire per call.
     pub fn tick(&mut self) {
-        let stalls = self.stall_counters();
         if !self.step() {
-            self.skip_quiet_cycles(stalls);
+            self.skip_quiet_cycles();
         }
     }
 
-    /// Simulates exactly one cycle. Returns whether it changed any
-    /// state beyond the per-cycle counters (`false`: a quiet cycle).
+    /// Simulates exactly one cycle: the stages fill in its record as
+    /// they run, the end-of-cycle state and CPI cause complete it, and
+    /// it is credited once. Returns whether the cycle changed any state
+    /// beyond what the record credits (`false`: a quiet cycle).
     fn step(&mut self) -> bool {
-        self.telemetry.begin_cycle(
-            self.stats.retired,
-            self.stats.rename_freelist_stalls,
-            self.stats.rename_backpressure_stalls,
-        );
+        self.record = CycleRecord::default();
         let mut active = self.renamer.tick(self.cycle);
         active |= self.commit();
         active |= self.service_interrupt();
@@ -334,19 +336,45 @@ impl OooCore {
         active |= self.dispatch();
         active |= self.fetch();
         self.enforce_audit_cycle();
-        self.stats.int_prf_occupancy_sum += self.renamer.occupancy(RegClass::Int) as u128;
-        self.stats.fp_prf_occupancy_sum += self.renamer.occupancy(RegClass::Fp) as u128;
-        self.telemetry_end_cycle();
-        self.stats.cycles = self.cycle;
-        self.cycle += 1;
+        let r = &mut self.record;
+        r.serializing = self.pending_interrupt.is_some() || self.cycle < self.serialize_until;
+        r.redirecting = self.cycle < self.badspec_until;
+        r.rob = self.rob.len() as u64;
+        r.int_prf = self.renamer.occupancy(RegClass::Int) as u64;
+        r.fp_prf = self.renamer.occupancy(RegClass::Fp) as u64;
+        let rob = &self.rob;
+        r.cause = self.telemetry.classify(r, || {
+            rob.head().and_then(|h| {
+                (h.inst.sinst.class.is_load() && h.state == RobState::Issued)
+                    .then_some(h.mem_level)
+                    .flatten()
+            })
+        });
+        self.account(1);
         active
     }
 
-    /// The counters a quiet cycle may still bump: free-list and
-    /// backpressure rename stalls, and flush-mode interrupt waits.
-    fn stall_counters(&self) -> [u64; 3] {
-        let s = &self.stats;
-        [s.rename_freelist_stalls, s.rename_backpressure_stalls, s.interrupt_wait_cycles]
+    /// Credits `n` cycles that each did what the current record says —
+    /// the one just simulated (`n = 1`) or the quiet cycles skipped
+    /// after it — to the per-cycle counters and the observer, and
+    /// advances the clock past them. Under audit, checks the CPI stack's
+    /// slot sum afterwards.
+    fn account(&mut self, n: u64) {
+        let r = self.record;
+        let s = &mut self.stats;
+        s.rename_freelist_stalls += n * u64::from(r.freelist_stalled);
+        s.rename_backpressure_stalls += n * u64::from(r.backpressure_stalled);
+        s.interrupt_wait_cycles += n * u64::from(r.interrupt_waited);
+        s.int_prf_occupancy_sum += u128::from(n) * u128::from(r.int_prf);
+        s.fp_prf_occupancy_sum += u128::from(n) * u128::from(r.fp_prf);
+        self.telemetry.account(&r, n);
+        let from = self.cycle;
+        self.cycle += n;
+        if self.auditor.is_some() {
+            if let Err(e) = self.telemetry.cpi.check() {
+                panic!("cycles {from}..{}: {e}", self.cycle);
+            }
+        }
     }
 
     /// The earliest cycle at or after `from` at which a timed condition
@@ -372,38 +400,19 @@ impl OooCore {
     }
 
     /// Called after a quiet cycle: every cycle before the next event
-    /// (capped by `max_cycles` and the deadlock horizon) would repeat it
-    /// exactly, so jump there and credit the skipped cycles with what
-    /// the quiet cycle recorded. `before` is [`OooCore::stall_counters`]
-    /// at the start of the quiet cycle.
-    fn skip_quiet_cycles(&mut self, before: [u64; 3]) {
+    /// (capped by the deadlock horizon) would repeat it exactly, so jump
+    /// there and credit the skipped cycles with the quiet cycle's
+    /// record.
+    fn skip_quiet_cycles(&mut self) {
         let from = self.cycle;
-        let to = self
-            .next_event(from)
-            .min(self.cfg.max_cycles)
-            .min(self.last_commit_cycle + DEADLOCK_CYCLES);
+        let to = self.next_event(from).min(self.last_commit_cycle + DEADLOCK_CYCLES);
         if to <= from {
             return;
         }
-        let n = to - from;
-        let [freelist, backpressure, interrupt_wait] = before;
-        let s = &mut self.stats;
-        s.rename_freelist_stalls += n * (s.rename_freelist_stalls - freelist);
-        s.rename_backpressure_stalls += n * (s.rename_backpressure_stalls - backpressure);
-        s.interrupt_wait_cycles += n * (s.interrupt_wait_cycles - interrupt_wait);
-        s.int_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Int) as u128;
-        s.fp_prf_occupancy_sum += u128::from(n) * self.renamer.occupancy(RegClass::Fp) as u128;
-        s.cycles = to - 1;
-        self.telemetry.repeat_last_cycle(n);
-        if self.auditor.is_some() {
-            if let Err(e) = self.telemetry.cpi.check() {
-                panic!("cycles {from}..{to}: {e}");
-            }
-        }
         if let Some(auditor) = self.auditor.as_mut() {
-            auditor.credit_cycles(n);
+            auditor.credit_cycles(to - from);
         }
-        self.cycle = to;
+        self.account(to - from);
     }
 
     /// Runs the renamer invariant audit and the schedule audit.
@@ -412,50 +421,6 @@ impl OooCore {
         let (renamer, rob, cycle) = (&self.renamer, &self.rob, self.cycle);
         auditor.enforce_cycle(renamer, rob.iter().map(|e| (&e.uop, e.issued())), cycle);
         audit_schedule(renamer, rob, &self.iq, &self.completions, cycle);
-    }
-
-    /// End-of-cycle telemetry: CPI slot attribution, and occupancy
-    /// sampling at `stats`.
-    fn telemetry_end_cycle(&mut self) {
-        let rob = &self.rob;
-        let head_mem_level = || {
-            rob.head().and_then(|h| {
-                (h.inst.sinst.class.is_load() && h.state == RobState::Issued)
-                    .then_some(h.mem_level)
-                    .flatten()
-            })
-        };
-        let rob_nonempty = !self.rob.is_empty();
-        let serializing = self.pending_interrupt.is_some() || self.cycle < self.serialize_until;
-        let redirecting = self.cycle < self.badspec_until;
-        let cycle = self.cycle;
-        let t = &mut self.telemetry;
-        let (retired, freelist_stalled, backpressure_stalled) = t.delta(
-            self.stats.retired,
-            self.stats.rename_freelist_stalls,
-            self.stats.rename_backpressure_stalls,
-        );
-        let view = CycleView {
-            retired,
-            freelist_stalled,
-            backpressure_stalled,
-            rob_nonempty,
-            serializing,
-            redirecting,
-        };
-        t.end_cycle(&view, head_mem_level);
-        if t.stats_enabled() {
-            t.sample_occupancy(
-                self.rob.len() as u64,
-                self.renamer.occupancy(RegClass::Int) as u64,
-                self.renamer.occupancy(RegClass::Fp) as u64,
-            );
-        }
-        if self.auditor.is_some() {
-            if let Err(e) = t.cpi.check() {
-                panic!("cycle {cycle}: {e}");
-            }
-        }
     }
 
     // ----------------------------------------------------------- fetch
@@ -595,11 +560,11 @@ impl OooCore {
                 || (class.is_load() && !self.lsq.has_load_space())
                 || (class.is_store() && !self.lsq.has_store_space())
             {
-                self.stats.rename_backpressure_stalls += 1;
+                self.record.backpressure_stalled = true;
                 break;
             }
             if !self.renamer.can_rename() {
-                self.stats.rename_freelist_stalls += 1;
+                self.record.freelist_stalled = true;
                 break;
             }
             let f = self.frontend.pop_front().expect("checked front");
@@ -947,6 +912,7 @@ impl OooCore {
                 });
             }
             self.stats.retired += 1;
+            self.record.retired += 1;
             self.last_commit_cycle = self.cycle;
             if self.stats.retired.is_multiple_of(4096) {
                 self.oracle.release_before(inst.oracle_idx);
@@ -981,14 +947,14 @@ impl OooCore {
                 // unlikely worst case the interrupt fully drains the
                 // ROB first.
                 if self.renamer.open_atr_claims() > 0 {
-                    self.stats.interrupt_wait_cycles += 1;
+                    self.record.interrupt_waited = true;
                     return false;
                 }
                 let precommitted = self.rob.precommitted_len();
                 if precommitted > 0 && precommitted == self.rob.len() {
                     // Everything in flight is precommitted: let commit
                     // drain it and retry.
-                    self.stats.interrupt_wait_cycles += 1;
+                    self.record.interrupt_waited = true;
                     return false;
                 }
                 // Resume at the oldest discarded architectural

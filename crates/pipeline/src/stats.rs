@@ -73,16 +73,6 @@ impl CoreStats {
         }
     }
 
-    /// Mispredictions per kilo-instruction.
-    #[must_use]
-    pub fn mpki(&self) -> f64 {
-        if self.retired == 0 {
-            0.0
-        } else {
-            (self.cond_mispredicts + self.target_mispredicts) as f64 * 1000.0 / self.retired as f64
-        }
-    }
-
     /// Mean allocated integer physical registers per cycle.
     #[must_use]
     pub fn avg_int_prf_occupancy(&self) -> f64 {
@@ -170,7 +160,6 @@ mod tests {
         };
         assert!((s.ipc() - 2.5).abs() < 1e-12);
         assert!((s.mispredict_rate() - 0.1).abs() < 1e-12);
-        assert!((s.mpki() - 40.0).abs() < 1e-12);
         assert!((s.avg_int_prf_occupancy() - 32.0).abs() < 1e-12);
     }
 

@@ -6,12 +6,13 @@
 //! core carries one and accounts its CPI stack on every cycle, whatever
 //! the telemetry level; the histograms record only at `stats`.
 //!
-//! Cycle attribution works on *deltas*: [`CoreTelemetry::begin_cycle`]
-//! snapshots the stall counters [`crate::CoreStats`] already maintains,
-//! the stages run, and [`OooCore::tick`](crate::OooCore::tick) ends the
-//! cycle by classifying the empty retire slots from the deltas plus the
-//! machine state (ROB head, redirect/serialization windows). The
-//! precedence order is documented in DESIGN.md §Observability.
+//! Cycle attribution works on a [`CycleRecord`]: the stages note what
+//! the cycle did (retirements, rename and interrupt stalls), the core
+//! completes the record with the end-of-cycle machine state and
+//! [`CoreTelemetry::classify`] picks the bucket of its empty retire
+//! slots; [`CoreTelemetry::account`] then credits it, once or for a
+//! whole span of quiet cycles. The precedence order is documented in
+//! DESIGN.md §Observability.
 
 use atr_mem::ServiceLevel;
 use atr_telemetry::{CpiBucket, CpiStack, Log2Hist, TelemetryConfig};
@@ -34,46 +35,52 @@ pub mod hist_names {
     pub const CLAIM_DURATION: &str = "claim_duration";
 }
 
-/// Scratch snapshot of the stall counters at the top of a cycle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleScratch {
-    retired: u64,
-    freelist_stalls: u64,
-    backpressure_stalls: u64,
-}
-
-/// What the last accounted cycle recorded, so identical cycles the core
-/// skips can be credited in bulk ([`CoreTelemetry::repeat_last_cycle`]).
+/// What one simulated cycle did to the per-cycle counters and the
+/// observer. The stages fill in the first four fields as the cycle runs,
+/// the core completes the rest at its end and credits the record once
+/// for that cycle and once more for every quiet cycle
+/// [`OooCore::tick`](crate::OooCore::tick) skips after it.
 #[derive(Debug, Clone, Copy)]
-struct LastCycle {
-    retired: u64,
-    cause: CpiBucket,
-    rob: u64,
-    int_prf: u64,
-    fp_prf: u64,
-}
-
-impl Default for LastCycle {
-    fn default() -> Self {
-        LastCycle { retired: 0, cause: CpiBucket::FrontendLatency, rob: 0, int_prf: 0, fp_prf: 0 }
-    }
-}
-
-/// What the rest of the machine reports into end-of-cycle attribution.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleView {
+pub struct CycleRecord {
     /// Instructions retired this cycle.
     pub retired: u64,
     /// Rename took a freelist-watermark stall this cycle.
     pub freelist_stalled: bool,
     /// Rename took a ROB/RS/LSQ backpressure stall this cycle.
     pub backpressure_stalled: bool,
-    /// The ROB holds at least one instruction.
-    pub rob_nonempty: bool,
+    /// A flush-mode interrupt waited for open atomic claims or a
+    /// precommitted ROB this cycle.
+    pub interrupt_waited: bool,
     /// An exception/interrupt serialization window is open.
     pub serializing: bool,
     /// A misprediction redirect window is open (recovery + refill).
     pub redirecting: bool,
+    /// ROB occupancy at the end of the cycle.
+    pub rob: u64,
+    /// Allocated integer physical registers at the end of the cycle.
+    pub int_prf: u64,
+    /// Allocated FP physical registers at the end of the cycle.
+    pub fp_prf: u64,
+    /// The bucket charged with the cycle's empty retire slots
+    /// ([`CoreTelemetry::classify`]).
+    pub cause: CpiBucket,
+}
+
+impl Default for CycleRecord {
+    fn default() -> Self {
+        CycleRecord {
+            retired: 0,
+            freelist_stalled: false,
+            backpressure_stalled: false,
+            interrupt_waited: false,
+            serializing: false,
+            redirecting: false,
+            rob: 0,
+            int_prf: 0,
+            fp_prf: 0,
+            cause: CpiBucket::FrontendLatency,
+        }
+    }
 }
 
 /// Per-core observer state. Construct with [`CoreTelemetry::new`]. The
@@ -96,8 +103,6 @@ pub struct CoreTelemetry {
     pub flush_walk_len: Log2Hist,
     /// Branch resolution latency histogram.
     pub branch_resolution: Log2Hist,
-    scratch: CycleScratch,
-    last: LastCycle,
 }
 
 impl CoreTelemetry {
@@ -112,8 +117,6 @@ impl CoreTelemetry {
             fp_prf_occupancy: Log2Hist::new(),
             flush_walk_len: Log2Hist::new(),
             branch_resolution: Log2Hist::new(),
-            scratch: CycleScratch::default(),
-            last: LastCycle::default(),
         }
     }
 
@@ -123,69 +126,35 @@ impl CoreTelemetry {
         self.stats
     }
 
-    /// Snapshots the stall counters before the stages run.
-    pub fn begin_cycle(&mut self, retired: u64, freelist_stalls: u64, backpressure_stalls: u64) {
-        self.scratch = CycleScratch { retired, freelist_stalls, backpressure_stalls };
-    }
-
-    /// Builds the end-of-cycle view from the post-stage counters.
-    #[must_use]
-    pub fn delta(
-        &self,
-        retired: u64,
-        freelist_stalls: u64,
-        backpressure_stalls: u64,
-    ) -> (u64, bool, bool) {
-        (
-            retired - self.scratch.retired,
-            freelist_stalls > self.scratch.freelist_stalls,
-            backpressure_stalls > self.scratch.backpressure_stalls,
-        )
-    }
-
-    /// Attributes one cycle's retire slots: the retired ones to
-    /// `retiring`, the empty ones to the first cause that fires in the
+    /// The bucket charged with one cycle's empty retire slots:
+    /// `retiring` when every slot retired, else the first cause that fires in the
     /// precedence of DESIGN.md §Observability. `head_mem_level` yields
     /// the level that serviced (is servicing) the ROB head's access when
     /// the head is an issued, still-incomplete load; it is asked only
     /// when the precedence reaches the memory buckets.
-    pub fn end_cycle(
-        &mut self,
-        view: &CycleView,
-        head_mem_level: impl FnOnce() -> Option<ServiceLevel>,
-    ) {
-        let cause = self.classify(view, head_mem_level);
-        self.cpi.account_cycle(view.retired, cause);
-        self.last.retired = view.retired;
-        self.last.cause = cause;
-    }
-
-    /// The bucket charged with one cycle's empty retire slots. The
-    /// precedence here is the contract documented in DESIGN.md
-    /// §Observability: every empty slot gets exactly one cause, chosen
-    /// by the first test that fires.
-    fn classify(
+    #[must_use]
+    pub fn classify(
         &self,
-        view: &CycleView,
+        r: &CycleRecord,
         head_mem_level: impl FnOnce() -> Option<ServiceLevel>,
     ) -> CpiBucket {
-        debug_assert!(view.retired <= self.cpi.width);
-        if view.retired == self.cpi.width {
+        debug_assert!(r.retired <= self.cpi.width);
+        if r.retired == self.cpi.width {
             return CpiBucket::Retiring;
         }
-        if view.serializing {
+        if r.serializing {
             CpiBucket::Serialization
-        } else if view.redirecting {
+        } else if r.redirecting {
             CpiBucket::BadSpeculation
-        } else if view.freelist_stalled {
+        } else if r.freelist_stalled {
             CpiBucket::FreelistStall
-        } else if view.rob_nonempty {
+        } else if r.rob > 0 {
             match head_mem_level() {
                 Some(ServiceLevel::L1) => CpiBucket::MemL1,
                 Some(ServiceLevel::L2) => CpiBucket::MemL2,
                 Some(ServiceLevel::Llc) => CpiBucket::MemLlc,
                 Some(ServiceLevel::Dram) => CpiBucket::MemDram,
-                None if view.backpressure_stalled => CpiBucket::Backpressure,
+                None if r.backpressure_stalled => CpiBucket::Backpressure,
                 None => CpiBucket::ExecLatency,
             }
         } else {
@@ -193,31 +162,17 @@ impl CoreTelemetry {
         }
     }
 
-    /// Samples the occupancy histograms for one cycle. The core calls
-    /// this only when [`CoreTelemetry::stats_enabled`].
-    pub fn sample_occupancy(&mut self, rob: u64, int_prf: u64, fp_prf: u64) {
-        self.rob_occupancy.record(rob);
-        self.int_prf_occupancy.record(int_prf);
-        self.fp_prf_occupancy.record(fp_prf);
-        self.last.rob = rob;
-        self.last.int_prf = int_prf;
-        self.last.fp_prf = fp_prf;
-    }
-
-    /// Credits `n` cycles as exact repeats of the last accounted cycle —
-    /// the same CPI attribution and (at `stats`) occupancy samples `n`
-    /// more [`CoreTelemetry::end_cycle`] plus
-    /// [`CoreTelemetry::sample_occupancy`] calls would record. The core
-    /// calls this for the quiet cycles it skips.
-    pub fn repeat_last_cycle(&mut self, n: u64) {
-        let last = self.last;
-        self.cpi.account_cycles(last.retired, last.cause, n);
+    /// Credits `n` cycles that each did what `r` records: their retire
+    /// slots to the CPI stack and, at `stats`, their end-of-cycle
+    /// occupancies to the histograms.
+    pub fn account(&mut self, r: &CycleRecord, n: u64) {
+        self.cpi.account_cycles(r.retired, r.cause, n);
         if !self.stats {
             return;
         }
-        self.rob_occupancy.record_n(last.rob, n);
-        self.int_prf_occupancy.record_n(last.int_prf, n);
-        self.fp_prf_occupancy.record_n(last.fp_prf, n);
+        self.rob_occupancy.record_n(r.rob, n);
+        self.int_prf_occupancy.record_n(r.int_prf, n);
+        self.fp_prf_occupancy.record_n(r.fp_prf, n);
     }
 }
 
@@ -226,59 +181,53 @@ mod tests {
     use super::*;
     use atr_telemetry::TelemetryLevel;
 
-    fn view() -> CycleView {
-        CycleView {
-            retired: 0,
-            freelist_stalled: false,
-            backpressure_stalled: false,
-            rob_nonempty: false,
-            serializing: false,
-            redirecting: false,
-        }
-    }
-
     fn telem() -> CoreTelemetry {
         let cfg = TelemetryConfig { level: TelemetryLevel::Stats };
         CoreTelemetry::new(&cfg, 8)
     }
 
+    /// Classifies `r` and accounts it once.
+    fn account_one(
+        t: &mut CoreTelemetry,
+        r: CycleRecord,
+        head_mem_level: impl FnOnce() -> Option<ServiceLevel>,
+    ) {
+        let r = CycleRecord { cause: t.classify(&r, head_mem_level), ..r };
+        t.account(&r, 1);
+    }
+
     #[test]
     fn precedence_serialization_beats_everything() {
         let mut t = telem();
-        t.end_cycle(
-            &CycleView {
-                serializing: true,
-                redirecting: true,
-                freelist_stalled: true,
-                rob_nonempty: true,
-                ..view()
-            },
-            || Some(ServiceLevel::Dram),
-        );
+        let r = CycleRecord {
+            serializing: true,
+            redirecting: true,
+            freelist_stalled: true,
+            rob: 1,
+            ..CycleRecord::default()
+        };
+        account_one(&mut t, r, || Some(ServiceLevel::Dram));
         assert_eq!(t.cpi.get(CpiBucket::Serialization), 8);
     }
 
     #[test]
     fn precedence_freelist_beats_memory() {
         let mut t = telem();
-        t.end_cycle(&CycleView { freelist_stalled: true, rob_nonempty: true, ..view() }, || {
-            Some(ServiceLevel::Dram)
-        });
+        let r = CycleRecord { freelist_stalled: true, rob: 1, ..CycleRecord::default() };
+        account_one(&mut t, r, || Some(ServiceLevel::Dram));
         assert_eq!(t.cpi.get(CpiBucket::FreelistStall), 8);
     }
 
     #[test]
     fn memory_bound_classified_by_service_level() {
         let mut t = telem();
-        t.end_cycle(
-            &CycleView {
-                retired: 2,
-                rob_nonempty: true,
-                backpressure_stalled: true, // mem-bound head outranks backpressure
-                ..view()
-            },
-            || Some(ServiceLevel::Llc),
-        );
+        let r = CycleRecord {
+            retired: 2,
+            rob: 1,
+            backpressure_stalled: true, // mem-bound head outranks backpressure
+            ..CycleRecord::default()
+        };
+        account_one(&mut t, r, || Some(ServiceLevel::Llc));
         assert_eq!(t.cpi.get(CpiBucket::Retiring), 2);
         assert_eq!(t.cpi.get(CpiBucket::MemLlc), 6);
         t.cpi.check().unwrap();
@@ -287,37 +236,47 @@ mod tests {
     #[test]
     fn empty_rob_without_stalls_is_frontend() {
         let mut t = telem();
-        t.end_cycle(&view(), || None);
+        account_one(&mut t, CycleRecord::default(), || None);
         assert_eq!(t.cpi.get(CpiBucket::FrontendLatency), 8);
     }
 
     #[test]
     fn full_retire_skips_cause_analysis() {
         let mut t = telem();
-        t.end_cycle(&CycleView { retired: 8, serializing: true, ..view() }, || None);
+        let r = CycleRecord { retired: 8, serializing: true, ..CycleRecord::default() };
+        account_one(&mut t, r, || None);
         assert_eq!(t.cpi.get(CpiBucket::Retiring), 8);
         assert_eq!(t.cpi.get(CpiBucket::Serialization), 0);
     }
 
     #[test]
-    fn delta_capture_roundtrip() {
-        let mut t = telem();
-        t.begin_cycle(100, 5, 7);
-        let (retired, fl, bp) = t.delta(104, 5, 8);
-        assert_eq!(retired, 4);
-        assert!(!fl);
-        assert!(bp);
-    }
-
-    #[test]
-    fn off_level_accounts_cpi_but_records_no_histograms() {
-        let mut t = CoreTelemetry::new(&TelemetryConfig::default(), 8);
-        assert!(!t.stats_enabled());
-        t.end_cycle(&CycleView { retired: 3, rob_nonempty: true, ..view() }, || None);
-        t.repeat_last_cycle(4);
-        assert_eq!(t.cpi.cycles, 5);
-        assert_eq!(t.cpi.get(CpiBucket::Retiring), 15);
-        assert_eq!(t.cpi.get(CpiBucket::ExecLatency), 25);
-        assert_eq!(t.rob_occupancy.count, 0);
+    fn accounting_a_span_equals_accounting_each_cycle() {
+        let r = CycleRecord {
+            retired: 3,
+            rob: 40,
+            int_prf: 70,
+            fp_prf: 33,
+            cause: CpiBucket::ExecLatency,
+            ..CycleRecord::default()
+        };
+        for level in [TelemetryLevel::Stats, TelemetryLevel::Off] {
+            let cfg = TelemetryConfig { level };
+            let (mut span, mut each) = (CoreTelemetry::new(&cfg, 8), CoreTelemetry::new(&cfg, 8));
+            span.account(&r, 5);
+            for _ in 0..5 {
+                each.account(&r, 1);
+            }
+            assert_eq!(span.cpi, each.cpi, "{level:?}");
+            assert_eq!(span.cpi.get(CpiBucket::Retiring), 15);
+            assert_eq!(span.cpi.get(CpiBucket::ExecLatency), 25);
+            for (a, b) in [
+                (&span.rob_occupancy, &each.rob_occupancy),
+                (&span.int_prf_occupancy, &each.int_prf_occupancy),
+                (&span.fp_prf_occupancy, &each.fp_prf_occupancy),
+            ] {
+                assert_eq!(a, b, "{level:?}");
+                assert_eq!(a.count, if level == TelemetryLevel::Stats { 5 } else { 0 });
+            }
+        }
     }
 }

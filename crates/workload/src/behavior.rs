@@ -97,12 +97,6 @@ impl BranchState {
             other => panic!("next_target on non-indirect behaviour {other:?}"),
         }
     }
-
-    /// Is this an indirect (target-choosing) behaviour?
-    #[must_use]
-    pub fn is_indirect(&self) -> bool {
-        matches!(self.behavior, BranchBehavior::IndirectUniform { .. })
-    }
 }
 
 /// Effective-address behaviour of a load or store PC.
@@ -256,7 +250,6 @@ mod tests {
         let targets = vec![0x100, 0x200, 0x300];
         let mut s =
             BranchState::new(BranchBehavior::IndirectUniform { targets: targets.clone() }, 9);
-        assert!(s.is_indirect());
         for _ in 0..50 {
             assert!(s.next_taken());
             assert!(targets.contains(&s.next_target()));

@@ -61,16 +61,6 @@ if grep -rnE 'env::var|var_os' $model_src; then
     exit 1
 fi
 
-echo "== lifetime records stay inside atr-core"
-# atr-core folds each per-allocation lifetime record into the Fig
-# 4/6/12/14 summary once nothing can update it; other crates read the
-# summary, never a record.
-if grep -rln --include='*.rs' --exclude-dir=target 'RegLifetime' crates src tests examples perfbench \
-    | grep -v '^crates/core/'; then
-    echo "FAIL: a file outside crates/core/ names RegLifetime" >&2
-    exit 1
-fi
-
 echo "== cargo test"
 # Includes the root test tests/figure_fingerprint.rs, which runs a plain
 # tiny pass of the product and pins its fingerprint to
